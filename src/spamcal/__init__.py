@@ -5,7 +5,6 @@ number of measured distributions, validates against a built-in exhaustive
 oracle, and corrects raw measured distributions with it.
 """
 
-from .assembly import KERNEL_BACKEND
 from .backends import (
     Counts,
     Dataset,

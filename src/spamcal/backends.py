@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import MissingDataError, ValidationError
-from .model import NoiseModel
+from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
 from .serialize import dump_json, load_json
 from .tmatrix import TransitionMatrix
 
@@ -47,6 +47,12 @@ class Counts:
             )
         if any(v < 0 for v in self.histogram.values()):
             raise ValidationError("negative count in histogram")
+        n = self.prepared.n
+        wrong = [s for s in self.histogram if len(s) != n]
+        if wrong:
+            raise ValidationError(
+                f"outcome {wrong[0]!r} has {len(wrong[0])} bits, prepared state has {n}"
+            )
 
     def vector(self) -> np.ndarray:
         n = self.prepared.n
@@ -266,7 +272,7 @@ def load_distribution(path) -> tuple[np.ndarray, int]:
     return v, n
 
 
-def measure_full_matrix(backend, limit: int = 12) -> TransitionMatrix:
+def measure_full_matrix(backend, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
     """Exhaustively measure all 2^n columns from any backend."""
     n = backend.n
     if n > limit:

@@ -37,12 +37,10 @@ from .errors import (
 )
 from .estimate import circuit_budget, estimate_transition_matrix
 from .geometry import RegisterGeometry
-from .model import NoiseModel, PRESETS, identity_model
+from .model import ORACLE_LIMIT_DEFAULT, NoiseModel, PRESETS, identity_model
 from .norms import MatrixNorm
 from .serialize import dump_json, sha256_file
 from .tmatrix import TransitionMatrix
-
-ORACLE_LIMIT_DEFAULT = 12
 
 
 def _write_manifest(out_path, command, config, inputs, outputs):

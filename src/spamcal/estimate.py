@@ -7,7 +7,10 @@ supported on the union of the two neighborhoods. Identical prepared
 bitstrings are measured once and shared. The full matrix is then assembled
 classically: a product of per-qubit means plus an additive pairwise
 covariance correction, each mean/covariance looked up at the filtered
-version of the column's prepared state.
+version of the column's prepared state. Both parts go through
+:func:`spamcal.assembly.kron_columns`, the kernel the noise model builds
+its own columns with: the means are the product term and each pair's
+covariance table is a term on that pair.
 
 CalibrationTables JSON: mean-field keys "i|b|bits", pair keys
 "i,j|bi bj|bits"; metadata records k, the backend descriptor, and the
@@ -16,17 +19,22 @@ deduplicated circuit count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import mean_column, pair_column
+from .assembly import kron_columns
 from .bits import BitString, submasks, support_mask
 from .characterize import prob_joint_zero, prob_zero
 from .errors import MissingDataError, ValidationError
 from .geometry import RegisterGeometry, all_neighborhoods, full_size
 from .serialize import dump_json, load_json
 from .tmatrix import TransitionMatrix
+
+# The two kernel calls of the estimator, under their own names so that a
+# profile can tell kernel time from table lookups.
+mean_column = pair_column = kron_columns
 
 
 def circuit_budget(n: int, k: int) -> tuple[int, int]:
@@ -54,30 +62,6 @@ class CalibrationTables:
     pair_fluct: dict = field(default_factory=dict)
     circuits_used: int = 0
     metadata: dict = field(default_factory=dict)
-
-    def mean(self, i: int, b: int, xprime_index: int) -> float:
-        s = xprime_index & self.single_masks[i]
-        try:
-            return self.mean_fields[(i, b, s)]
-        except KeyError:
-            raise ValidationError(
-                f"no mean-field entry for qubit {i}, filtered state "
-                f"{BitString.from_index(s, self.n)}"
-            ) from None
-
-    def pair(self, i: int, j: int, bi: int, bj: int, xprime_index: int) -> float:
-        s = xprime_index & self.pair_masks[(i, j)]
-        try:
-            return self.pair_fluct[(i, j, bi, bj, s)]
-        except KeyError:
-            raise ValidationError(
-                f"no pair entry for qubits ({i},{j}), filtered state "
-                f"{BitString.from_index(s, self.n)}"
-            ) from None
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pair_masks)
 
     def to_json(self, path=None) -> str:
         def bstr(idx):
@@ -216,43 +200,52 @@ def measure_pair_fluctuations(backend, geometry: RegisterGeometry, k: int) -> Ca
     return tables
 
 
-def _column_inputs(tables: CalibrationTables, c: int):
+def _gather(table: dict, qubits: tuple, mask: int, cols: np.ndarray, n: int):
+    """table[qubits + outcome bits + (c & mask,)] for every column c, shaped
+    (cols,) + (2,) * len(qubits): one lookup per filtered state."""
+    states = np.array(submasks(mask))
+    outcomes = list(itertools.product((0, 1), repeat=len(qubits)))
+    try:
+        vals = np.array(
+            [[table[qubits + o + (s,)] for o in outcomes] for s in states.tolist()]
+        )
+    except KeyError as exc:
+        who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
+        raise ValidationError(
+            f"no table entry for {who}, filtered state "
+            f"{BitString.from_index(exc.args[0][-1], n)}"
+        ) from None
+    vals = vals.reshape((len(states),) + (2,) * len(qubits))
+    return vals[np.searchsorted(states, cols & mask)]
+
+
+def _means(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:
     n = tables.n
-    means = np.empty((n, 2))
-    for i in range(1, n + 1):
-        means[i - 1, 0] = tables.mean(i, 0, c)
-        means[i - 1, 1] = tables.mean(i, 1, c)
-    return means
+    return np.stack(
+        [
+            _gather(tables.mean_fields, (i,), tables.single_masks[i], cols, n)
+            for i in range(1, n + 1)
+        ],
+        axis=1,
+    )
 
 
 def assemble_t_mean(tables: CalibrationTables) -> TransitionMatrix:
     """Product-of-means matrix from the filtered mean fields."""
-    n = tables.n
-    dim = 1 << n
-    t = np.empty((dim, dim))
-    for c in range(dim):
-        t[:, c] = mean_column(_column_inputs(tables, c))
-    return TransitionMatrix(n, t)
+    cols = np.arange(1 << tables.n)
+    t = mean_column(_means(tables, cols), [((), np.ones(cols.size))])
+    return TransitionMatrix(tables.n, t)
 
 
 def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
     """Additive pairwise-covariance correction; columns sum to ~0."""
     n = tables.n
-    dim = 1 << n
-    pairs = tables.pairs
-    pair_idx = np.array([(i - 1, j - 1) for i, j in pairs], dtype=np.int64).reshape(
-        len(pairs), 2
-    )
-    t = np.empty((dim, dim))
-    covs = np.empty((len(pairs), 2, 2))
-    for c in range(dim):
-        means = _column_inputs(tables, c)
-        for p, (i, j) in enumerate(pairs):
-            for bi in (0, 1):
-                for bj in (0, 1):
-                    covs[p, bi, bj] = tables.pair(i, j, bi, bj, c)
-        t[:, c] = pair_column(means, pair_idx, covs)
-    return TransitionMatrix(n, t)
+    cols = np.arange(1 << n)
+    terms = [
+        ((i - 1, j - 1), _gather(tables.pair_fluct, (i, j), mask, cols, n))
+        for (i, j), mask in sorted(tables.pair_masks.items())
+    ]
+    return TransitionMatrix(n, pair_column(_means(tables, cols), terms))
 
 
 def estimate_transition_matrix(

@@ -10,8 +10,13 @@ where m_i(0|x') = base_i(0|x'_i) - sum_j shift[i][j] * x'_j is the
 probability that qubit i reads 0, and c_ij(x') = cov[i][j](x'_i, x'_j)
 + sum_l spectator_cov[i][j][l] * x'_l is a signed pair covariance. The
 signed pair and triple terms each sum to zero over outcomes, so every
-column is automatically normalized; nonnegativity is checked at
-construction by full enumeration.
+column is automatically normalized. Columns are built in batches by
+:func:`spamcal.assembly.kron_columns`, the kernel the estimator also
+assembles with: the means are base_i(0|x'_i) - (bits @ shift.T), and each
+pair or triple is a term whose weight carries the signs. Every batch is
+checked for negative entries and column sums, by full enumeration at
+construction when n <= ORACLE_LIMIT_DEFAULT and column by column as a
+backend draws them otherwise.
 
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
 P(read 0) when prepared spectator j is flipped to 1, i.e. exactly the
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import BLOCK, kron_columns
 from .bits import BitString
 from .errors import ValidationError
 from .geometry import RegisterGeometry
@@ -32,13 +38,7 @@ from .serialize import dump_json, load_json
 from .tmatrix import TransitionMatrix
 
 ORACLE_LIMIT_DEFAULT = 12
-
-
-def _signed_kron(factors) -> np.ndarray:
-    v = np.ones(1)
-    for f in factors:
-        v = np.kron(v, f)
-    return v
+_SIGN = np.array([1.0, -1.0])  # (-1)^x for outcome bit x
 
 
 @dataclass
@@ -78,7 +78,9 @@ class NoiseModel:
         self._check_indices()
         self._check_ranges()
         if n <= ORACLE_LIMIT_DEFAULT:
-            self._check_columns()
+            cols = np.arange(1 << n)
+            for start in range(0, cols.size, BLOCK):
+                self._columns(cols[start:start + BLOCK])
 
     @property
     def n(self) -> int:
@@ -113,69 +115,50 @@ class NoiseModel:
                     f"range {self.cov_range}"
                 )
 
-    def _check_columns(self):
-        for c in range(1 << self.n):
-            xprime = BitString.from_index(c, self.n)
-            p = self.column(xprime)
-            if np.min(p) < -1e-12:
-                bad = int(np.argmin(p))
-                raise ValidationError(
-                    f"model gives negative probability p({BitString.from_index(bad, self.n)}"
-                    f"|{xprime}) = {np.min(p)}"
-                )
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise ValidationError(
-                    f"column {xprime} sums to {p.sum()}, expected 1"
-                )
-
-    def read0(self, i: int, xprime: BitString) -> float:
-        """m_i(0|x'): probability that qubit i reads 0."""
-        m = self.base[i - 1][0, xprime.bit(i)]
-        for (a, b), v in self.shifts.items():
-            if a == i and xprime.bit(b):
-                m -= v
-        return float(m)
-
-    def pair_value(self, i: int, j: int, xprime: BitString) -> float:
-        """c_ij(x'): signed pair covariance weight for i < j."""
-        c = 0.0
-        if (i, j) in self.pair_cov:
-            c += float(self.pair_cov[(i, j)][xprime.bit(i), xprime.bit(j)])
-        for (a, b, l), v in self.spectator_cov.items():
-            if (a, b) == (i, j) and xprime.bit(l):
-                c += v
-        return c
-
-    def means(self, xprime: BitString) -> np.ndarray:
-        """(n, 2) array of m_i(x_i|x') for both outcomes."""
-        m = np.empty((self.n, 2))
-        for i in range(1, self.n + 1):
-            m0 = self.read0(i, xprime)
-            m[i - 1] = (m0, 1.0 - m0)
-        return m
+    def _columns(self, cols: np.ndarray) -> np.ndarray:
+        """T[:, cols] for an array of prepared-state indices, each column
+        checked to be a probability distribution."""
+        n = self.n
+        bits = (cols[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (cols, n)
+        shift = np.zeros((n, n))
+        for (i, j), v in self.shifts.items():
+            shift[i - 1, j - 1] = v
+        # summed row by row, so a column does not depend on its batch
+        read0 = self.base[np.arange(n), 0, bits] - (bits[:, None, :] * shift).sum(-1)
+        means = np.stack([read0, 1.0 - read0], axis=-1)
+        terms = [((), np.ones(len(cols)))]
+        pairs = set(self.pair_cov) | {(i, j) for (i, j, _l) in self.spectator_cov}
+        for (i, j) in sorted(pairs):
+            c = np.zeros(len(cols))
+            if (i, j) in self.pair_cov:
+                c += self.pair_cov[(i, j)][bits[:, i - 1], bits[:, j - 1]]
+            for (a, b, l), v in self.spectator_cov.items():
+                if (a, b) == (i, j):
+                    c += v * bits[:, l - 1]
+            terms.append(((i - 1, j - 1), c[:, None, None] * _SIGN[:, None] * _SIGN))
+        for (i, j, k), g in sorted(self.triples.items()):
+            w = g * _SIGN[:, None, None] * _SIGN[:, None] * _SIGN
+            terms.append(((i - 1, j - 1, k - 1), np.broadcast_to(w, (len(cols), 2, 2, 2))))
+        t = kron_columns(means, terms)
+        if t.min() < -1e-12:
+            x, c = np.unravel_index(np.argmin(t), t.shape)
+            raise ValidationError(
+                f"model gives negative probability p({BitString.from_index(int(x), n)}"
+                f"|{BitString.from_index(int(cols[c]), n)}) = {t[x, c]}"
+            )
+        sums = t.sum(axis=0)
+        bad = np.abs(sums - 1.0) > 1e-12
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise ValidationError(
+                f"column {BitString.from_index(int(cols[c]), n)} sums to {sums[c]}, "
+                f"expected 1"
+            )
+        return t
 
     def column(self, xprime: BitString) -> np.ndarray:
         """The exact outcome distribution for one prepared state."""
-        m = self.means(xprime)
-        p = _signed_kron(m)
-        sign = np.array([1.0, -1.0])
-        pairs = set(self.pair_cov) | {(i, j) for (i, j, _l) in self.spectator_cov}
-        for (i, j) in sorted(pairs):
-            c = self.pair_value(i, j, xprime)
-            if c == 0.0:
-                continue
-            factors = [
-                sign if l in (i, j) else m[l - 1] for l in range(1, self.n + 1)
-            ]
-            p = p + c * _signed_kron(factors)
-        for (i, j, k), g in sorted(self.triples.items()):
-            if g == 0.0:
-                continue
-            factors = [
-                sign if l in (i, j, k) else m[l - 1] for l in range(1, self.n + 1)
-            ]
-            p = p + g * _signed_kron(factors)
-        return p
+        return self._columns(np.array([xprime.index]))[:, 0]
 
     def full_matrix(self, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
         """Exhaustive transition matrix over all 2^n prepared states."""
@@ -184,11 +167,7 @@ class NoiseModel:
                 f"full enumeration of n={self.n} needs O(4^n) work; "
                 f"the oracle limit is {limit}"
             )
-        dim = 1 << self.n
-        t = np.empty((dim, dim))
-        for c in range(dim):
-            t[:, c] = self.column(BitString.from_index(c, self.n))
-        return TransitionMatrix(self.n, t)
+        return TransitionMatrix(self.n, self._columns(np.arange(1 << self.n)))
 
     # -- serialization -----------------------------------------------------
 
@@ -219,8 +198,17 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, obj) -> "NoiseModel":
         def keys(s, parts):
-            return tuple(int(x) for x in s.split(","))[:parts]
+            try:
+                key = tuple(int(x) for x in s.split(","))
+            except ValueError:
+                key = ()
+            if len(key) != parts:
+                raise ValidationError(f"model key {s!r} needs {parts} qubit indices")
+            return key
 
+        for key in ("n", "dimension", "positions", "base"):
+            if key not in obj:
+                raise ValidationError(f"model JSON missing key {key!r}")
         geometry = RegisterGeometry(
             int(obj["n"]),
             int(obj["dimension"]),

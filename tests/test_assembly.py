@@ -1,26 +1,30 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from spamcal.assembly import KERNEL_BACKEND, mean_column, pair_column, python_kernels
+from spamcal.assembly import BLOCK, kron_columns
 
 
-def random_inputs(rng, n, signed=False):
-    m0 = rng.uniform(0.7, 1.0, n)
-    means = np.column_stack([m0, 1.0 - m0])
-    pairs = np.array(
-        [(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.int64
-    )
+def random_inputs(rng, n, cols=1, signed=False):
+    m0 = rng.uniform(0.7, 1.0, (cols, n))
+    means = np.stack([m0, 1.0 - m0], axis=-1)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if signed:
         # indicator-covariance structure: c * (-1)^(bi+bj)
         sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        covs = rng.uniform(-3e-4, 3e-4, len(pairs))[:, None, None] * sign
+        covs = rng.uniform(-3e-4, 3e-4, (cols, len(pairs)))[..., None, None] * sign
     else:
-        covs = rng.uniform(-3e-4, 3e-4, (len(pairs), 2, 2))
-    return means, pairs, np.ascontiguousarray(covs)
+        covs = rng.uniform(-3e-4, 3e-4, (cols, len(pairs), 2, 2))
+    return means, pairs, covs
 
 
-def test_backend_selected():
-    assert KERNEL_BACKEND in ("cython", "numpy")
+def mean_term(cols):
+    return [((), np.ones(cols))]
+
+
+def pair_terms(pairs, covs):
+    return [(pair, covs[:, p]) for p, pair in enumerate(pairs)]
 
 
 def brute_mean_column(means):
@@ -50,39 +54,66 @@ def brute_pair_column(means, pairs, covs):
     return out
 
 
+def brute_triple_column(means, triple, weight):
+    n = means.shape[0]
+    out = np.zeros(1 << n)
+    for x in range(1 << n):
+        bits = [(x >> (n - 1 - l)) & 1 for l in range(n)]
+        term = weight[tuple(bits[q] for q in triple)]
+        for l in range(n):
+            if l not in triple:
+                term *= means[l, bits[l]]
+        out[x] = term
+    return out
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", [2, 4, 7])
 def test_kernels_match_bruteforce(seed, n):
     rng = np.random.default_rng(seed)
-    means, pairs, covs = random_inputs(rng, n)
-    np.testing.assert_allclose(mean_column(means), brute_mean_column(means), atol=1e-14)
-    np.testing.assert_allclose(
-        pair_column(means, pairs, covs), brute_pair_column(means, pairs, covs),
-        atol=1e-14,
-    )
+    cols = 3
+    means, pairs, covs = random_inputs(rng, n, cols)
+    t_mean = kron_columns(means, mean_term(cols))
+    t_pair = kron_columns(means, pair_terms(pairs, covs))
+    for c in range(cols):
+        np.testing.assert_allclose(t_mean[:, c], brute_mean_column(means[c]), atol=1e-14)
+        np.testing.assert_allclose(
+            t_pair[:, c], brute_pair_column(means[c], pairs, covs[c]), atol=1e-14
+        )
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_compiled_and_python_kernels_agree(seed):
-    rng = np.random.default_rng(100 + seed)
-    means, pairs, covs = random_inputs(rng, 6)
-    np.testing.assert_allclose(
-        mean_column(means), python_kernels.mean_column(means), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        pair_column(means, pairs, covs),
-        python_kernels.pair_column(means, pairs, covs),
-        atol=1e-15,
-    )
+@pytest.mark.parametrize("triple", [(0, 1, 2), (0, 2, 4), (2, 3, 4)])
+def test_triple_term_matches_bruteforce(triple):
+    rng = np.random.default_rng(7)
+    n, cols = 5, 2
+    means, _, _ = random_inputs(rng, n, cols)
+    weights = rng.uniform(-1e-4, 1e-4, (cols, 2, 2, 2))
+    t = kron_columns(means, [(triple, weights)])
+    for c in range(cols):
+        np.testing.assert_allclose(
+            t[:, c], brute_triple_column(means[c], triple, weights[c]), atol=1e-15
+        )
+
+
+def test_blocks_do_not_change_columns():
+    # more columns than one block: each column equals its own one-column call
+    rng = np.random.default_rng(3)
+    cols = BLOCK + 5
+    means, pairs, covs = random_inputs(rng, 4, cols)
+    terms = mean_term(cols) + pair_terms(pairs, covs)
+    t = kron_columns(means, terms)
+    for c in itertools.chain(range(3), range(BLOCK - 1, cols)):
+        one = [(q, w[c:c + 1]) for q, w in terms]
+        np.testing.assert_array_equal(t[:, c], kron_columns(means[c:c + 1], one)[:, 0])
 
 
 def test_mean_column_normalized():
     rng = np.random.default_rng(0)
     means, _, _ = random_inputs(rng, 5)
-    assert mean_column(means).sum() == pytest.approx(1.0, abs=1e-12)
+    assert kron_columns(means, mean_term(1)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_column_sums_to_zero():
     rng = np.random.default_rng(1)
     means, pairs, covs = random_inputs(rng, 5, signed=True)
-    assert abs(pair_column(means, pairs, covs).sum()) < 1e-14
+    assert abs(kron_columns(means, pair_terms(pairs, covs)).sum()) < 1e-14

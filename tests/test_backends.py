@@ -36,6 +36,12 @@ def test_counts_invariants():
     assert c.distribution().sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("outcome", ["0110", "1"])
+def test_counts_reject_outcome_of_wrong_width(outcome):
+    with pytest.raises(ValidationError, match="bits"):
+        Counts(prepared=BitString.from_str("01"), histogram={outcome: 10}, shots=10)
+
+
 def test_single_shot():
     b = SampledBackend(melbourne_c4(), seed=3)
     c = sample_counts(b, BitString.from_str("0000"), 1)

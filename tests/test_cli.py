@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from spamcal.cli import main
 from spamcal.model import melbourne_c4
 from spamcal.serialize import load_json
 from spamcal.tmatrix import TransitionMatrix
+from test_model import invalid_chain13
 
 
 def run(*argv):
@@ -158,6 +161,36 @@ def test_exit_code_validation(tmp_path, capsys):
     # no model source
     assert run("calibrate-full", "--out", tmp_path / "x.json") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_estimate_rejects_invalid_model_beyond_oracle_limit(tmp_path, capsys):
+    model = tmp_path / "m13.json"
+    invalid_chain13().to_json(model)
+    code = run("estimate", "--model", model, "--k", "0", "--out", tmp_path / "x.json")
+    assert code == 2
+    assert "negative probability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["shifts", "pair_cov", "spectator_cov", "triples"])
+def test_model_key_with_wrong_index_count_rejected(tmp_path, capsys, field):
+    obj = melbourne_c4().to_dict()
+    value = [[1e-4, 1e-4], [1e-4, 1e-4]] if field == "pair_cov" else 1e-4
+    key = "1,2" if field in ("spectator_cov", "triples") else "1,4,3"
+    obj[field] = {key: value}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    assert run("estimate", "--model", model, "--k", "0", "--out", tmp_path / "x.json") == 2
+    assert f"model key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n", "dimension", "positions", "base"])
+def test_model_missing_required_key_exits_2(tmp_path, capsys, key):
+    obj = melbourne_c4().to_dict()
+    del obj[key]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    assert run("estimate", "--model", model, "--k", "0", "--out", tmp_path / "x.json") == 2
+    assert f"missing key '{key}'" in capsys.readouterr().err
 
 
 def test_exit_code_missing_replay(tmp_path, capsys):

@@ -120,8 +120,16 @@ def test_mean_lookup_errors_name_the_hole():
     m = melbourne_c4()
     tables = measure_mean_fields(ExactBackend(m), m.geometry, 0)
     del tables.mean_fields[(2, 0, 0b0100)]
-    with pytest.raises(ValidationError, match="qubit 2"):
-        tables.mean(2, 0, 0b0100)
+    with pytest.raises(ValidationError, match="qubit 2, filtered state 0100"):
+        assemble_t_mean(tables)
+
+
+def test_pair_lookup_errors_name_the_hole():
+    m = melbourne_c4()
+    _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 0)
+    del tables.pair_fluct[(2, 3, 1, 0, 0b0110)]
+    with pytest.raises(ValidationError, match=r"qubits \(2, 3\), filtered state 0110"):
+        assemble_t_pair(tables)
 
 
 def test_tables_json_round_trip(tmp_path):

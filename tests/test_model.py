@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spamcal.backends import ExactBackend
 from spamcal.bits import BitString
 from spamcal.errors import ValidationError
 from spamcal.geometry import RegisterGeometry
@@ -142,6 +143,22 @@ def test_negative_probability_rejected():
     base = np.array([symmetric_single_qubit(0.02)] * 2)
     with pytest.raises(ValidationError, match="negative probability"):
         NoiseModel(g, base, shifts={(1, 2): 0.9}, shift_range=1)
+
+
+def invalid_chain13():
+    """Accepted at construction (n > 12 is not enumerated), but qubit 1
+    reads 0 with probability 0.99 - 0.995 < 0 once qubit 2 is prepared 1."""
+    base = np.array([[[0.99, 0.02], [0.01, 0.98]]] * 13)
+    return NoiseModel(
+        RegisterGeometry.chain(13), base, shifts={(1, 2): 0.995}, shift_range=1
+    )
+
+
+def test_invalid_model_rejected_when_drawn_beyond_oracle_limit():
+    backend = ExactBackend(invalid_chain13())
+    assert backend.distribution(BitString.from_index(0, 13)).min() >= 0.0
+    with pytest.raises(ValidationError, match="negative probability"):
+        backend.distribution(BitString.from_index(1 << 11, 13))
 
 
 def test_out_of_range_shift_rejected():
