@@ -14,7 +14,6 @@ from .backends import (
     ingest_dataset,
     measure_full_matrix,
     record_dataset,
-    sample_counts,
 )
 from .bits import BitString, filter_pair, filter_single
 from .characterize import (
@@ -50,8 +49,6 @@ from .estimate import (
     choose_neighborhood_size,
     circuit_budget,
     estimate_transition_matrix,
-    measure_mean_fields,
-    measure_pair_fluctuations,
 )
 from .geometry import Neighborhood, RegisterGeometry, moore_neighborhood
 from .model import NoiseModel, PRESETS, identity_model, melbourne_c4, melbourne_c8

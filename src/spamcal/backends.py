@@ -22,7 +22,7 @@ import numpy as np
 from .bits import BitString
 from .errors import MissingDataError, ValidationError
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
-from .serialize import dump_json, load_json
+from .serialize import dump_json, load_json, parse
 from .tmatrix import TransitionMatrix
 
 SAMPLER_ID = "pcg64-inverse-cdf-v1"
@@ -187,13 +187,16 @@ class Dataset:
                 raise ValidationError(f"dataset JSON missing key {key!r}")
         if obj["order"] != "msb-first":
             raise ValidationError(f"unsupported bit order {obj['order']!r}")
-        ds = cls(n=int(obj["n"]))
+        ds = cls(n=parse(int, obj["n"], "n"))
         for r, rec in enumerate(obj["records"]):
             try:
                 counts = Counts(
                     prepared=BitString.from_str(rec["prepared"]),
-                    histogram={k: int(v) for k, v in rec["counts"].items()},
-                    shots=int(rec["shots"]),
+                    histogram={
+                        k: parse(int, v, f"count of {k}")
+                        for k, v in rec["counts"].items()
+                    },
+                    shots=parse(int, rec["shots"], "shots"),
                 )
                 ds.add(counts)
             except (KeyError, ValidationError) as exc:
@@ -237,11 +240,6 @@ def ingest_dataset(path) -> ReplayBackend:
     return ReplayBackend(Dataset.from_json(path), source=str(path))
 
 
-def sample_counts(backend, xprime: BitString, shots: int) -> Counts:
-    """Counts for one prepared state from a sampled or replay backend."""
-    return backend.counts(xprime, shots)
-
-
 def record_dataset(backend, prepared_states, shots: int) -> Dataset:
     """Query a backend for each prepared state and collect the counts."""
     ds = Dataset(n=backend.n)
@@ -265,10 +263,10 @@ def load_distribution(path) -> tuple[np.ndarray, int]:
     for key in ("n", "probs"):
         if key not in obj:
             raise ValidationError(f"distribution JSON missing key {key!r}")
-    n = int(obj["n"])
+    n = parse(int, obj["n"], "n")
     v = np.zeros(1 << n)
     for s, p in obj["probs"].items():
-        v[BitString.from_str(s).index] = float(p)
+        v[BitString.from_str(s).index] = parse(float, p, f"probability of {s}")
     return v, n
 
 

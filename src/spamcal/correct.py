@@ -76,7 +76,7 @@ def correct_constrained(
     tb = t.T @ p_raw
     x = project_simplex(p_raw.copy())
     g = 2.0 * (gram @ x - tb)
-    step = 1.0 / max(np.linalg.norm(gram, 2), 1e-30)
+    step = lipschitz_step = 1.0 / max(np.linalg.norm(gram, 2), 1e-30)
     for it in range(1, max_iter + 1):
         kkt = np.max(np.abs(x - project_simplex(x - g)))
         if kkt <= tol:
@@ -93,9 +93,7 @@ def correct_constrained(
         sy = float(s @ y)
         # Barzilai-Borwein step; fall back to the Lipschitz step when the
         # curvature estimate degenerates
-        step = float(s @ s) / sy if sy > 1e-30 else 1.0 / max(
-            np.linalg.norm(gram, 2), 1e-30
-        )
+        step = float(s @ s) / sy if sy > 1e-30 else lipschitz_step
         x, g = x_new, g_new
     residual = float(np.linalg.norm(t @ x - p_raw))
     raise ConvergenceError(

@@ -4,7 +4,8 @@ The protocol measures, per qubit, the read-0/read-1 probabilities at every
 preparation supported on the qubit's neighborhood (far spectators 0), and,
 per pair, the covariance of the two read-0 indicators at every preparation
 supported on the union of the two neighborhoods. Identical prepared
-bitstrings are measured once and shared. The full matrix is then assembled
+bitstrings are measured once and shared; :func:`estimate_transition_matrix`
+is the one entry point that measures. The full matrix is then assembled
 classically: a product of per-qubit means plus an additive pairwise
 covariance correction, each mean/covariance looked up at the filtered
 version of the column's prepared state. Both parts go through
@@ -12,9 +13,14 @@ version of the column's prepared state. Both parts go through
 its own columns with: the means are the product term and each pair's
 covariance table is a term on that pair.
 
+Each table is an array whose row r belongs to the r-th filtered state of
+its mask in :func:`spamcal.bits.submasks` order, so a column c reads row
+``searchsorted(submasks(mask), c & mask)``.
+
 CalibrationTables JSON: mean-field keys "i|b|bits", pair keys
-"i,j|bi bj|bits"; metadata records k, the backend descriptor, and the
-deduplicated circuit count.
+"i,j|bi bj|bits", one float per key; metadata records k, the backend
+descriptor, and the deduplicated circuit count. Loading checks that every
+filtered state of every mask has its entries.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .bits import BitString, submasks, support_mask
 from .characterize import prob_joint_zero, prob_zero
 from .errors import MissingDataError, ValidationError
 from .geometry import RegisterGeometry, all_neighborhoods, full_size
-from .serialize import dump_json, load_json
+from .serialize import dump_json, load_json, parse
 from .tmatrix import TransitionMatrix
 
 # The two kernel calls of the estimator, under their own names so that a
@@ -50,8 +56,13 @@ def circuit_budget(n: int, k: int) -> tuple[int, int]:
 class CalibrationTables:
     """Filtered mean fields and pair covariances for one neighborhood size.
 
-    mean_fields: (i, b, filtered_index) -> P(qubit i reads b)
-    pair_fluct:  (i, j, bi, bj, filtered_index) -> covariance, i < j
+    mean_fields: i -> (rows, 2) array, [r, b] = P(qubit i reads b)
+    pair_fluct:  (i, j) -> (rows, 2, 2) array, [r, bi, bj] = covariance of
+                 the indicators "i reads bi" and "j reads bj", i < j
+    Row r is the r-th filtered state of the qubit's or pair's mask, in
+    submasks order. The JSON form keeps one entry per (table, outcome bits,
+    filtered state), as described in the module docstring; ``from_json``
+    raises ValidationError naming the first entry it lacks.
     """
 
     n: int
@@ -64,6 +75,15 @@ class CalibrationTables:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self, path=None) -> str:
+        def entries(tables, masks, qubits):
+            return {
+                key: v
+                for q, mask in masks.items()
+                for key, v in zip(
+                    _keys(qubits(q), mask, self.n), tables[q].ravel().tolist()
+                )
+            }
+
         def bstr(idx):
             return str(BitString.from_index(idx, self.n))
 
@@ -75,14 +95,8 @@ class CalibrationTables:
             "pair_masks": {
                 f"{i},{j}": bstr(m) for (i, j), m in self.pair_masks.items()
             },
-            "mean_fields": {
-                f"{i}|{b}|{bstr(s)}": v
-                for (i, b, s), v in sorted(self.mean_fields.items())
-            },
-            "pair_fluct": {
-                f"{i},{j}|{bi} {bj}|{bstr(s)}": v
-                for (i, j, bi, bj, s), v in sorted(self.pair_fluct.items())
-            },
+            "mean_fields": entries(self.mean_fields, self.single_masks, lambda i: (i,)),
+            "pair_fluct": entries(self.pair_fluct, self.pair_masks, tuple),
             "circuits_used": self.circuits_used,
             "metadata": self.metadata,
         }
@@ -91,31 +105,60 @@ class CalibrationTables:
     @classmethod
     def from_json(cls, path) -> "CalibrationTables":
         obj = load_json(path)
-        n = int(obj["n"])
+        required = ("n", "k", "single_masks", "pair_masks", "mean_fields", "pair_fluct")
+        for key in required:
+            if key not in obj:
+                raise ValidationError(f"tables JSON missing key {key!r}")
+        n = parse(int, obj["n"], "n")
 
         def bidx(s):
             return BitString.from_str(s).index
 
+        def pair(key):
+            return tuple(int(x) for x in key.split(","))
+
+        def table(entries, qubits, mask):
+            who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
+            vals = []
+            for key in _keys(qubits, mask, n):
+                if key not in entries:
+                    state = key.rsplit("|", 1)[1]
+                    raise ValidationError(
+                        f"no table entry for {who}, filtered state {state}"
+                    )
+                vals.append(parse(float, entries[key], f"table entry {key!r}"))
+            return np.array(vals).reshape((-1,) + (2,) * len(qubits))
+
         tables = cls(
             n=n,
-            k=int(obj["k"]),
-            single_masks={int(i): bidx(m) for i, m in obj["single_masks"].items()},
+            k=parse(int, obj["k"], "k"),
+            single_masks={
+                parse(int, i, "single mask key"): bidx(m)
+                for i, m in obj["single_masks"].items()
+            },
             pair_masks={
-                tuple(int(x) for x in key.split(",")): bidx(m)
+                parse(pair, key, "pair mask key"): bidx(m)
                 for key, m in obj["pair_masks"].items()
             },
-            circuits_used=int(obj.get("circuits_used", 0)),
+            circuits_used=parse(int, obj.get("circuits_used", 0), "circuits_used"),
             metadata=obj.get("metadata", {}),
         )
-        for key, v in obj["mean_fields"].items():
-            i, b, s = key.split("|")
-            tables.mean_fields[(int(i), int(b), bidx(s))] = float(v)
-        for key, v in obj["pair_fluct"].items():
-            ij, bb, s = key.split("|")
-            i, j = (int(x) for x in ij.split(","))
-            bi, bj = (int(x) for x in bb.split())
-            tables.pair_fluct[(i, j, bi, bj, bidx(s))] = float(v)
+        for i, mask in tables.single_masks.items():
+            tables.mean_fields[i] = table(obj["mean_fields"], (i,), mask)
+        for ij, mask in tables.pair_masks.items():
+            tables.pair_fluct[ij] = table(obj["pair_fluct"], ij, mask)
         return tables
+
+
+def _keys(qubits: tuple, mask: int, n: int) -> list:
+    """JSON keys of one table in its array order: filtered state, then the
+    outcome bits of the qubits."""
+    who = ",".join(map(str, qubits))
+    return [
+        f"{who}|{' '.join(map(str, bits))}|{BitString.from_index(s, n)}"
+        for s in submasks(mask)
+        for bits in itertools.product((0, 1), repeat=len(qubits))
+    ]
 
 
 def _masks(geometry: RegisterGeometry, k: int):
@@ -145,86 +188,16 @@ def _collect(backend, prep_indices, n: int) -> dict:
     return dists
 
 
-def _fill_means(tables: CalibrationTables, dists: dict):
-    n = tables.n
-    for i, mask in tables.single_masks.items():
-        for s in submasks(mask):
-            p0 = prob_zero(dists[s], i, n)
-            tables.mean_fields[(i, 0, s)] = p0
-            tables.mean_fields[(i, 1, s)] = 1.0 - p0
-
-
-def _fill_pairs(tables: CalibrationTables, dists: dict):
-    n = tables.n
-    for (i, j), mask in tables.pair_masks.items():
-        for s in submasks(mask):
-            dist = dists[s]
-            pi = prob_zero(dist, i, n)
-            pj = prob_zero(dist, j, n)
-            joint = prob_joint_zero(dist, i, j, n)
-            # covariance of the four indicator combinations from the same
-            # measured distribution
-            tables.pair_fluct[(i, j, 0, 0, s)] = joint - pi * pj
-            tables.pair_fluct[(i, j, 0, 1, s)] = (pi - joint) - pi * (1.0 - pj)
-            tables.pair_fluct[(i, j, 1, 0, s)] = (pj - joint) - (1.0 - pi) * pj
-            tables.pair_fluct[(i, j, 1, 1, s)] = (
-                1.0 - pi - pj + joint
-            ) - (1.0 - pi) * (1.0 - pj)
-
-
-def measure_mean_fields(backend, geometry: RegisterGeometry, k: int) -> CalibrationTables:
-    """Step 1: per-qubit filtered mean fields (pair table left empty)."""
-    single, pair = _masks(geometry, k)
-    tables = CalibrationTables(geometry.n, k, single, pair)
-    preps = set()
-    for mask in single.values():
-        preps.update(submasks(mask))
-    dists = _collect(backend, preps, geometry.n)
-    _fill_means(tables, dists)
-    tables.circuits_used = len(dists)
-    tables.metadata = {"backend": backend.descriptor(), "step": "mean-fields"}
-    return tables
-
-
-def measure_pair_fluctuations(backend, geometry: RegisterGeometry, k: int) -> CalibrationTables:
-    """Step 2: per-pair filtered covariances (mean table left empty)."""
-    single, pair = _masks(geometry, k)
-    tables = CalibrationTables(geometry.n, k, single, pair)
-    preps = set()
-    for mask in pair.values():
-        preps.update(submasks(mask))
-    dists = _collect(backend, preps, geometry.n)
-    _fill_pairs(tables, dists)
-    tables.circuits_used = len(dists)
-    tables.metadata = {"backend": backend.descriptor(), "step": "pair-fluctuations"}
-    return tables
-
-
-def _gather(table: dict, qubits: tuple, mask: int, cols: np.ndarray, n: int):
-    """table[qubits + outcome bits + (c & mask,)] for every column c, shaped
-    (cols,) + (2,) * len(qubits): one lookup per filtered state."""
-    states = np.array(submasks(mask))
-    outcomes = list(itertools.product((0, 1), repeat=len(qubits)))
-    try:
-        vals = np.array(
-            [[table[qubits + o + (s,)] for o in outcomes] for s in states.tolist()]
-        )
-    except KeyError as exc:
-        who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
-        raise ValidationError(
-            f"no table entry for {who}, filtered state "
-            f"{BitString.from_index(exc.args[0][-1], n)}"
-        ) from None
-    vals = vals.reshape((len(states),) + (2,) * len(qubits))
-    return vals[np.searchsorted(states, cols & mask)]
+def _rows(mask: int, cols: np.ndarray) -> np.ndarray:
+    """Table row of every column: the index of its filtered state."""
+    return np.searchsorted(submasks(mask), cols & mask)
 
 
 def _means(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:
-    n = tables.n
     return np.stack(
         [
-            _gather(tables.mean_fields, (i,), tables.single_masks[i], cols, n)
-            for i in range(1, n + 1)
+            tables.mean_fields[i][_rows(tables.single_masks[i], cols)]
+            for i in range(1, tables.n + 1)
         ],
         axis=1,
     )
@@ -242,7 +215,7 @@ def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
     n = tables.n
     cols = np.arange(1 << n)
     terms = [
-        ((i - 1, j - 1), _gather(tables.pair_fluct, (i, j), mask, cols, n))
+        ((i - 1, j - 1), tables.pair_fluct[(i, j)][_rows(mask, cols)])
         for (i, j), mask in sorted(tables.pair_masks.items())
     ]
     return TransitionMatrix(n, pair_column(_means(tables, cols), terms))
@@ -251,8 +224,8 @@ def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
 def estimate_transition_matrix(
     backend, geometry: RegisterGeometry, k: int
 ) -> tuple[TransitionMatrix, CalibrationTables]:
-    """Run both measurement steps (sharing preparations) and assemble the
-    estimated matrix as mean product plus pair correction."""
+    """Run both measurement steps (sharing preparations), fill the tables
+    and assemble the estimated matrix as mean product plus pair correction."""
     n = geometry.n
     single, pair = _masks(geometry, k)
     tables = CalibrationTables(n, k, single, pair)
@@ -263,8 +236,27 @@ def estimate_transition_matrix(
     for mask in pair.values():
         preps.update(submasks(mask))
     dists = _collect(backend, preps, n)
-    _fill_means(tables, dists)
-    _fill_pairs(tables, dists)
+    # one 1-D marginal sum per filtered state: a row sum over stacked
+    # distributions adds in another order and moves the last bits
+    for i, mask in single.items():
+        p0 = np.array([prob_zero(dists[s], i, n) for s in submasks(mask)])
+        tables.mean_fields[i] = np.stack([p0, 1.0 - p0], axis=-1)
+    for (i, j), mask in pair.items():
+        rows = [dists[s] for s in submasks(mask)]
+        pi = np.array([prob_zero(d, i, n) for d in rows])
+        pj = np.array([prob_zero(d, j, n) for d in rows])
+        joint = np.array([prob_joint_zero(d, i, j, n) for d in rows])
+        # covariance of the four indicator combinations from the same
+        # measured distribution
+        tables.pair_fluct[(i, j)] = np.stack(
+            [
+                joint - pi * pj,
+                (pi - joint) - pi * (1.0 - pj),
+                (pj - joint) - (1.0 - pi) * pj,
+                (1.0 - pi - pj + joint) - (1.0 - pi) * (1.0 - pj),
+            ],
+            axis=-1,
+        ).reshape(-1, 2, 2)
     tables.circuits_used = len(dists)
     bound1, bound2 = circuit_budget(n, k)
     tables.metadata = {
@@ -272,9 +264,8 @@ def estimate_transition_matrix(
         "step1_preparations": step1,
         "budget": {"step1": bound1, "step2": bound2},
     }
-    t_mean = assemble_t_mean(tables)
-    t_pair = assemble_t_pair(tables)
-    t_est = TransitionMatrix(n, t_mean.data + t_pair.data)
+    t_est = assemble_t_mean(tables)
+    t_est.data += assemble_t_pair(tables).data
     return t_est, tables
 
 

@@ -34,7 +34,7 @@ from .bits import BitString
 from .errors import ValidationError
 from .geometry import RegisterGeometry
 from .norms import check_column_stochastic
-from .serialize import dump_json, load_json
+from .serialize import dump_json, load_json, parse
 from .tmatrix import TransitionMatrix
 
 ORACLE_LIMIT_DEFAULT = 12
@@ -209,28 +209,34 @@ class NoiseModel:
         for key in ("n", "dimension", "positions", "base"):
             if key not in obj:
                 raise ValidationError(f"model JSON missing key {key!r}")
+
+        def values(name, parts, convert=float):
+            return {
+                keys(s, parts): parse(convert, v, f"{name}[{s}]")
+                for s, v in obj.get(name, {}).items()
+            }
+
+        def array(v):
+            return np.asarray(v, dtype=float)
+
         geometry = RegisterGeometry(
-            int(obj["n"]),
-            int(obj["dimension"]),
-            tuple(tuple(int(c) for c in p) for p in obj["positions"]),
+            parse(int, obj["n"], "n"),
+            parse(int, obj["dimension"], "dimension"),
+            parse(
+                lambda ps: tuple(tuple(int(c) for c in p) for p in ps),
+                obj["positions"],
+                "positions",
+            ),
         )
         return cls(
             geometry=geometry,
-            base=np.asarray(obj["base"], dtype=float),
-            shifts={keys(s, 2): float(v) for s, v in obj.get("shifts", {}).items()},
-            pair_cov={
-                keys(s, 2): np.asarray(v, dtype=float)
-                for s, v in obj.get("pair_cov", {}).items()
-            },
-            spectator_cov={
-                keys(s, 3): float(v)
-                for s, v in obj.get("spectator_cov", {}).items()
-            },
-            triples={
-                keys(s, 3): float(v) for s, v in obj.get("triples", {}).items()
-            },
-            shift_range=int(obj.get("shift_range", 0)),
-            cov_range=int(obj.get("cov_range", 0)),
+            base=parse(array, obj["base"], "base"),
+            shifts=values("shifts", 2),
+            pair_cov=values("pair_cov", 2, array),
+            spectator_cov=values("spectator_cov", 3),
+            triples=values("triples", 3),
+            shift_range=parse(int, obj.get("shift_range", 0), "shift_range"),
+            cov_range=parse(int, obj.get("cov_range", 0), "cov_range"),
         )
 
     @classmethod

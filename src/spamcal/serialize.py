@@ -28,6 +28,15 @@ def load_json(path):
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
+def parse(convert, value, name: str):
+    """convert(value), such as int or float, with a ValidationError naming
+    the field when the value does not convert."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} has a non-numeric value {value!r:.60}") from None
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import ValidationError
-from .serialize import dump_json, load_json
+from .serialize import dump_json, load_json, parse
 
 
 @dataclass
@@ -63,9 +63,9 @@ class TransitionMatrix:
                 raise ValidationError(f"matrix JSON missing key {key!r}")
         if obj["order"] != "msb-first":
             raise ValidationError(f"unsupported bit order {obj['order']!r}")
-        n = int(obj["n"])
+        n = parse(int, obj["n"], "n")
         dim = 1 << n
-        data = np.asarray(obj["data"], dtype=float)
+        data = parse(lambda v: np.asarray(v, dtype=float), obj["data"], "data")
         if data.size != dim * dim:
             raise ValidationError(
                 f"matrix JSON has {data.size} entries, expected {dim * dim}"

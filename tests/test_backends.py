@@ -14,7 +14,6 @@ from spamcal.backends import (
     load_distribution,
     measure_full_matrix,
     record_dataset,
-    sample_counts,
     save_distribution,
 )
 from spamcal.bits import BitString
@@ -44,7 +43,7 @@ def test_counts_reject_outcome_of_wrong_width(outcome):
 
 def test_single_shot():
     b = SampledBackend(melbourne_c4(), seed=3)
-    c = sample_counts(b, BitString.from_str("0000"), 1)
+    c = b.counts(BitString.from_str("0000"), 1)
     assert sum(c.histogram.values()) == 1
     assert len(c.histogram) == 1
 

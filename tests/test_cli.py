@@ -217,3 +217,60 @@ def test_exit_code_numerical(tmp_path, capsys):
     )
     assert code == 4
     assert "singular" in capsys.readouterr().err
+
+
+def write_valid_inputs(tmp_path):
+    """A model, a matrix, a distribution and a dataset that all load."""
+    m = melbourne_c4()
+    files = {
+        "model": m.to_dict(),
+        "matrix": json.loads(m.full_matrix().to_json()),
+        "distribution": json.loads(save_distribution(m.column(BitString.from_str("0101")), 4)),
+        "dataset": json.loads(
+            record_dataset(
+                SampledBackend(m, shots=64, seed=0),
+                [BitString.from_index(i, 4) for i in range(16)],
+                64,
+            ).to_json()
+        ),
+    }
+    return files
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("model", "n", "four"),
+        ("model", "base", "abc"),
+        ("matrix", "n", "four"),
+        ("distribution", "probs", {"0101": "x"}),
+        ("dataset", "n", "two"),
+    ],
+)
+def test_non_numeric_field_exits_2(tmp_path, capsys, kind, field, value):
+    files = write_valid_inputs(tmp_path)
+    files[kind][field] = value
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    if kind in ("matrix", "distribution"):
+        argv = ["correct", "--matrix", paths["matrix"], "--input", paths["distribution"]]
+    elif kind == "model":
+        argv = ["estimate", "--model", paths["model"], "--k", "0"]
+    else:
+        argv = ["estimate", "--backend", "replay", "--dataset", paths["dataset"], "--k", "0"]
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "non-numeric value" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_calibrate_full_oracle_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    code = run("calibrate-full", "--preset", "melbourne-c4", "--oracle-limit", "3", "--out", out)
+    assert code == 2
+    assert "oracle limit" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,8 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spamcal.backends import ExactBackend
-from spamcal.bits import BitString
+from spamcal.bits import BitString, submasks
 from spamcal.characterize import Uniform, measure_single_qubit_T, t_prod
 from spamcal.errors import ValidationError
 from spamcal.estimate import (
@@ -12,11 +15,12 @@ from spamcal.estimate import (
     choose_neighborhood_size,
     circuit_budget,
     estimate_transition_matrix,
-    measure_mean_fields,
 )
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product
 from spamcal.norms import symmetric_single_qubit
+
+GOLDEN_TABLES = Path(__file__).parent / "data" / "melbourne_c4_k2_tables.json"
 
 
 def correlated_chain6():
@@ -45,15 +49,17 @@ def test_circuit_budget_values():
 def test_mean_field_preparations_k0():
     # with empty neighborhoods only the all-zeros and single-flip states occur
     m = melbourne_c4()
-    tables = measure_mean_fields(ExactBackend(m), m.geometry, 0)
-    assert tables.circuits_used == 5
-    states = {s for (_i, _b, s) in tables.mean_fields}
+    _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 0)
+    assert tables.metadata["step1_preparations"] == 5
+    states = {s for mask in tables.single_masks.values() for s in submasks(mask)}
     assert states == {0b0000, 0b1000, 0b0100, 0b0010, 0b0001}
+    for i, mask in tables.single_masks.items():
+        assert tables.mean_fields[i].shape == (len(submasks(mask)), 2)
 
 
 def test_t_mean_equals_product_model():
     m = melbourne_c4_product()
-    tables = measure_mean_fields(ExactBackend(m), m.geometry, 0)
+    _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 0)
     t_mean = assemble_t_mean(tables)
     np.testing.assert_allclose(t_mean.data, m.full_matrix().data, atol=1e-13)
     np.testing.assert_allclose(t_mean.data.sum(axis=0), 1.0, atol=1e-12)
@@ -116,20 +122,53 @@ def test_k0_reduces_to_tensor_product():
     np.testing.assert_allclose(t_est.data, t_prod(singles).data, atol=1e-12)
 
 
-def test_mean_lookup_errors_name_the_hole():
-    m = melbourne_c4()
-    tables = measure_mean_fields(ExactBackend(m), m.geometry, 0)
-    del tables.mean_fields[(2, 0, 0b0100)]
-    with pytest.raises(ValidationError, match="qubit 2, filtered state 0100"):
-        assemble_t_mean(tables)
-
-
-def test_pair_lookup_errors_name_the_hole():
+def edited_tables_file(tmp_path, table, key, value=None):
+    """melbourne_c4's k = 0 tables JSON with one entry of a table (or, when
+    table is None, one top-level field) set to value, or deleted if None."""
     m = melbourne_c4()
     _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 0)
-    del tables.pair_fluct[(2, 3, 1, 0, 0b0110)]
+    obj = json.loads(tables.to_json())
+    entries = obj[table] if table else obj
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def test_mean_lookup_errors_name_the_hole(tmp_path):
+    path = edited_tables_file(tmp_path, "mean_fields", "2|0|0100")
+    with pytest.raises(ValidationError, match="qubit 2, filtered state 0100"):
+        CalibrationTables.from_json(path)
+
+
+def test_pair_lookup_errors_name_the_hole(tmp_path):
+    path = edited_tables_file(tmp_path, "pair_fluct", "2,3|1 0|0110")
     with pytest.raises(ValidationError, match=r"qubits \(2, 3\), filtered state 0110"):
-        assemble_t_pair(tables)
+        CalibrationTables.from_json(path)
+
+
+def test_tables_json_missing_table_rejected(tmp_path):
+    path = edited_tables_file(tmp_path, None, "pair_fluct")
+    with pytest.raises(ValidationError, match="missing key 'pair_fluct'"):
+        CalibrationTables.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "table, key, value",
+    [
+        ("mean_fields", "2|0|0100", "x"),
+        ("pair_fluct", "2,3|1 0|0110", [1.0]),
+        (None, "n", "four"),
+        (None, "circuits_used", ""),
+    ],
+)
+def test_tables_json_rejects_non_numeric_fields(tmp_path, table, key, value):
+    path = edited_tables_file(tmp_path, table, key, value)
+    with pytest.raises(ValidationError, match="non-numeric"):
+        CalibrationTables.from_json(path)
 
 
 def test_tables_json_round_trip(tmp_path):
@@ -141,10 +180,28 @@ def test_tables_json_round_trip(tmp_path):
     assert t2.n == tables.n and t2.k == tables.k
     assert t2.single_masks == tables.single_masks
     assert t2.pair_masks == tables.pair_masks
-    assert t2.mean_fields == tables.mean_fields
-    assert t2.pair_fluct == tables.pair_fluct
+    assert t2.to_json() == tables.to_json()
     t_re = assemble_t_mean(t2).data + assemble_t_pair(t2).data
     np.testing.assert_allclose(t_re, t_est.data, atol=0)
+
+
+def test_tables_json_matches_golden_file():
+    # the key format and every value of the tables JSON are pinned
+    m = melbourne_c4()
+    _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 2)
+    assert tables.to_json() == GOLDEN_TABLES.read_text()
+
+
+def test_golden_tables_reassemble_the_estimate():
+    # at k = 2 the 0.047 shift of qubit 4 from qubit 1 (distance 3) lies
+    # outside the neighborhoods, so the estimate, not the exhaustive
+    # oracle, is what the loaded tables must reproduce
+    m = melbourne_c4()
+    t_est, _tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 2)
+    loaded = CalibrationTables.from_json(GOLDEN_TABLES)
+    t_re = assemble_t_mean(loaded).data + assemble_t_pair(loaded).data
+    assert np.max(np.abs(t_re - t_est.data)) <= 1e-12
+    assert np.max(np.abs(t_re - m.full_matrix().data)) > 1e-3
 
 
 def test_choose_neighborhood_size():
