@@ -15,17 +15,14 @@ from .backends import (
     measure_full_matrix,
     record_dataset,
 )
-from .bits import BitString, filter_pair, filter_single
+from .bits import BitString
 from .characterize import (
     Average,
     CorrelatorReport,
     SingleQubitT,
     Uniform,
     correlator_report,
-    joint_shift_correlator,
     measure_single_qubit_T,
-    readout_covariance,
-    single_shift_correlator,
     t_prod,
     total_spam_error,
 )

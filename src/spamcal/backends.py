@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, check_width
 from .errors import MissingDataError, ValidationError
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
-from .serialize import dump_json, load_json, parse
+from .serialize import as_object, dump_json, load_json, parse
 from .tmatrix import TransitionMatrix
 
 SAMPLER_ID = "pcg64-inverse-cdf-v1"
@@ -91,12 +91,13 @@ class _ModelBackend:
     def _draw(self, xprime: BitString, shots: int) -> Counts:
         if shots <= 0:
             raise ValidationError(f"shots must be positive, got {shots}")
+        column = self.model.column(xprime)  # checked before the ordinal moves
         ordinal = self._ordinals.get(xprime.index, 0)
         self._ordinals[xprime.index] = ordinal + 1
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([self.seed, xprime.index, ordinal]))
         )
-        hist = _sample_histogram(self.model.column(xprime), shots, rng)
+        hist = _sample_histogram(column, shots, rng)
         histogram = {
             str(BitString.from_index(i, self.n)): int(c)
             for i, c in enumerate(hist)
@@ -182,19 +183,23 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, obj) -> "Dataset":
+        obj = as_object(obj, "dataset JSON")
         for key in ("n", "order", "records"):
             if key not in obj:
                 raise ValidationError(f"dataset JSON missing key {key!r}")
         if obj["order"] != "msb-first":
             raise ValidationError(f"unsupported bit order {obj['order']!r}")
         ds = cls(n=parse(int, obj["n"], "n"))
+        if not isinstance(obj["records"], list):
+            raise ValidationError("dataset records must be a JSON list")
         for r, rec in enumerate(obj["records"]):
             try:
+                rec = as_object(rec, "record")
                 counts = Counts(
                     prepared=BitString.from_str(rec["prepared"]),
                     histogram={
                         k: parse(int, v, f"count of {k}")
-                        for k, v in rec["counts"].items()
+                        for k, v in as_object(rec["counts"], "counts").items()
                     },
                     shots=parse(int, rec["shots"], "shots"),
                 )
@@ -220,6 +225,7 @@ class ReplayBackend:
 
     def counts(self, xprime: BitString, shots: int | None = None) -> Counts:
         # shots is ignored; the stored record fixes it
+        check_width(xprime, self.n)
         try:
             return self.dataset.records[xprime.index]
         except KeyError:
@@ -259,14 +265,16 @@ def save_distribution(dist: np.ndarray, n: int, path=None) -> str:
 
 
 def load_distribution(path) -> tuple[np.ndarray, int]:
-    obj = load_json(path)
+    obj = as_object(load_json(path), "distribution JSON")
     for key in ("n", "probs"):
         if key not in obj:
             raise ValidationError(f"distribution JSON missing key {key!r}")
     n = parse(int, obj["n"], "n")
     v = np.zeros(1 << n)
-    for s, p in obj["probs"].items():
-        v[BitString.from_str(s).index] = parse(float, p, f"probability of {s}")
+    for s, p in as_object(obj["probs"], "probs").items():
+        x = BitString.from_str(s)
+        check_width(x, n)
+        v[x.index] = parse(float, p, f"probability of {s}")
     return v, n
 
 

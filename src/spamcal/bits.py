@@ -3,6 +3,12 @@
 Convention used everywhere in this package: the bit of qubit 1 is the most
 significant bit of the integer index, so the string "x_1 x_2 ... x_n" reads
 left to right and ``BitString.index`` is its value in base 2.
+
+A filter that keeps only some qubits' bits is an integer mask over this
+index (see :func:`support_mask`): the filtered form of a prepared state x
+is ``x.index & mask``, and :func:`submasks` lists every filtered state of a
+mask. The estimator records its masks in ``CalibrationTables.single_masks``
+and ``pair_masks``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ class BitString:
     def from_str(cls, s: str) -> "BitString":
         try:
             return cls(tuple(int(c) for c in s))
-        except ValueError:
+        except (TypeError, ValueError):
             raise ValidationError(f"not a bitstring: {s!r}") from None
 
     @property
@@ -71,20 +77,10 @@ def support_mask(qubits, n: int) -> int:
     return m
 
 
-def filter_single(x: BitString, i: int, nbhd) -> BitString:
-    """Zero every bit of x outside qubit i and its neighborhood."""
-    if nbhd.center != i:
-        raise ValidationError(f"neighborhood is centered on {nbhd.center}, not {i}")
-    keep = {i} | set(nbhd.members)
-    return BitString(tuple(b if (q + 1) in keep else 0 for q, b in enumerate(x.bits)))
-
-
-def filter_pair(x: BitString, i: int, j: int, nbhd_i, nbhd_j) -> BitString:
-    """Zero every bit of x outside {i, j} and the two neighborhoods."""
-    if i == j:
-        raise ValidationError("filter_pair requires two distinct qubits")
-    keep = {i, j} | set(nbhd_i.members) | set(nbhd_j.members)
-    return BitString(tuple(b if (q + 1) in keep else 0 for q, b in enumerate(x.bits)))
+def check_width(x: BitString, n: int) -> None:
+    """Reject a prepared state or outcome that is not n bits wide."""
+    if x.n != n:
+        raise ValidationError(f"bitstring {x} has {x.n} bits, the register has {n}")
 
 
 def submasks(mask: int):

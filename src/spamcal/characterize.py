@@ -1,9 +1,12 @@
 """Register characterization from measured distributions.
 
 Covers single-qubit transition matrices (uniform- and neighborhood-averaged
-spectator families), the three spectator-sensitivity/covariance correlators,
-the tensor-product approximation, and the total SPAM error of a measured
-matrix.
+spectator families), the tensor-product approximation, the total SPAM error
+of a measured matrix, and the three pairwise correlators: spectator shift
+A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x'). The
+correlators are measured only by :func:`correlator_report`, which shares
+one set of preparations among all of them; read single values from its
+``single_shift``, ``joint_shift`` and ``covariance`` fields.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bits import BitString, qubit_mask, submasks, support_mask
+from .bits import BitString, check_width, qubit_mask, submasks, support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry, moore_neighborhood
 from .norms import MatrixNorm, norm_distance
@@ -134,42 +137,17 @@ def total_spam_error(t_meas: TransitionMatrix, norm: MatrixNorm) -> float:
 # -- correlators -----------------------------------------------------------
 
 
-def single_shift_correlator(backend, i: int, j: int) -> float:
-    """Change of P(qubit i reads 0) when prepared spectator j is flipped,
-    starting from the all-zeros preparation."""
-    n = backend.n
-    if i == j:
-        raise ValidationError("correlator needs two distinct qubits")
-    base = backend.distribution(BitString.from_index(0, n))
-    flipped = backend.distribution(BitString.from_index(qubit_mask(j, n), n))
-    return prob_zero(base, i, n) - prob_zero(flipped, i, n)
-
-
-def joint_shift_correlator(backend, i: int, j: int, l: int) -> float:
-    """Change of P(qubits i and j both read 0) when prepared spectator l is
-    flipped, starting from the all-zeros preparation."""
-    n = backend.n
-    if len({i, j, l}) != 3:
-        raise ValidationError(f"indices must be distinct, got {(i, j, l)}")
-    base = backend.distribution(BitString.from_index(0, n))
-    flipped = backend.distribution(BitString.from_index(qubit_mask(l, n), n))
-    return prob_joint_zero(base, i, j, n) - prob_joint_zero(flipped, i, j, n)
-
-
-def readout_covariance(backend, i: int, j: int, xprime: BitString) -> float:
-    """Covariance of the two read-0 indicators at one prepared state."""
-    if i == j:
-        raise ValidationError("correlator needs two distinct qubits")
-    n = backend.n
-    dist = backend.distribution(xprime)
-    return prob_joint_zero(dist, i, j, n) - prob_zero(dist, i, n) * prob_zero(
-        dist, j, n
-    )
-
-
 @dataclass
 class CorrelatorReport:
-    """All pairwise correlators of a register, plus the circuit count."""
+    """All pairwise correlators of a register, plus the circuit count.
+
+    single_shift[i-1, j-1]: drop of P(qubit i reads 0) when prepared
+        spectator j is flipped, starting from the all-zeros preparation
+    joint_shift[(i, j, l)]: drop of P(qubits i and j both read 0) when
+        prepared spectator l is flipped, i < j, l not in {i, j}
+    covariance[(i, j, str(xprime))]: covariance of the read-0 indicators of
+        i < j at one prepared state
+    """
 
     n: int
     single_shift: np.ndarray  # n x n, diagonal zero
@@ -217,6 +195,7 @@ def correlator_report(backend, xprime: BitString | None = None) -> CorrelatorRep
     n = backend.n
     if xprime is None:
         xprime = BitString.from_index(0, n)
+    check_width(xprime, n)
     preps = {0} | {qubit_mask(j, n) for j in range(1, n + 1)} | {xprime.index}
     dists = {
         idx: backend.distribution(BitString.from_index(idx, n)) for idx in sorted(preps)

@@ -144,14 +144,14 @@ def cmd_estimate(args):
     if args.tables:
         tables.to_json(args.tables)
         outputs.append(args.tables)
-    bound1, bound2 = circuit_budget(geometry.n, args.k)
+    budget = tables.metadata["budget"]
     config = _config_dict(args)
     config["circuits_used"] = tables.circuits_used
-    config["circuit_budget"] = {"step1": bound1, "step2": bound2}
+    config["circuit_budget"] = budget
     _write_manifest(args.out, "estimate", config, inputs, outputs)
     print(
         f"wrote {args.out}; circuits used {tables.circuits_used} "
-        f"(budget {bound1} + {bound2})"
+        f"(budget {budget['step1']} + {budget['step2']})"
     )
     return 0
 

@@ -32,10 +32,10 @@ import numpy as np
 
 from .assembly import kron_columns
 from .bits import BitString, submasks, support_mask
-from .characterize import prob_joint_zero, prob_zero
+from .characterize import correlator_report, prob_joint_zero, prob_zero
 from .errors import MissingDataError, ValidationError
-from .geometry import RegisterGeometry, all_neighborhoods, full_size
-from .serialize import dump_json, load_json, parse
+from .geometry import RegisterGeometry, all_neighborhoods
+from .serialize import as_object, dump_json, load_json, parse
 from .tmatrix import TransitionMatrix
 
 # The two kernel calls of the estimator, under their own names so that a
@@ -104,11 +104,13 @@ class CalibrationTables:
 
     @classmethod
     def from_json(cls, path) -> "CalibrationTables":
-        obj = load_json(path)
+        obj = as_object(load_json(path), "tables JSON")
         required = ("n", "k", "single_masks", "pair_masks", "mean_fields", "pair_fluct")
         for key in required:
             if key not in obj:
                 raise ValidationError(f"tables JSON missing key {key!r}")
+        for key in required[2:]:
+            as_object(obj[key], key)
         n = parse(int, obj["n"], "n")
 
         def bidx(s):
@@ -272,35 +274,21 @@ def estimate_transition_matrix(
 def choose_neighborhood_size(
     backend, geometry: RegisterGeometry, threshold: float = 1e-3
 ) -> int:
-    """Smallest admissible k whose out-of-neighborhood shift correlators all
-    fall below the threshold."""
-    from .characterize import correlator_report
+    """Smallest admissible k whose neighborhoods hold every shift correlator
+    at or above the threshold.
 
+    A shift A[i, j] reaches Chebyshev distance d(i, j) and a joint shift
+    B[i, j, l] reaches min(d(i, l), d(j, l)); with ``reach`` the largest
+    reach of any such correlator (0 if none), k = (2 * reach + 1)**D - 1 on
+    a D-dimensional lattice.
+    """
     report = correlator_report(backend)
-    n = geometry.n
-    kmax = full_size(geometry)
-    k = 0
-    while True:
-        nbhds = all_neighborhoods(geometry, k)
-        ok = True
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j or j in nbhds[i].members:
-                    continue
-                if abs(report.single_shift[i - 1, j - 1]) >= threshold:
-                    ok = False
-        for (i, j, l), v in report.joint_shift.items():
-            if l in nbhds[i].members or l in nbhds[j].members:
-                continue
-            if abs(v) >= threshold:
-                ok = False
-        if ok or k >= kmax:
-            return k
-        k = _next_size(k, geometry.dimension)
-
-
-def _next_size(k: int, dimension: int) -> int:
-    l = 0
-    while (2 * l + 1) ** dimension - 1 <= k:
-        l += 1
-    return (2 * l + 1) ** dimension - 1
+    d = geometry.chebyshev
+    above = np.argwhere(np.abs(report.single_shift) >= threshold) + 1
+    reaches = [d(int(i), int(j)) for i, j in above]
+    reaches += [
+        min(d(i, l), d(j, l))
+        for (i, j, l), v in report.joint_shift.items()
+        if abs(v) >= threshold
+    ]
+    return (2 * max(reaches, default=0) + 1) ** geometry.dimension - 1

@@ -60,9 +60,6 @@ class RegisterGeometry:
         pi, pj = self.positions[i - 1], self.positions[j - 1]
         return max(abs(a - b) for a, b in zip(pi, pj))
 
-    def admissible_sizes(self, max_layers: int = 8) -> list[int]:
-        return [(2 * l + 1) ** self.dimension - 1 for l in range(max_layers + 1)]
-
 
 @dataclass(frozen=True)
 class Neighborhood:

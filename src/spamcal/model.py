@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import BLOCK, kron_columns
-from .bits import BitString
+from .bits import BitString, check_width
 from .errors import ValidationError
 from .geometry import RegisterGeometry
 from .norms import check_column_stochastic
-from .serialize import dump_json, load_json, parse
+from .serialize import as_object, dump_json, load_json, parse
 from .tmatrix import TransitionMatrix
 
 ORACLE_LIMIT_DEFAULT = 12
@@ -158,6 +158,7 @@ class NoiseModel:
 
     def column(self, xprime: BitString) -> np.ndarray:
         """The exact outcome distribution for one prepared state."""
+        check_width(xprime, self.n)
         return self._columns(np.array([xprime.index]))[:, 0]
 
     def full_matrix(self, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
@@ -206,6 +207,7 @@ class NoiseModel:
                 raise ValidationError(f"model key {s!r} needs {parts} qubit indices")
             return key
 
+        obj = as_object(obj, "model JSON")
         for key in ("n", "dimension", "positions", "base"):
             if key not in obj:
                 raise ValidationError(f"model JSON missing key {key!r}")
@@ -213,7 +215,7 @@ class NoiseModel:
         def values(name, parts, convert=float):
             return {
                 keys(s, parts): parse(convert, v, f"{name}[{s}]")
-                for s, v in obj.get(name, {}).items()
+                for s, v in as_object(obj.get(name, {}), name).items()
             }
 
         def array(v):

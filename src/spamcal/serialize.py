@@ -37,6 +37,16 @@ def parse(convert, value, name: str):
         raise ValidationError(f"{name} has a non-numeric value {value!r:.60}") from None
 
 
+def as_object(value, name: str) -> dict:
+    """value itself when it is a JSON object, else a ValidationError naming
+    the field."""
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{name} must be a JSON object, got {type(value).__name__} {value!r:.60}"
+        )
+    return value
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bits import BitString
 from .errors import ValidationError
-from .serialize import dump_json, load_json, parse
+from .serialize import as_object, dump_json, load_json, parse
 
 
 @dataclass
@@ -42,9 +42,6 @@ class TransitionMatrix:
     def dim(self) -> int:
         return 1 << self.n
 
-    def column(self, xprime: BitString) -> np.ndarray:
-        return self.data[:, xprime.index]
-
     def to_json(self, path=None) -> str:
         return dump_json(
             {"n": self.n, "order": "msb-first", "data": self.data.ravel().tolist()},
@@ -58,6 +55,7 @@ class TransitionMatrix:
 
     @classmethod
     def from_dict(cls, obj) -> "TransitionMatrix":
+        obj = as_object(obj, "matrix JSON")
         for key in ("n", "order", "data"):
             if key not in obj:
                 raise ValidationError(f"matrix JSON missing key {key!r}")
@@ -86,22 +84,3 @@ class TransitionMatrix:
         if path is not None:
             Path(path).write_text(text)
         return text
-
-    @classmethod
-    def from_csv(cls, path) -> "TransitionMatrix":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValidationError(f"empty CSV file {path}")
-        n = len(rows[0][1])
-        dim = 1 << n
-        if len(rows) != dim + 1:
-            raise ValidationError(f"expected {dim} data rows, got {len(rows) - 1}")
-        data = np.empty((dim, dim))
-        for r, row in enumerate(rows[1:]):
-            data[BitString.from_str(row[0]).index] = [float(v) for v in row[1:]]
-        # header gives the column order
-        perm = [BitString.from_str(lbl).index for lbl in rows[0][1:]]
-        out = np.empty_like(data)
-        out[:, perm] = data
-        return cls(n, out)

@@ -41,6 +41,21 @@ def test_counts_reject_outcome_of_wrong_width(outcome):
         Counts(prepared=BitString.from_str("01"), histogram={outcome: 10}, shots=10)
 
 
+@pytest.mark.parametrize("kind", ["exact", "sampled", "replay"])
+@pytest.mark.parametrize("xprime", ["01", "00001"])
+def test_prepared_state_of_wrong_width_rejected(kind, xprime):
+    m = melbourne_c4()
+    if kind == "replay":
+        b = ReplayBackend(record_dataset(ExactBackend(m), all_preps(4), 64))
+    else:
+        b = {"exact": ExactBackend, "sampled": SampledBackend}[kind](m, seed=1)
+    x = BitString.from_str(xprime)
+    with pytest.raises(ValidationError, match=f"{xprime} has {len(xprime)} bits"):
+        b.distribution(x)
+    with pytest.raises(ValidationError, match="the register has 4"):
+        b.counts(x, 64)
+
+
 def test_single_shot():
     b = SampledBackend(melbourne_c4(), seed=3)
     c = b.counts(BitString.from_str("0000"), 1)
@@ -163,6 +178,14 @@ def test_shot_error_halves_with_quadrupled_shots():
         ]
         med[shots] = np.median(errs)
     assert 1.6 <= med[8192] / med[32768] <= 2.6
+
+
+@pytest.mark.parametrize("outcome", ["01010", "1"])
+def test_distribution_outcome_of_wrong_width_rejected(tmp_path, outcome):
+    p = tmp_path / "dist.json"
+    p.write_text(json.dumps({"n": 4, "probs": {outcome: 1.0}}))
+    with pytest.raises(ValidationError, match=f"{outcome} has {len(outcome)} bits"):
+        load_distribution(p)
 
 
 def test_distribution_file_round_trip(tmp_path):

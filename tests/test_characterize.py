@@ -9,12 +9,9 @@ from spamcal.characterize import (
     Average,
     Uniform,
     correlator_report,
-    joint_shift_correlator,
     measure_single_qubit_T,
     prob_joint_zero,
     prob_zero,
-    readout_covariance,
-    single_shift_correlator,
     t_prod,
     total_spam_error,
 )
@@ -112,31 +109,41 @@ def test_total_spam_error_identity_zero():
 
 
 def test_single_shift_matches_model_shift():
-    b = backend()
-    assert single_shift_correlator(b, 4, 1) == pytest.approx(0.047, abs=1e-14)
+    a = correlator_report(backend()).single_shift
+    assert a[3, 0] == pytest.approx(0.047, abs=1e-14)
     # no shift in the model for this direction
-    assert single_shift_correlator(b, 1, 4) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        single_shift_correlator(b, 2, 2)
+    assert a[0, 3] == pytest.approx(0.0, abs=1e-12)
+    assert np.all(np.diag(a) == 0.0)
 
 
 def test_joint_shift_factorizes():
     # flipping l only moves qubit i's mean, so the joint drop is the
     # single-qubit drop times the partner's read-0 probability
-    b = backend()
     m2_zero = C4.base[1][0, 0]
-    got = joint_shift_correlator(b, 2, 4, 1)
-    assert got == pytest.approx(0.047 * m2_zero, abs=1e-12)
-    with pytest.raises(ValidationError):
-        joint_shift_correlator(b, 2, 4, 2)
+    b = correlator_report(backend()).joint_shift
+    assert b[(2, 4, 1)] == pytest.approx(0.047 * m2_zero, abs=1e-12)
+    # one entry per pair i < j and spectator l outside it
+    assert set(b) == {
+        (i, j, l)
+        for i in range(1, 5)
+        for j in range(i + 1, 5)
+        for l in range(1, 5)
+        if l not in (i, j)
+    }
 
 
 def test_readout_covariance_matches_model():
-    b = backend()
-    x0 = BitString.from_str("0000")
-    assert readout_covariance(b, 2, 3, x0) == pytest.approx(2.0e-4, abs=1e-13)
-    assert readout_covariance(b, 2, 3, x0) == readout_covariance(b, 3, 2, x0)
-    assert readout_covariance(b, 1, 4, x0) == pytest.approx(0.0, abs=1e-12)
+    c = correlator_report(backend(), BitString.from_str("0000")).covariance
+    assert c[(2, 3, "0000")] == pytest.approx(2.0e-4, abs=1e-13)
+    assert c[(1, 4, "0000")] == pytest.approx(0.0, abs=1e-12)
+    # one entry per pair, stored once with i < j
+    assert set(c) == {(i, j, "0000") for i in range(1, 5) for j in range(i + 1, 5)}
+
+
+@pytest.mark.parametrize("xprime", ["01", "00000"])
+def test_correlator_report_rejects_state_of_wrong_width(xprime):
+    with pytest.raises(ValidationError, match="has 4"):
+        correlator_report(backend(), BitString.from_str(xprime))
 
 
 def test_correlator_report_values_and_budget():

@@ -237,6 +237,23 @@ def write_valid_inputs(tmp_path):
     return files
 
 
+def run_on_inputs(tmp_path, kind, files):
+    """Write the input files and run the command that reads files[kind];
+    return its exit code and the output path."""
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    if kind in ("matrix", "distribution"):
+        argv = ["correct", "--matrix", paths["matrix"], "--input", paths["distribution"]]
+    elif kind == "model":
+        argv = ["estimate", "--model", paths["model"], "--k", "0"]
+    else:
+        argv = ["estimate", "--backend", "replay", "--dataset", paths["dataset"], "--k", "0"]
+    return run(*argv, "--out", out), out
+
+
 @pytest.mark.parametrize(
     "kind, field, value",
     [
@@ -250,21 +267,59 @@ def write_valid_inputs(tmp_path):
 def test_non_numeric_field_exits_2(tmp_path, capsys, kind, field, value):
     files = write_valid_inputs(tmp_path)
     files[kind][field] = value
-    paths = {}
-    for name, obj in files.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(obj))
-    out = tmp_path / "out.json"
-    if kind in ("matrix", "distribution"):
-        argv = ["correct", "--matrix", paths["matrix"], "--input", paths["distribution"]]
-    elif kind == "model":
-        argv = ["estimate", "--model", paths["model"], "--k", "0"]
-    else:
-        argv = ["estimate", "--backend", "replay", "--dataset", paths["dataset"], "--k", "0"]
-    assert run(*argv, "--out", out) == 2
+    code, out = run_on_inputs(tmp_path, kind, files)
+    assert code == 2
     err = capsys.readouterr().err
     assert "non-numeric value" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        (kind, (field,), value)
+        for kind, field in [
+            ("model", "shifts"),
+            ("model", "pair_cov"),
+            ("model", "spectator_cov"),
+            ("model", "triples"),
+            ("distribution", "probs"),
+        ]
+        for value in ([0.01], "abc", 3)
+    ]
+    + [
+        ("dataset", ("records", 0, "counts"), [5]),
+        ("dataset", ("records", 0), "0101"),
+        ("dataset", ("records",), 3),
+        ("model", (), [1, 2]),
+        ("matrix", (), 5),
+    ],
+)
+def test_malformed_structure_exits_2(tmp_path, capsys, kind, path, value):
+    # path leads from the file's top level to the replaced value
+    files = write_valid_inputs(tmp_path)
+    if path:
+        parent = files[kind]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        files[kind] = value
+    code, out = run_on_inputs(tmp_path, kind, files)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("xprime", ["01", "000000"])
+def test_correlators_xprime_of_wrong_width_exits_2(tmp_path, capsys, xprime):
+    out = tmp_path / "c.json"
+    code = run("correlators", "--preset", "melbourne-c4", "--xprime", xprime, "--out", out)
+    assert code == 2
+    assert "the register has 4" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spamcal.backends import ExactBackend
 from spamcal.bits import BitString, submasks
-from spamcal.characterize import Uniform, measure_single_qubit_T, t_prod
+from spamcal.characterize import (
+    Uniform,
+    correlator_report,
+    measure_single_qubit_T,
+    t_prod,
+)
 from spamcal.errors import ValidationError
 from spamcal.estimate import (
     CalibrationTables,
@@ -16,7 +22,12 @@ from spamcal.estimate import (
     circuit_budget,
     estimate_transition_matrix,
 )
-from spamcal.geometry import RegisterGeometry
+from spamcal.geometry import (
+    RegisterGeometry,
+    all_neighborhoods,
+    full_size,
+    layers_for_size,
+)
 from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product
 from spamcal.norms import symmetric_single_qubit
 
@@ -171,6 +182,14 @@ def test_tables_json_rejects_non_numeric_fields(tmp_path, table, key, value):
         CalibrationTables.from_json(path)
 
 
+@pytest.mark.parametrize("key", ["single_masks", "pair_masks", "mean_fields", "pair_fluct"])
+@pytest.mark.parametrize("value", [[1.0], "1000", 3])
+def test_tables_json_rejects_non_object_tables(tmp_path, key, value):
+    path = edited_tables_file(tmp_path, None, key, value)
+    with pytest.raises(ValidationError, match=f"{key} must be a JSON object"):
+        CalibrationTables.from_json(path)
+
+
 def test_tables_json_round_trip(tmp_path):
     m = correlated_chain6()
     t_est, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 2)
@@ -212,3 +231,85 @@ def test_choose_neighborhood_size():
     assert choose_neighborhood_size(b, m.geometry, threshold=0.1) == 0
     m2 = melbourne_c4_product()
     assert choose_neighborhood_size(ExactBackend(m2), m2.geometry) == 0
+
+
+def loop_neighborhood_size(report, geometry, threshold):
+    """Reference: try each admissible k in increasing order until every
+    shift correlator at or above the threshold lies inside the
+    neighborhoods."""
+    n = geometry.n
+    kmax = full_size(geometry)
+    k = 0
+    while True:
+        nbhds = all_neighborhoods(geometry, k)
+        ok = True
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j or j in nbhds[i].members:
+                    continue
+                if abs(report.single_shift[i - 1, j - 1]) >= threshold:
+                    ok = False
+        for (i, j, l), v in report.joint_shift.items():
+            if l in nbhds[i].members or l in nbhds[j].members:
+                continue
+            if abs(v) >= threshold:
+                ok = False
+        if ok or k >= kmax:
+            return k
+        l = 0
+        while (2 * l + 1) ** geometry.dimension - 1 <= k:
+            l += 1
+        k = (2 * l + 1) ** geometry.dimension - 1
+
+
+GEOMETRIES = [RegisterGeometry.chain(n) for n in range(2, 8)] + [
+    RegisterGeometry.grid(r, c) for r, c in ((2, 2), (2, 3), (3, 3))
+]
+SIGNED = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GEOMETRIES),
+    st.sampled_from([0.0, 1e-6, 1e-5, 5e-5, 2e-4, 1e-3, 1.0]),
+    st.data(),
+)
+def test_choose_neighborhood_size_matches_loop(g, threshold, data):
+    n = g.n
+    qubit = st.integers(1, n)
+    shifts = data.draw(
+        st.dictionaries(
+            st.tuples(qubit, qubit).filter(lambda t: t[0] != t[1]),
+            st.builds(lambda s, v: s * v, SIGNED, st.sampled_from([1e-5, 1e-4, 2e-3])),
+            max_size=5,
+        )
+    )
+    spectator_cov = data.draw(
+        st.dictionaries(
+            st.tuples(qubit, qubit, qubit).filter(
+                lambda t: t[0] < t[1] and t[2] not in t[:2]
+            ),
+            st.builds(lambda s, v: s * v, SIGNED, st.sampled_from([1e-6, 2e-5])),
+            max_size=3,
+        ) if n >= 3 else st.just({})
+    )
+    eps = data.draw(st.lists(st.floats(0.05, 0.1), min_size=n, max_size=n))
+    try:
+        m = NoiseModel(
+            g,
+            np.array([symmetric_single_qubit(e) for e in eps]),
+            shifts=shifts,
+            shift_range=n,
+            spectator_cov=spectator_cov,
+            cov_range=n,
+        )
+    except ValidationError:
+        assume(False)
+    b = ExactBackend(m)
+    k = choose_neighborhood_size(b, g, threshold)
+    assert k == loop_neighborhood_size(correlator_report(b), g, threshold)
+    layers_for_size(k, g.dimension)  # admissible
+    if threshold == 0.0:
+        assert k == full_size(g)
+    if threshold == 1.0:
+        assert k == 0
