@@ -22,7 +22,7 @@ import numpy as np
 from .bits import BitString, check_width
 from .errors import MissingDataError, ValidationError
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
-from .serialize import as_object, dump_json, load_json, parse
+from .serialize import as_object, dump_json, integer, load_json, number
 from .tmatrix import TransitionMatrix
 
 SAMPLER_ID = "pcg64-inverse-cdf-v1"
@@ -183,28 +183,23 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, obj) -> "Dataset":
-        obj = as_object(obj, "dataset JSON")
-        for key in ("n", "order", "records"):
-            if key not in obj:
-                raise ValidationError(f"dataset JSON missing key {key!r}")
-        if obj["order"] != "msb-first":
-            raise ValidationError(f"unsupported bit order {obj['order']!r}")
-        ds = cls(n=parse(int, obj["n"], "n"))
+        obj = as_object(obj, "dataset JSON", ("n", "order", "records"))
+        ds = cls(n=integer(obj["n"], "n"))
         if not isinstance(obj["records"], list):
             raise ValidationError("dataset records must be a JSON list")
         for r, rec in enumerate(obj["records"]):
             try:
-                rec = as_object(rec, "record")
+                rec = as_object(rec, "record", ("prepared", "shots", "counts"))
                 counts = Counts(
                     prepared=BitString.from_str(rec["prepared"]),
                     histogram={
-                        k: parse(int, v, f"count of {k}")
+                        k: integer(v, f"count of {k}", 0)
                         for k, v in as_object(rec["counts"], "counts").items()
                     },
-                    shots=parse(int, rec["shots"], "shots"),
+                    shots=integer(rec["shots"], "shots"),
                 )
                 ds.add(counts)
-            except (KeyError, ValidationError) as exc:
+            except ValidationError as exc:
                 raise ValidationError(f"bad dataset record {r}: {exc}") from None
         return ds
 
@@ -264,18 +259,20 @@ def save_distribution(dist: np.ndarray, n: int, path=None) -> str:
     return dump_json({"n": n, "probs": probs}, path)
 
 
-def load_distribution(path) -> tuple[np.ndarray, int]:
-    obj = as_object(load_json(path), "distribution JSON")
-    for key in ("n", "probs"):
-        if key not in obj:
-            raise ValidationError(f"distribution JSON missing key {key!r}")
-    n = parse(int, obj["n"], "n")
-    v = np.zeros(1 << n)
+def load_distribution(path, n: int | None = None) -> tuple[np.ndarray, int]:
+    """The distribution vector and register size in a distribution file;
+    given n, a file for another register size is rejected before its 2^n
+    vector is built."""
+    obj = as_object(load_json(path), "distribution JSON", ("n", "probs"))
+    size = integer(obj["n"], "n")
+    if n is not None and size != n:
+        raise ValidationError(f"distribution n={size} does not match matrix n={n}")
+    v = np.zeros(1 << size)
     for s, p in as_object(obj["probs"], "probs").items():
         x = BitString.from_str(s)
-        check_width(x, n)
-        v[x.index] = parse(float, p, f"probability of {s}")
-    return v, n
+        check_width(x, size)
+        v[x.index] = number(p, f"probability of {s}")
+    return v, size
 
 
 def measure_full_matrix(backend, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:

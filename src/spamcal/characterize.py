@@ -11,10 +11,7 @@ one set of preparations among all of them; read single values from its
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +19,7 @@ from .bits import BitString, check_width, qubit_mask, submasks, support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry, moore_neighborhood
 from .norms import MatrixNorm, norm_distance
-from .serialize import dump_json
+from .serialize import dump_csv, dump_json
 from .tmatrix import TransitionMatrix
 
 
@@ -174,15 +171,8 @@ class CorrelatorReport:
 
     def single_shift_csv(self, path=None) -> str:
         """Heat-map-ready CSV of the spectator-shift matrix."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["i\\j"] + [str(j) for j in range(1, self.n + 1)])
-        for i in range(1, self.n + 1):
-            writer.writerow([str(i)] + [repr(v) for v in self.single_shift[i - 1]])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        rows = [[str(i)] + [repr(v) for v in row] for i, row in enumerate(self.single_shift, 1)]
+        return dump_csv([["i\\j"] + [str(j) for j in range(1, self.n + 1)]] + rows, path)
 
 
 def correlator_report(backend, xprime: BitString | None = None) -> CorrelatorReport:

@@ -27,7 +27,12 @@ from .backends import (
 )
 from .bits import BitString
 from .characterize import Uniform, correlator_report, measure_single_qubit_T, t_prod
-from .correct import compare_matrices, correct_constrained, correct_direct_inverse
+from .correct import (
+    KKT_TOL_DEFAULT,
+    compare_matrices,
+    correct_constrained,
+    correct_direct_inverse,
+)
 from .errors import (
     ConvergenceError,
     MissingDataError,
@@ -189,9 +194,7 @@ def cmd_compare(args):
 
 def cmd_correct(args):
     t = TransitionMatrix.from_json(args.matrix)
-    p_raw, n = load_distribution(args.input)
-    if n != t.n:
-        raise ValidationError(f"distribution n={n} does not match matrix n={t.n}")
+    p_raw, n = load_distribution(args.input, t.n)
     if args.method == "constrained":
         result = correct_constrained(t, p_raw, tol=args.tol)
     else:
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=["constrained", "inverse"], default="constrained"
     )
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=KKT_TOL_DEFAULT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correct)
 

@@ -8,15 +8,13 @@ produce negative probabilities and fail on near-singular matrices.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .norms import MatrixNorm, norm_distance
+from .serialize import dump_csv
 from .tmatrix import TransitionMatrix
 
 RCOND_THRESHOLD = 1e-12
@@ -71,6 +69,8 @@ def correct_constrained(
         )
     if abs(p_raw.sum() - 1.0) > 1e-6:
         raise ValidationError(f"input distribution sums to {p_raw.sum()}, expected 1")
+    if not tol >= 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
 
     gram = t.T @ t
     tb = t.T @ p_raw
@@ -142,15 +142,8 @@ class ComparisonReport:
     rows: list  # (name, scaled_frobenius, max)
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["candidate", "scaled_frobenius", "max"])
-        for name, d, m in self.rows:
-            writer.writerow([name, repr(d), repr(m)])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        rows = [[name, repr(d), repr(m)] for name, d, m in self.rows]
+        return dump_csv([["candidate", "scaled_frobenius", "max"]] + rows, path)
 
     def to_text(self) -> str:
         width = max([len("candidate")] + [len(r[0]) for r in self.rows])

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import kron_columns
-from .bits import BitString, submasks, support_mask
+from .bits import BitString, check_width, submasks, support_mask
 from .characterize import correlator_report, prob_joint_zero, prob_zero
 from .errors import MissingDataError, ValidationError
 from .geometry import RegisterGeometry, all_neighborhoods
-from .serialize import as_object, dump_json, load_json, parse
+from .serialize import as_object, dump_json, integer, load_json, number, qubits
 from .tmatrix import TransitionMatrix
 
 # The two kernel calls of the estimator, under their own names so that a
@@ -104,20 +104,16 @@ class CalibrationTables:
 
     @classmethod
     def from_json(cls, path) -> "CalibrationTables":
-        obj = as_object(load_json(path), "tables JSON")
         required = ("n", "k", "single_masks", "pair_masks", "mean_fields", "pair_fluct")
-        for key in required:
-            if key not in obj:
-                raise ValidationError(f"tables JSON missing key {key!r}")
+        obj = as_object(load_json(path), "tables JSON", required)
         for key in required[2:]:
             as_object(obj[key], key)
-        n = parse(int, obj["n"], "n")
+        n = integer(obj["n"], "n")
 
         def bidx(s):
-            return BitString.from_str(s).index
-
-        def pair(key):
-            return tuple(int(x) for x in key.split(","))
+            x = BitString.from_str(s)
+            check_width(x, n)
+            return x.index
 
         def table(entries, qubits, mask):
             who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
@@ -128,21 +124,20 @@ class CalibrationTables:
                     raise ValidationError(
                         f"no table entry for {who}, filtered state {state}"
                     )
-                vals.append(parse(float, entries[key], f"table entry {key!r}"))
+                vals.append(number(entries[key], f"table entry {key!r}"))
             return np.array(vals).reshape((-1,) + (2,) * len(qubits))
 
         tables = cls(
             n=n,
-            k=parse(int, obj["k"], "k"),
+            k=integer(obj["k"], "k", 0),
             single_masks={
-                parse(int, i, "single mask key"): bidx(m)
+                qubits(i, 1, "tables")[0]: bidx(m)
                 for i, m in obj["single_masks"].items()
             },
             pair_masks={
-                parse(pair, key, "pair mask key"): bidx(m)
-                for key, m in obj["pair_masks"].items()
+                qubits(key, 2, "tables"): bidx(m) for key, m in obj["pair_masks"].items()
             },
-            circuits_used=parse(int, obj.get("circuits_used", 0), "circuits_used"),
+            circuits_used=integer(obj.get("circuits_used", 0), "circuits_used", 0),
             metadata=obj.get("metadata", {}),
         )
         for i, mask in tables.single_masks.items():
@@ -175,6 +170,11 @@ def _masks(geometry: RegisterGeometry, k: int):
         for j in range(i + 1, n + 1)
     }
     return single, pair
+
+
+def _check_register(backend, geometry: RegisterGeometry):
+    if geometry.n != backend.n:
+        raise ValidationError(f"geometry has {geometry.n} qubits, backend has {backend.n}")
 
 
 def _collect(backend, prep_indices, n: int) -> dict:
@@ -228,6 +228,7 @@ def estimate_transition_matrix(
 ) -> tuple[TransitionMatrix, CalibrationTables]:
     """Run both measurement steps (sharing preparations), fill the tables
     and assemble the estimated matrix as mean product plus pair correction."""
+    _check_register(backend, geometry)
     n = geometry.n
     single, pair = _masks(geometry, k)
     tables = CalibrationTables(n, k, single, pair)
@@ -282,6 +283,7 @@ def choose_neighborhood_size(
     reach of any such correlator (0 if none), k = (2 * reach + 1)**D - 1 on
     a D-dimensional lattice.
     """
+    _check_register(backend, geometry)
     report = correlator_report(backend)
     d = geometry.chebyshev
     above = np.argwhere(np.abs(report.single_shift) >= threshold) + 1

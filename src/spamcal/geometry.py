@@ -38,7 +38,7 @@ class RegisterGeometry:
                 raise ValidationError(
                     f"position {p} does not have dimension {self.dimension}"
                 )
-            if any(not isinstance(c, int) for c in p):
+            if any(type(c) is not int for c in p):
                 raise ValidationError(f"position {p} has non-integer coordinates")
         if len(set(self.positions)) != self.n:
             raise ValidationError("positions must be pairwise distinct")

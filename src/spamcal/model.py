@@ -34,7 +34,7 @@ from .bits import BitString, check_width
 from .errors import ValidationError
 from .geometry import RegisterGeometry
 from .norms import check_column_stochastic
-from .serialize import as_object, dump_json, load_json, parse
+from .serialize import array, as_object, dump_json, integer, load_json, number, qubits
 from .tmatrix import TransitionMatrix
 
 ORACLE_LIMIT_DEFAULT = 12
@@ -140,14 +140,14 @@ class NoiseModel:
             w = g * _SIGN[:, None, None] * _SIGN[:, None] * _SIGN
             terms.append(((i - 1, j - 1, k - 1), np.broadcast_to(w, (len(cols), 2, 2, 2))))
         t = kron_columns(means, terms)
-        if t.min() < -1e-12:
+        if not t.min() >= -1e-12:
             x, c = np.unravel_index(np.argmin(t), t.shape)
             raise ValidationError(
                 f"model gives negative probability p({BitString.from_index(int(x), n)}"
                 f"|{BitString.from_index(int(cols[c]), n)}) = {t[x, c]}"
             )
         sums = t.sum(axis=0)
-        bad = np.abs(sums - 1.0) > 1e-12
+        bad = ~(np.abs(sums - 1.0) <= 1e-12)
         if bad.any():
             c = int(np.argmax(bad))
             raise ValidationError(
@@ -198,47 +198,27 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, obj) -> "NoiseModel":
-        def keys(s, parts):
-            try:
-                key = tuple(int(x) for x in s.split(","))
-            except ValueError:
-                key = ()
-            if len(key) != parts:
-                raise ValidationError(f"model key {s!r} needs {parts} qubit indices")
-            return key
+        obj = as_object(obj, "model JSON", ("n", "dimension", "positions", "base"))
+        n, dimension = integer(obj["n"], "n"), integer(obj["dimension"], "dimension")
+        array(obj["positions"], "positions", (n, dimension))
 
-        obj = as_object(obj, "model JSON")
-        for key in ("n", "dimension", "positions", "base"):
-            if key not in obj:
-                raise ValidationError(f"model JSON missing key {key!r}")
-
-        def values(name, parts, convert=float):
+        def values(name, parts, shape=None):
             return {
-                keys(s, parts): parse(convert, v, f"{name}[{s}]")
+                qubits(s, parts, "model"): number(v, f"{name}[{s}]")
+                if shape is None
+                else array(v, f"{name}[{s}]", shape)
                 for s, v in as_object(obj.get(name, {}), name).items()
             }
 
-        def array(v):
-            return np.asarray(v, dtype=float)
-
-        geometry = RegisterGeometry(
-            parse(int, obj["n"], "n"),
-            parse(int, obj["dimension"], "dimension"),
-            parse(
-                lambda ps: tuple(tuple(int(c) for c in p) for p in ps),
-                obj["positions"],
-                "positions",
-            ),
-        )
         return cls(
-            geometry=geometry,
-            base=parse(array, obj["base"], "base"),
+            geometry=RegisterGeometry(n, dimension, tuple(map(tuple, obj["positions"]))),
+            base=array(obj["base"], "base"),
             shifts=values("shifts", 2),
-            pair_cov=values("pair_cov", 2, array),
+            pair_cov=values("pair_cov", 2, (2, 2)),
             spectator_cov=values("spectator_cov", 3),
             triples=values("triples", 3),
-            shift_range=parse(int, obj.get("shift_range", 0), "shift_range"),
-            cov_range=parse(int, obj.get("cov_range", 0), "cov_range"),
+            shift_range=integer(obj.get("shift_range", 0), "shift_range", 0),
+            cov_range=integer(obj.get("cov_range", 0), "cov_range", 0),
         )
 
     @classmethod

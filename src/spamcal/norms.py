@@ -56,10 +56,10 @@ def check_column_stochastic(t, tol: float = 1e-6) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {t.shape}")
-    if np.min(t) < -tol:
+    if not np.min(t) >= -tol:
         raise ValidationError(f"negative entry {np.min(t)} in stochastic matrix")
     sums = t.sum(axis=0)
-    if np.max(np.abs(sums - 1.0)) > tol:
+    if not np.max(np.abs(sums - 1.0)) <= tol:
         raise ValidationError(
             f"columns must sum to 1; worst deviation {np.max(np.abs(sums - 1.0))}"
         )

@@ -9,16 +9,14 @@ CSV: a header row of prepared-state labels, then one row per outcome.
 
 from __future__ import annotations
 
-import csv
-import io
+import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bits import BitString
 from .errors import ValidationError
-from .serialize import as_object, dump_json, load_json, parse
+from .serialize import array, as_object, dump_csv, dump_json, integer, load_json
 
 
 @dataclass
@@ -55,32 +53,15 @@ class TransitionMatrix:
 
     @classmethod
     def from_dict(cls, obj) -> "TransitionMatrix":
-        obj = as_object(obj, "matrix JSON")
-        for key in ("n", "order", "data"):
-            if key not in obj:
-                raise ValidationError(f"matrix JSON missing key {key!r}")
-        if obj["order"] != "msb-first":
-            raise ValidationError(f"unsupported bit order {obj['order']!r}")
-        n = parse(int, obj["n"], "n")
-        dim = 1 << n
-        data = parse(lambda v: np.asarray(v, dtype=float), obj["data"], "data")
-        if data.size != dim * dim:
-            raise ValidationError(
-                f"matrix JSON has {data.size} entries, expected {dim * dim}"
-            )
-        return cls(n, data.reshape(dim, dim))
+        obj = as_object(obj, "matrix JSON", ("n", "order", "data"))
+        n = integer(obj["n"], "n")
+        data = array(obj["data"], "data")
+        # n is matched to the entries held before 4^n is built
+        if n != (data.size.bit_length() - 1) // 2 or data.size != 1 << 2 * n:
+            raise ValidationError(f"matrix JSON has {data.size} entries, expected 4^{n}")
+        return cls(n, data.reshape(1 << n, 1 << n))
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         labels = [str(BitString.from_index(c, self.n)) for c in range(self.dim)]
-        writer.writerow(["outcome"] + labels)
-        for r in range(self.dim):
-            writer.writerow(
-                [str(BitString.from_index(r, self.n))]
-                + [repr(v) for v in self.data[r].tolist()]
-            )
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        rows = ([labels[r]] + [repr(v) for v in self.data[r].tolist()] for r in range(self.dim))
+        return dump_csv(itertools.chain([["outcome"] + labels], rows), path)

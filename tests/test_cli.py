@@ -237,13 +237,15 @@ def write_valid_inputs(tmp_path):
     return files
 
 
-def run_on_inputs(tmp_path, kind, files):
-    """Write the input files and run the command that reads files[kind];
-    return its exit code and the output path."""
+def run_on_inputs(tmp_path, kind, files, *options):
+    """Write the input files (none for a file that is None) and run the
+    command that reads files[kind] with the given options; return its exit
+    code and the output path."""
     paths = {}
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(obj))
+        if obj is not None:
+            paths[name].write_text(json.dumps(obj))
     out = tmp_path / "out.json"
     if kind in ("matrix", "distribution"):
         argv = ["correct", "--matrix", paths["matrix"], "--input", paths["distribution"]]
@@ -251,7 +253,7 @@ def run_on_inputs(tmp_path, kind, files):
         argv = ["estimate", "--model", paths["model"], "--k", "0"]
     else:
         argv = ["estimate", "--backend", "replay", "--dataset", paths["dataset"], "--k", "0"]
-    return run(*argv, "--out", out), out
+    return run(*argv, *options, "--out", out), out
 
 
 @pytest.mark.parametrize(
@@ -328,4 +330,70 @@ def test_calibrate_full_oracle_limit_exits_2(tmp_path, capsys):
     code = run("calibrate-full", "--preset", "melbourne-c4", "--oracle-limit", "3", "--out", out)
     assert code == 2
     assert "oracle limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def set_path(obj, path, value):
+    """Replace the value that path leads to from the top of obj."""
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    [
+        ("model", ("pair_cov", "2,3"), [1, 2, 3], "pair_cov[2,3] has shape (3,)"),
+        ("model", ("base", 0, 0, 0), NAN, "base has a non-finite value"),
+        ("model", ("base", 2, 1, 1), float("inf"), "base has a non-finite value"),
+        ("model", ("shifts", "4,1"), NAN, "shifts[4,1] has a non-finite"),
+        ("model", ("shifts", "4,1"), float("-inf"), "shifts[4,1] has a non-finite"),
+        ("model", ("pair_cov", "2,3"), [[NAN, 0], [0, 0]], "pair_cov[2,3] has a non-finite"),
+        ("model", ("spectator_cov",), {"1,2,3": NAN}, "spectator_cov[1,2,3] has a non-finite"),
+        ("model", ("triples",), {"1,2,3": NAN}, "triples[1,2,3] has a non-finite"),
+        ("model", ("triples",), {"1,2,3": float("inf")}, "triples[1,2,3] has a non-finite"),
+        ("model", ("positions", 0, 0), 0.5, "non-integer coordinates"),
+        ("matrix", ("n",), -1, "n must be an integer of at least 1"),
+        ("matrix", ("n",), 0, "n must be an integer of at least 1"),
+        ("matrix", ("n",), 20000, "has 256 entries, expected 4^20000"),
+        ("matrix", ("data", 5), NAN, "data has a non-finite value"),
+        ("distribution", ("n",), -1, "n must be an integer of at least 1"),
+        ("distribution", ("n",), 40, "distribution n=40 does not match matrix n=4"),
+        ("distribution", ("n",), 64, "distribution n=64 does not match matrix n=4"),
+        ("distribution", ("probs", "0101"), NAN, "probability of 0101 has a non-finite"),
+        ("distribution", ("probs", "0101"), True, "non-numeric value True"),
+        ("dataset", ("records", 0, "counts", "0000"), 1.5, "count of 0000 must be an integer"),
+    ],
+)
+def test_malformed_value_exits_2(tmp_path, capsys, kind, path, value, message):
+    files = write_valid_inputs(tmp_path)
+    files["model"]["cov_range"] = 1  # so a spectator term is in range
+    set_path(files[kind], path, value)
+    code, out = run_on_inputs(tmp_path, kind, files)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--input", "--model", "--dataset"])
+def test_missing_input_file_exits_2(tmp_path, capsys, flag):
+    files = write_valid_inputs(tmp_path)
+    kind = {"--matrix": "matrix", "--input": "distribution"}.get(flag, flag[2:])
+    files[kind] = None
+    code, out = run_on_inputs(tmp_path, kind, files)
+    assert code == 2
+    assert f"cannot read {tmp_path / kind}.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_correct_negative_tolerance_exits_2(tmp_path, capsys):
+    files = write_valid_inputs(tmp_path)
+    code, out = run_on_inputs(tmp_path, "matrix", files, "--tol", "-1")
+    assert code == 2
+    assert "tolerance must be nonnegative" in capsys.readouterr().err
     assert not out.exists()

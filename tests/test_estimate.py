@@ -313,3 +313,18 @@ def test_choose_neighborhood_size_matches_loop(g, threshold, data):
         assert k == full_size(g)
     if threshold == 1.0:
         assert k == 0
+
+
+def test_register_size_mismatch_names_both_sizes():
+    backend = ExactBackend(melbourne_c4())
+    geometry = RegisterGeometry.chain(8)
+    with pytest.raises(ValidationError, match="geometry has 8 qubits, backend has 4"):
+        choose_neighborhood_size(backend, geometry)
+    with pytest.raises(ValidationError, match="geometry has 8 qubits, backend has 4"):
+        estimate_transition_matrix(backend, geometry, 0)
+
+
+def test_tables_json_rejects_non_finite_entry(tmp_path):
+    path = edited_tables_file(tmp_path, "mean_fields", "2|0|0100", float("nan"))
+    with pytest.raises(ValidationError, match="non-finite"):
+        CalibrationTables.from_json(path)

@@ -194,3 +194,16 @@ def test_presets_validate():
         assert m.n == n
         t = m.full_matrix().data
         assert np.min(t) >= -1e-12
+
+
+def test_nan_in_base_rejected():
+    base = np.stack([symmetric_single_qubit(0.05)] * 3)
+    base[1, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match="nan"):
+        NoiseModel(RegisterGeometry.chain(3), base)
+
+
+def test_nan_shift_rejected():
+    base = np.stack([symmetric_single_qubit(0.05)] * 3)
+    with pytest.raises(ValidationError, match="nan"):
+        NoiseModel(RegisterGeometry.chain(3), base, shifts={(1, 2): np.nan}, shift_range=1)

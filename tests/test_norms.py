@@ -8,6 +8,7 @@ from spamcal.errors import ValidationError
 from spamcal.norms import (
     MatrixNorm,
     asymptotic_frobenius_error,
+    check_column_stochastic,
     norm_distance,
     single_qubit_spam_error,
     symmetric_single_qubit,
@@ -95,3 +96,11 @@ def test_norm_symmetry_and_positivity(n, seed):
         assert d_ab >= 0.0
         if not np.array_equal(a, b):
             assert d_ab > 0.0
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+def test_column_stochastic_rejects_nan(entry):
+    t = symmetric_single_qubit(0.1)
+    t[entry] = np.nan
+    with pytest.raises(ValidationError):
+        check_column_stochastic(t)
