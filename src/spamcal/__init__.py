@@ -11,11 +11,12 @@ from .backends import (
     ExactBackend,
     ReplayBackend,
     SampledBackend,
+    collect,
     ingest_dataset,
     measure_full_matrix,
     record_dataset,
 )
-from .bits import BitString
+from .bits import bitstring, parse_bitstring
 from .characterize import (
     Average,
     CorrelatorReport,

@@ -2,6 +2,11 @@
 
 Three kinds: exact evaluation of a :class:`~spamcal.model.NoiseModel`,
 seeded finite-shot sampling of it, and replay of a recorded counts dataset.
+Each answers ``distribution(x)`` and ``counts(x, shots)`` for a prepared
+state given by its integer index (see :mod:`spamcal.bits`); outcome
+histograms are keyed by outcome index too. :func:`collect` is the one loop
+that queries a backend for distributions: it asks once per distinct state
+and reports every state a replay dataset lacks in one MissingDataError.
 
 Sampling is reproducible across platforms: each query draws from a PCG64
 generator seeded by (seed, prepared-state index, query ordinal) and converts
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import BitString, check_width
+from .bits import bitstring, parse_bitstring
 from .errors import MissingDataError, ValidationError
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
 from .serialize import as_object, dump_json, integer, load_json, number
@@ -31,9 +36,11 @@ DEFAULT_SHOTS = 32768
 
 @dataclass(frozen=True)
 class Counts:
-    """Integer histogram of measured outcomes for one prepared state."""
+    """Integer histogram of measured outcomes for one prepared state of an
+    n-qubit register, keyed by outcome index."""
 
-    prepared: BitString
+    n: int
+    prepared: int
     histogram: dict
     shots: int
 
@@ -47,18 +54,16 @@ class Counts:
             )
         if any(v < 0 for v in self.histogram.values()):
             raise ValidationError("negative count in histogram")
-        n = self.prepared.n
-        wrong = [s for s in self.histogram if len(s) != n]
+        wrong = [x for x in (self.prepared, *self.histogram) if not 0 <= x < 1 << self.n]
         if wrong:
             raise ValidationError(
-                f"outcome {wrong[0]!r} has {len(wrong[0])} bits, prepared state has {n}"
+                f"state {wrong[0]} is out of range: the register has {self.n} qubits"
             )
 
     def vector(self) -> np.ndarray:
-        n = self.prepared.n
-        v = np.zeros(1 << n)
-        for s, c in self.histogram.items():
-            v[BitString.from_str(s).index] = c
+        v = np.zeros(1 << self.n)
+        for x, c in self.histogram.items():
+            v[x] = c
         return v
 
     def distribution(self) -> np.ndarray:
@@ -88,22 +93,18 @@ class _ModelBackend:
         self.seed = seed
         self._ordinals: dict[int, int] = {}
 
-    def _draw(self, xprime: BitString, shots: int) -> Counts:
+    def _draw(self, xprime: int, shots: int) -> Counts:
         if shots <= 0:
             raise ValidationError(f"shots must be positive, got {shots}")
         column = self.model.column(xprime)  # checked before the ordinal moves
-        ordinal = self._ordinals.get(xprime.index, 0)
-        self._ordinals[xprime.index] = ordinal + 1
+        ordinal = self._ordinals.get(xprime, 0)
+        self._ordinals[xprime] = ordinal + 1
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, xprime.index, ordinal]))
+            np.random.PCG64(np.random.SeedSequence([self.seed, xprime, ordinal]))
         )
         hist = _sample_histogram(column, shots, rng)
-        histogram = {
-            str(BitString.from_index(i, self.n)): int(c)
-            for i, c in enumerate(hist)
-            if c > 0
-        }
-        return Counts(prepared=xprime, histogram=histogram, shots=shots)
+        histogram = {int(x): int(hist[x]) for x in np.flatnonzero(hist)}
+        return Counts(self.n, xprime, histogram, shots)
 
 
 class ExactBackend(_ModelBackend):
@@ -115,10 +116,10 @@ class ExactBackend(_ModelBackend):
 
     kind = "exact"
 
-    def distribution(self, xprime: BitString) -> np.ndarray:
+    def distribution(self, xprime: int) -> np.ndarray:
         return self.model.column(xprime)
 
-    def counts(self, xprime: BitString, shots: int = DEFAULT_SHOTS) -> Counts:
+    def counts(self, xprime: int, shots: int = DEFAULT_SHOTS) -> Counts:
         return self._draw(xprime, shots)
 
     def descriptor(self) -> dict:
@@ -136,10 +137,10 @@ class SampledBackend(_ModelBackend):
         super().__init__(model, seed)
         self.shots = shots
 
-    def counts(self, xprime: BitString, shots: int | None = None) -> Counts:
+    def counts(self, xprime: int, shots: int | None = None) -> Counts:
         return self._draw(xprime, self.shots if shots is None else shots)
 
-    def distribution(self, xprime: BitString) -> np.ndarray:
+    def distribution(self, xprime: int) -> np.ndarray:
         return self.counts(xprime).distribution()
 
     def descriptor(self) -> dict:
@@ -157,48 +158,44 @@ class Dataset:
     """A set of recorded counts, one record per prepared state."""
 
     n: int
-    records: dict = field(default_factory=dict)  # index -> Counts
+    records: dict = field(default_factory=dict)  # prepared index -> Counts
 
     def add(self, counts: Counts):
-        if counts.prepared.n != self.n:
+        if counts.n != self.n:
+            raise ValidationError(f"record for n={counts.n} in an n={self.n} dataset")
+        if counts.prepared in self.records:
             raise ValidationError(
-                f"record for n={counts.prepared.n} in an n={self.n} dataset"
+                f"duplicate prepared state {bitstring(counts.prepared, self.n)}"
             )
-        if counts.prepared.index in self.records:
-            raise ValidationError(f"duplicate prepared state {counts.prepared}")
-        self.records[counts.prepared.index] = counts
+        self.records[counts.prepared] = counts
 
     def to_json(self, path=None) -> str:
-        recs = []
-        for idx in sorted(self.records):
-            c = self.records[idx]
-            recs.append(
-                {
-                    "prepared": str(c.prepared),
-                    "shots": c.shots,
-                    "counts": dict(sorted(c.histogram.items())),
-                }
-            )
+        recs = [
+            {
+                "prepared": bitstring(x, self.n),
+                "shots": c.shots,
+                "counts": {bitstring(o, self.n): v for o, v in sorted(c.histogram.items())},
+            }
+            for x, c in sorted(self.records.items())
+        ]
         return dump_json({"n": self.n, "order": "msb-first", "records": recs}, path)
 
     @classmethod
     def from_dict(cls, obj) -> "Dataset":
         obj = as_object(obj, "dataset JSON", ("n", "order", "records"))
-        ds = cls(n=integer(obj["n"], "n"))
+        n = integer(obj["n"], "n")
+        ds = cls(n)
         if not isinstance(obj["records"], list):
             raise ValidationError("dataset records must be a JSON list")
         for r, rec in enumerate(obj["records"]):
             try:
                 rec = as_object(rec, "record", ("prepared", "shots", "counts"))
-                counts = Counts(
-                    prepared=BitString.from_str(rec["prepared"]),
-                    histogram={
-                        k: integer(v, f"count of {k}", 0)
-                        for k, v in as_object(rec["counts"], "counts").items()
-                    },
-                    shots=integer(rec["shots"], "shots"),
-                )
-                ds.add(counts)
+                prepared = parse_bitstring(rec["prepared"], n)
+                histogram = {
+                    parse_bitstring(s, n): integer(v, f"count of {s}", 0)
+                    for s, v in as_object(rec["counts"], "counts").items()
+                }
+                ds.add(Counts(n, prepared, histogram, integer(rec["shots"], "shots")))
             except ValidationError as exc:
                 raise ValidationError(f"bad dataset record {r}: {exc}") from None
         return ds
@@ -218,15 +215,18 @@ class ReplayBackend:
         self.n = dataset.n
         self.source = source
 
-    def counts(self, xprime: BitString, shots: int | None = None) -> Counts:
+    def counts(self, xprime: int, shots: int | None = None) -> Counts:
         # shots is ignored; the stored record fixes it
-        check_width(xprime, self.n)
+        if not 0 <= xprime < 1 << self.n:
+            raise ValidationError(
+                f"prepared state {xprime} is out of range: the register has {self.n} qubits"
+            )
         try:
-            return self.dataset.records[xprime.index]
+            return self.dataset.records[xprime]
         except KeyError:
-            raise MissingDataError(str(xprime)) from None
+            raise MissingDataError(bitstring(xprime, self.n)) from None
 
-    def distribution(self, xprime: BitString) -> np.ndarray:
+    def distribution(self, xprime: int) -> np.ndarray:
         return self.counts(xprime).distribution()
 
     def descriptor(self) -> dict:
@@ -241,6 +241,22 @@ def ingest_dataset(path) -> ReplayBackend:
     return ReplayBackend(Dataset.from_json(path), source=str(path))
 
 
+def collect(backend, preps):
+    """Yield (state, distribution) for each distinct prepared state, in
+    increasing order. A state the backend lacks is skipped; after the last
+    state one MissingDataError names every skipped state."""
+    missing = []
+    for x in sorted(set(preps)):
+        try:
+            dist = backend.distribution(x)
+        except MissingDataError as exc:
+            missing.extend(exc.missing)
+            continue
+        yield x, dist
+    if missing:
+        raise MissingDataError(missing)
+
+
 def record_dataset(backend, prepared_states, shots: int) -> Dataset:
     """Query a backend for each prepared state and collect the counts."""
     ds = Dataset(n=backend.n)
@@ -251,11 +267,8 @@ def record_dataset(backend, prepared_states, shots: int) -> Dataset:
 
 def save_distribution(dist: np.ndarray, n: int, path=None) -> str:
     """Distribution JSON: {"n": int, "probs": {"bitstring": real}}."""
-    probs = {
-        str(BitString.from_index(i, n)): float(v)
-        for i, v in enumerate(np.asarray(dist, dtype=float))
-        if v != 0.0
-    }
+    dist = np.asarray(dist, dtype=float)
+    probs = {bitstring(int(x), n): float(dist[x]) for x in np.flatnonzero(dist)}
     return dump_json({"n": n, "probs": probs}, path)
 
 
@@ -269,9 +282,7 @@ def load_distribution(path, n: int | None = None) -> tuple[np.ndarray, int]:
         raise ValidationError(f"distribution n={size} does not match matrix n={n}")
     v = np.zeros(1 << size)
     for s, p in as_object(obj["probs"], "probs").items():
-        x = BitString.from_str(s)
-        check_width(x, size)
-        v[x.index] = number(p, f"probability of {s}")
+        v[parse_bitstring(s, size)] = number(p, f"probability of {s}")
     return v, size
 
 
@@ -283,15 +294,7 @@ def measure_full_matrix(backend, limit: int = ORACLE_LIMIT_DEFAULT) -> Transitio
             f"full measurement of n={n} needs 2^n={1 << n} circuits; "
             f"the oracle limit is {limit}"
         )
-    dim = 1 << n
-    t = np.empty((dim, dim))
-    missing = []
-    for c in range(dim):
-        xprime = BitString.from_index(c, n)
-        try:
-            t[:, c] = backend.distribution(xprime)
-        except MissingDataError:
-            missing.append(str(xprime))
-    if missing:
-        raise MissingDataError(missing)
+    t = np.empty((1 << n, 1 << n))
+    for c, dist in collect(backend, range(1 << n)):
+        t[:, c] = dist
     return TransitionMatrix(n, t)

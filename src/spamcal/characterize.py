@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, check_width, qubit_mask, submasks, support_mask
+from .backends import collect
+from .bits import bitstring, qubit_mask, submasks, support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry, moore_neighborhood
 from .norms import MatrixNorm, norm_distance
@@ -82,32 +83,24 @@ def measure_single_qubit_T(backend, i: int, family,
     boundary-truncated) neighborhood, far spectators prepared in 0.
     """
     n = backend.n
-    mat = np.empty((2, 2))
+    qubit = qubit_mask(i, n)
     if isinstance(family, Uniform):
-        background = (1 << n) - 1 if family.b else 0
-        for prep_bit in (0, 1):
-            idx = (background & ~qubit_mask(i, n)) | (
-                qubit_mask(i, n) if prep_bit else 0
-            )
-            dist = backend.distribution(BitString.from_index(idx, n))
-            p0 = prob_zero(dist, i, n)
-            mat[:, prep_bit] = (p0, 1.0 - p0)
+        spectators = [((1 << n) - 1 if family.b else 0) & ~qubit]
     elif isinstance(family, Average):
         if geometry is None:
             raise ValidationError("the average family needs the register geometry")
         nbhd = moore_neighborhood(geometry, i, family.k)
-        spect_mask = support_mask(sorted(nbhd.members), n)
-        preps = submasks(spect_mask)
-        for prep_bit in (0, 1):
-            bit = qubit_mask(i, n) if prep_bit else 0
-            p0 = 0.0
-            for s in preps:
-                dist = backend.distribution(BitString.from_index(s | bit, n))
-                p0 += prob_zero(dist, i, n)
-            p0 /= len(preps)
-            mat[:, prep_bit] = (p0, 1.0 - p0)
+        spectators = submasks(support_mask(sorted(nbhd.members), n))
     else:
         raise ValidationError(f"unknown single-qubit family {family!r}")
+    dists = dict(collect(backend, [s | bit for bit in (0, qubit) for s in spectators]))
+    mat = np.empty((2, 2))
+    for prep_bit, bit in enumerate((0, qubit)):
+        p0 = 0.0
+        for s in spectators:
+            p0 += prob_zero(dists[s | bit], i, n)
+        p0 /= len(spectators)
+        mat[:, prep_bit] = (p0, 1.0 - p0)
     return SingleQubitT(qubit=i, family=family, matrix=mat)
 
 
@@ -142,14 +135,14 @@ class CorrelatorReport:
         spectator j is flipped, starting from the all-zeros preparation
     joint_shift[(i, j, l)]: drop of P(qubits i and j both read 0) when
         prepared spectator l is flipped, i < j, l not in {i, j}
-    covariance[(i, j, str(xprime))]: covariance of the read-0 indicators of
-        i < j at one prepared state
+    covariance[(i, j, xprime)]: covariance of the read-0 indicators of
+        i < j at one prepared state (an index; a bitstring in the JSON)
     """
 
     n: int
     single_shift: np.ndarray  # n x n, diagonal zero
     joint_shift: dict  # (i, j, l) -> float
-    covariance: dict  # (i, j, str(xprime)) -> float
+    covariance: dict  # (i, j, xprime) -> float
     circuits_used: int = 0
 
     def to_json(self, path=None) -> str:
@@ -161,8 +154,8 @@ class CorrelatorReport:
                     for (i, j, l), v in sorted(self.joint_shift.items())
                 ],
                 "C": [
-                    {"i": i, "j": j, "xprime": s, "value": v}
-                    for (i, j, s), v in sorted(self.covariance.items())
+                    {"i": i, "j": j, "xprime": bitstring(x, self.n), "value": v}
+                    for (i, j, x), v in sorted(self.covariance.items())
                 ],
                 "circuits_used": self.circuits_used,
             },
@@ -171,11 +164,11 @@ class CorrelatorReport:
 
     def single_shift_csv(self, path=None) -> str:
         """Heat-map-ready CSV of the spectator-shift matrix."""
-        rows = [[str(i)] + [repr(v) for v in row] for i, row in enumerate(self.single_shift, 1)]
+        rows = [[i] + row for i, row in enumerate(self.single_shift.tolist(), 1)]
         return dump_csv([["i\\j"] + [str(j) for j in range(1, self.n + 1)]] + rows, path)
 
 
-def correlator_report(backend, xprime: BitString | None = None) -> CorrelatorReport:
+def correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
     """Measure every pairwise correlator.
 
     The shift correlators share the n+1 preparations {0..0} plus the n
@@ -183,13 +176,8 @@ def correlator_report(backend, xprime: BitString | None = None) -> CorrelatorRep
     by default). Distributions are fetched once per distinct preparation.
     """
     n = backend.n
-    if xprime is None:
-        xprime = BitString.from_index(0, n)
-    check_width(xprime, n)
-    preps = {0} | {qubit_mask(j, n) for j in range(1, n + 1)} | {xprime.index}
-    dists = {
-        idx: backend.distribution(BitString.from_index(idx, n)) for idx in sorted(preps)
-    }
+    preps = [0, xprime] + [qubit_mask(j, n) for j in range(1, n + 1)]
+    dists = dict(collect(backend, preps))
     base = dists[0]
     a = np.zeros((n, n))
     b = {}
@@ -209,10 +197,10 @@ def correlator_report(backend, xprime: BitString | None = None) -> CorrelatorRep
                     dists[qubit_mask(l, n)], i, j, n
                 )
     c = {}
-    dist_x = dists[xprime.index]
+    dist_x = dists[xprime]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            c[(i, j, str(xprime))] = prob_joint_zero(dist_x, i, j, n) - prob_zero(
+            c[(i, j, xprime)] = prob_joint_zero(dist_x, i, j, n) - prob_zero(
                 dist_x, i, n
             ) * prob_zero(dist_x, j, n)
     return CorrelatorReport(

@@ -25,7 +25,7 @@ from .backends import (
     measure_full_matrix,
     save_distribution,
 )
-from .bits import BitString
+from .bits import parse_bitstring
 from .characterize import Uniform, correlator_report, measure_single_qubit_T, t_prod
 from .correct import (
     KKT_TOL_DEFAULT,
@@ -163,7 +163,7 @@ def cmd_estimate(args):
 
 def cmd_correlators(args):
     backend, _geometry, inputs = _make_backend(args)
-    xprime = BitString.from_str(args.xprime) if args.xprime else None
+    xprime = parse_bitstring(args.xprime, backend.n) if args.xprime else 0
     report = correlator_report(backend, xprime)
     outputs = [args.out]
     report.to_json(args.out)

@@ -4,8 +4,12 @@ The protocol measures, per qubit, the read-0/read-1 probabilities at every
 preparation supported on the qubit's neighborhood (far spectators 0), and,
 per pair, the covariance of the two read-0 indicators at every preparation
 supported on the union of the two neighborhoods. Identical prepared
-bitstrings are measured once and shared; :func:`estimate_transition_matrix`
-is the one entry point that measures. The full matrix is then assembled
+states are measured once and shared; :func:`estimate_transition_matrix`
+is the one entry point that measures, through
+:func:`spamcal.backends.collect`. It collects the first step's
+preparations before it builds the n(n-1)/2 pair masks, so a replay
+dataset that lacks them fails at once, naming only those states. The full
+matrix is then assembled
 classically: a product of per-qubit means plus an additive pairwise
 covariance correction, each mean/covariance looked up at the filtered
 version of the column's prepared state. Both parts go through
@@ -31,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import kron_columns
-from .bits import BitString, check_width, submasks, support_mask
+from .backends import collect
+from .bits import bitstring, parse_bitstring, submasks, support_mask
 from .characterize import correlator_report, prob_joint_zero, prob_zero
-from .errors import MissingDataError, ValidationError
+from .errors import ValidationError
 from .geometry import RegisterGeometry, all_neighborhoods
 from .serialize import as_object, dump_json, integer, load_json, number, qubits
 from .tmatrix import TransitionMatrix
@@ -84,16 +89,14 @@ class CalibrationTables:
                 )
             }
 
-        def bstr(idx):
-            return str(BitString.from_index(idx, self.n))
-
+        n = self.n
         obj = {
-            "n": self.n,
+            "n": n,
             "k": self.k,
             "order": "msb-first",
-            "single_masks": {str(i): bstr(m) for i, m in self.single_masks.items()},
+            "single_masks": {str(i): bitstring(m, n) for i, m in self.single_masks.items()},
             "pair_masks": {
-                f"{i},{j}": bstr(m) for (i, j), m in self.pair_masks.items()
+                f"{i},{j}": bitstring(m, n) for (i, j), m in self.pair_masks.items()
             },
             "mean_fields": entries(self.mean_fields, self.single_masks, lambda i: (i,)),
             "pair_fluct": entries(self.pair_fluct, self.pair_masks, tuple),
@@ -109,11 +112,6 @@ class CalibrationTables:
         for key in required[2:]:
             as_object(obj[key], key)
         n = integer(obj["n"], "n")
-
-        def bidx(s):
-            x = BitString.from_str(s)
-            check_width(x, n)
-            return x.index
 
         def table(entries, qubits, mask):
             who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
@@ -131,11 +129,12 @@ class CalibrationTables:
             n=n,
             k=integer(obj["k"], "k", 0),
             single_masks={
-                qubits(i, 1, "tables")[0]: bidx(m)
+                qubits(i, 1, "tables")[0]: parse_bitstring(m, n)
                 for i, m in obj["single_masks"].items()
             },
             pair_masks={
-                qubits(key, 2, "tables"): bidx(m) for key, m in obj["pair_masks"].items()
+                qubits(key, 2, "tables"): parse_bitstring(m, n)
+                for key, m in obj["pair_masks"].items()
             },
             circuits_used=integer(obj.get("circuits_used", 0), "circuits_used", 0),
             metadata=obj.get("metadata", {}),
@@ -152,42 +151,20 @@ def _keys(qubits: tuple, mask: int, n: int) -> list:
     outcome bits of the qubits."""
     who = ",".join(map(str, qubits))
     return [
-        f"{who}|{' '.join(map(str, bits))}|{BitString.from_index(s, n)}"
+        f"{who}|{' '.join(map(str, bits))}|{bitstring(s, n)}"
         for s in submasks(mask)
         for bits in itertools.product((0, 1), repeat=len(qubits))
     ]
 
 
-def _masks(geometry: RegisterGeometry, k: int):
-    n = geometry.n
-    nbhds = all_neighborhoods(geometry, k)
-    single = {
-        i: support_mask({i} | set(nbhds[i].members), n) for i in range(1, n + 1)
-    }
-    pair = {
-        (i, j): single[i] | single[j]
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    return single, pair
+def _preps(masks) -> set:
+    """Every filtered state of every mask."""
+    return {s for mask in masks.values() for s in submasks(mask)}
 
 
 def _check_register(backend, geometry: RegisterGeometry):
     if geometry.n != backend.n:
         raise ValidationError(f"geometry has {geometry.n} qubits, backend has {backend.n}")
-
-
-def _collect(backend, prep_indices, n: int) -> dict:
-    dists = {}
-    missing = []
-    for idx in sorted(prep_indices):
-        try:
-            dists[idx] = backend.distribution(BitString.from_index(idx, n))
-        except MissingDataError as exc:
-            missing.extend(exc.missing)
-    if missing:
-        raise MissingDataError(missing)
-    return dists
 
 
 def _rows(mask: int, cols: np.ndarray) -> np.ndarray:
@@ -230,15 +207,17 @@ def estimate_transition_matrix(
     and assemble the estimated matrix as mean product plus pair correction."""
     _check_register(backend, geometry)
     n = geometry.n
-    single, pair = _masks(geometry, k)
+    nbhds = all_neighborhoods(geometry, k)
+    single = {i: support_mask({i} | nbhds[i].members, n) for i in range(1, n + 1)}
+    step1 = _preps(single)
+    dists = dict(collect(backend, step1))
+    pair = {
+        (i, j): single[i] | single[j]
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    dists.update(collect(backend, _preps(pair) - step1))
     tables = CalibrationTables(n, k, single, pair)
-    preps = set()
-    for mask in single.values():
-        preps.update(submasks(mask))
-    step1 = len(preps)
-    for mask in pair.values():
-        preps.update(submasks(mask))
-    dists = _collect(backend, preps, n)
     # one 1-D marginal sum per filtered state: a row sum over stacked
     # distributions adds in another order and moves the last bits
     for i, mask in single.items():
@@ -264,7 +243,7 @@ def estimate_transition_matrix(
     bound1, bound2 = circuit_budget(n, k)
     tables.metadata = {
         "backend": backend.descriptor(),
-        "step1_preparations": step1,
+        "step1_preparations": len(step1),
         "budget": {"step1": bound1, "step2": bound2},
     }
     t_est = assemble_t_mean(tables)

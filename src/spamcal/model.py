@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import BLOCK, kron_columns
-from .bits import BitString, check_width
+from .bits import bitstring
 from .errors import ValidationError
 from .geometry import RegisterGeometry
 from .norms import check_column_stochastic
@@ -143,23 +143,26 @@ class NoiseModel:
         if not t.min() >= -1e-12:
             x, c = np.unravel_index(np.argmin(t), t.shape)
             raise ValidationError(
-                f"model gives negative probability p({BitString.from_index(int(x), n)}"
-                f"|{BitString.from_index(int(cols[c]), n)}) = {t[x, c]}"
+                f"model gives negative probability p({bitstring(x, n)}"
+                f"|{bitstring(cols[c], n)}) = {t[x, c]}"
             )
         sums = t.sum(axis=0)
         bad = ~(np.abs(sums - 1.0) <= 1e-12)
         if bad.any():
             c = int(np.argmax(bad))
             raise ValidationError(
-                f"column {BitString.from_index(int(cols[c]), n)} sums to {sums[c]}, "
+                f"column {bitstring(cols[c], n)} sums to {sums[c]}, "
                 f"expected 1"
             )
         return t
 
-    def column(self, xprime: BitString) -> np.ndarray:
+    def column(self, xprime: int) -> np.ndarray:
         """The exact outcome distribution for one prepared state."""
-        check_width(xprime, self.n)
-        return self._columns(np.array([xprime.index]))[:, 0]
+        if not 0 <= xprime < 1 << self.n:
+            raise ValidationError(
+                f"prepared state {xprime} is out of range: the register has {self.n} qubits"
+            )
+        return self._columns(np.array([xprime]))[:, 0]
 
     def full_matrix(self, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
         """Exhaustive transition matrix over all 2^n prepared states."""

@@ -47,12 +47,12 @@ def dump_csv(rows, path=None) -> str:
 
 
 def load_json(path):
+    # text, not bytes: holding both the bytes and the decoded text of a
+    # large matrix file raises the peak memory of a load
     try:
-        raw = Path(path).read_bytes()
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        return json.loads(raw)
     except ValueError as exc:  # also bad UTF-8 or an over-long integer
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 

@@ -1,7 +1,7 @@
 """Dense 2^n x 2^n transition matrices and their file formats.
 
 Columns index prepared states, rows index measured outcomes; both axes use
-the MSB-first bitstring order of :mod:`spamcal.bits`.
+the MSB-first basis-state index of :mod:`spamcal.bits`.
 
 JSON schema: {"n": int, "order": "msb-first", "data": row-major list}.
 CSV: a header row of prepared-state labels, then one row per outcome.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import bitstring
 from .errors import ValidationError
 from .serialize import array, as_object, dump_csv, dump_json, integer, load_json
 
@@ -62,6 +62,6 @@ class TransitionMatrix:
         return cls(n, data.reshape(1 << n, 1 << n))
 
     def to_csv(self, path=None) -> str:
-        labels = [str(BitString.from_index(c, self.n)) for c in range(self.dim)]
+        labels = [bitstring(c, self.n) for c in range(self.dim)]
         rows = ([labels[r]] + [repr(v) for v in self.data[r].tolist()] for r in range(self.dim))
         return dump_csv(itertools.chain([["outcome"] + labels], rows), path)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from spamcal.backends import ExactBackend, SampledBackend, record_dataset
-from spamcal.bits import BitString
 from spamcal.characterize import Uniform, measure_single_qubit_T, t_prod, total_spam_error
 from spamcal.cli import main as cli_main
 from spamcal.correct import correct_constrained, correct_direct_inverse, project_simplex
@@ -109,7 +108,7 @@ class _CountingBackend:
         self.issued = set()
 
     def distribution(self, xprime):
-        self.issued.add(xprime.index)
+        self.issued.add(xprime)
         return self.inner.distribution(xprime)
 
     def descriptor(self):
@@ -188,7 +187,7 @@ def test_criterion_7_direct_inverse_witness():
 
 def test_criterion_8_shot_noise_convergence():
     m = melbourne_c4()
-    x = BitString.from_str("0000")
+    x = 0b0000
     col = m.column(x)
     med = {}
     for shots in (8192, 32768):
@@ -215,7 +214,7 @@ def test_criterion_9_synthetic_hardware_scale(tmp_path):
     # deterministic norm table from an ingested dataset
     m = melbourne_c4()
     backend = SampledBackend(m, shots=32768, seed=7)
-    preps = [BitString.from_index(i, 4) for i in range(16)]
+    preps = range(16)
     ds = tmp_path / "ds.json"
     record_dataset(backend, preps, 32768).to_json(ds)
     t_full = tmp_path / "t.json"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -10,13 +11,13 @@ from spamcal.backends import (
     ExactBackend,
     ReplayBackend,
     SampledBackend,
+    collect,
     ingest_dataset,
     load_distribution,
     measure_full_matrix,
     record_dataset,
     save_distribution,
 )
-from spamcal.bits import BitString
 from spamcal.errors import MissingDataError, ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, identity_model, melbourne_c4
@@ -24,53 +25,55 @@ from spamcal.norms import symmetric_single_qubit
 
 
 def all_preps(n):
-    return [BitString.from_index(i, n) for i in range(1 << n)]
+    return list(range(1 << n))
 
 
 def test_counts_invariants():
-    x = BitString.from_str("01")
     with pytest.raises(ValidationError):
-        Counts(prepared=x, histogram={"01": 5}, shots=6)
-    c = Counts(prepared=x, histogram={"01": 5, "11": 1}, shots=6)
+        Counts(2, 0b01, {0b01: 5}, 6)
+    c = Counts(2, 0b01, {0b01: 5, 0b11: 1}, 6)
     assert c.distribution().sum() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("outcome", ["0110", "1"])
+# an index that needs more bits than the register has, or a negative one;
+# the ids name each case by a bitstring of the wrong width
+@pytest.mark.parametrize("outcome", [1 << 2, -1], ids=["0110", "1"])
 def test_counts_reject_outcome_of_wrong_width(outcome):
-    with pytest.raises(ValidationError, match="bits"):
-        Counts(prepared=BitString.from_str("01"), histogram={outcome: 10}, shots=10)
+    with pytest.raises(ValidationError, match=f"state {outcome} is out of range"):
+        Counts(2, 0b01, {outcome: 10}, 10)
 
 
+# an index past the register or a negative one; the ids name each case
+# by a bitstring of the wrong width
 @pytest.mark.parametrize("kind", ["exact", "sampled", "replay"])
-@pytest.mark.parametrize("xprime", ["01", "00001"])
+@pytest.mark.parametrize("xprime", [-1, 1 << 4], ids=["01", "00001"])
 def test_prepared_state_of_wrong_width_rejected(kind, xprime):
     m = melbourne_c4()
     if kind == "replay":
         b = ReplayBackend(record_dataset(ExactBackend(m), all_preps(4), 64))
     else:
         b = {"exact": ExactBackend, "sampled": SampledBackend}[kind](m, seed=1)
-    x = BitString.from_str(xprime)
-    with pytest.raises(ValidationError, match=f"{xprime} has {len(xprime)} bits"):
-        b.distribution(x)
+    with pytest.raises(ValidationError, match=f"prepared state {xprime} is out of range"):
+        b.distribution(xprime)
     with pytest.raises(ValidationError, match="the register has 4"):
-        b.counts(x, 64)
+        b.counts(xprime, 64)
 
 
 def test_single_shot():
     b = SampledBackend(melbourne_c4(), seed=3)
-    c = b.counts(BitString.from_str("0000"), 1)
+    c = b.counts(0b0000, 1)
     assert sum(c.histogram.values()) == 1
     assert len(c.histogram) == 1
 
 
 def test_identity_model_deterministic_counts():
     b = SampledBackend(identity_model(4), seed=1)
-    c = b.counts(BitString.from_str("0101"), 100)
-    assert c.histogram == {"0101": 100}
+    c = b.counts(0b0101, 100)
+    assert c.histogram == {0b0101: 100}
 
 
 def test_seeded_determinism():
-    x = BitString.from_str("0010")
+    x = 0b0010
     c1 = SampledBackend(melbourne_c4(), seed=42).counts(x, 1000)
     c2 = SampledBackend(melbourne_c4(), seed=42).counts(x, 1000)
     assert c1.histogram == c2.histogram
@@ -81,7 +84,7 @@ def test_seeded_determinism():
 def test_query_order_independence_and_ordinal():
     m = melbourne_c4()
     a, b = SampledBackend(m, seed=5), SampledBackend(m, seed=5)
-    x0, x1 = BitString.from_str("0000"), BitString.from_str("1111")
+    x0, x1 = 0b0000, 0b1111
     ra = [a.counts(x0, 500), a.counts(x1, 500)]
     rb = [b.counts(x1, 500), b.counts(x0, 500)]
     assert ra[0].histogram == rb[1].histogram
@@ -96,15 +99,15 @@ def test_binomial_band():
     m = NoiseModel(g, symmetric_single_qubit(eps)[None])
     b = SampledBackend(m, seed=0)
     shots = 10**6
-    c = b.counts(BitString.from_str("0"), shots)
-    p1 = c.histogram.get("1", 0) / shots
+    c = b.counts(0, shots)
+    p1 = c.histogram.get(1, 0) / shots
     sigma = math.sqrt(eps * (1 - eps) / shots)
     assert abs(p1 - eps) < 5 * sigma
 
 
 def test_exact_backend_counts_work():
     b = ExactBackend(melbourne_c4(), seed=9)
-    c = b.counts(BitString.from_str("0000"), 128)
+    c = b.counts(0b0000, 128)
     assert sum(c.histogram.values()) == 128
 
 
@@ -117,13 +120,13 @@ def test_dataset_round_trip(tmp_path):
     rb = ingest_dataset(path)
     for x in all_preps(4):
         np.testing.assert_array_equal(
-            rb.counts(x).vector(), ds.records[x.index].vector()
+            rb.counts(x).vector(), ds.records[x].vector()
         )
 
 
 def test_replay_missing_state_named(tmp_path):
     b = SampledBackend(melbourne_c4(), seed=2)
-    preps = [x for x in all_preps(4) if str(x) != "0110"]
+    preps = [x for x in all_preps(4) if x != 0b0110]
     ds = record_dataset(b, preps, 512)
     rb = ReplayBackend(ds)
     with pytest.raises(MissingDataError, match="0110"):
@@ -134,7 +137,7 @@ def test_replay_shots_ignored():
     b = SampledBackend(melbourne_c4(), seed=2)
     ds = record_dataset(b, all_preps(4), 512)
     rb = ReplayBackend(ds)
-    c = rb.counts(BitString.from_str("0000"), shots=99999)
+    c = rb.counts(0b0000, shots=99999)
     assert c.shots == 512
 
 
@@ -168,7 +171,7 @@ def test_full_matrix_from_exact_equals_model():
 
 def test_shot_error_halves_with_quadrupled_shots():
     m = melbourne_c4()
-    x = BitString.from_str("0000")
+    x = 0b0000
     col = m.column(x)
     med = {}
     for shots in (8192, 32768):
@@ -195,3 +198,24 @@ def test_distribution_file_round_trip(tmp_path):
     v2, n = load_distribution(p)
     assert n == 2
     np.testing.assert_array_equal(v, v2)
+
+
+def test_collect_asks_once_per_distinct_state_in_increasing_order():
+    asked = []
+
+    class Recording(ExactBackend):
+        def distribution(self, xprime):
+            asked.append(xprime)
+            return super().distribution(xprime)
+
+    got = [x for x, _dist in collect(Recording(melbourne_c4()), [5, 3, 5, 0, 3])]
+    assert got == asked == [0, 3, 5]
+
+
+def test_collect_names_every_missing_state_after_the_last():
+    ds = record_dataset(ExactBackend(melbourne_c4()), [1, 3], 64)
+    gen = collect(ReplayBackend(ds), [0, 1, 2, 3])
+    assert [x for x, _dist in itertools.islice(gen, 2)] == [1, 3]
+    with pytest.raises(MissingDataError) as info:
+        next(gen)
+    assert info.value.missing == ["0000", "0010"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spamcal.backends import ExactBackend
-from spamcal.bits import BitString
 from spamcal.characterize import (
     Average,
     Uniform,
@@ -133,17 +132,19 @@ def test_joint_shift_factorizes():
 
 
 def test_readout_covariance_matches_model():
-    c = correlator_report(backend(), BitString.from_str("0000")).covariance
-    assert c[(2, 3, "0000")] == pytest.approx(2.0e-4, abs=1e-13)
-    assert c[(1, 4, "0000")] == pytest.approx(0.0, abs=1e-12)
+    c = correlator_report(backend(), 0b0000).covariance
+    assert c[(2, 3, 0b0000)] == pytest.approx(2.0e-4, abs=1e-13)
+    assert c[(1, 4, 0b0000)] == pytest.approx(0.0, abs=1e-12)
     # one entry per pair, stored once with i < j
-    assert set(c) == {(i, j, "0000") for i in range(1, 5) for j in range(i + 1, 5)}
+    assert set(c) == {(i, j, 0b0000) for i in range(1, 5) for j in range(i + 1, 5)}
 
 
-@pytest.mark.parametrize("xprime", ["01", "00000"])
+# an index past the register or a negative one; the ids name each case
+# by a bitstring of the wrong width
+@pytest.mark.parametrize("xprime", [-1, 1 << 4], ids=["01", "00000"])
 def test_correlator_report_rejects_state_of_wrong_width(xprime):
     with pytest.raises(ValidationError, match="has 4"):
-        correlator_report(backend(), BitString.from_str(xprime))
+        correlator_report(backend(), xprime)
 
 
 def test_correlator_report_values_and_budget():
@@ -157,13 +158,13 @@ def test_correlator_report_values_and_budget():
     assert rep.joint_shift[(2, 4, 1)] == pytest.approx(
         0.047 * C4.base[1][0, 0], abs=1e-12
     )
-    assert rep.covariance[(2, 3, "0000")] == pytest.approx(2.0e-4, abs=1e-13)
+    assert rep.covariance[(2, 3, 0b0000)] == pytest.approx(2.0e-4, abs=1e-13)
 
 
 def test_correlator_report_custom_prep_adds_circuit():
-    rep = correlator_report(backend(), BitString.from_str("1111"))
+    rep = correlator_report(backend(), 0b1111)
     assert rep.circuits_used == 6
-    assert rep.covariance[(2, 3, "1111")] == pytest.approx(2.0e-4, abs=1e-13)
+    assert rep.covariance[(2, 3, 0b1111)] == pytest.approx(2.0e-4, abs=1e-13)
 
 
 def test_report_serialization(tmp_path):

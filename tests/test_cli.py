@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from spamcal.backends import (
     record_dataset,
     save_distribution,
 )
-from spamcal.bits import BitString
 from spamcal.cli import main
 from spamcal.model import melbourne_c4
 from spamcal.serialize import load_json
@@ -111,7 +111,7 @@ def test_correct_round_trip(tmp_path):
     mat = tmp_path / "t.json"
     m.full_matrix().to_json(mat)
     raw = tmp_path / "raw.json"
-    save_distribution(m.column(BitString.from_str("0101")), 4, raw)
+    save_distribution(m.column(0b0101), 4, raw)
     out = tmp_path / "corr.json"
     assert run("correct", "--matrix", mat, "--input", raw, "--out", out) == 0
     probs, n = load_distribution(out)
@@ -138,7 +138,7 @@ def test_replay_manifest_golden(tmp_path):
     # record once, then estimation from the dataset alone reproduces the run
     ds = tmp_path / "ds.json"
     backend = SampledBackend(melbourne_c4(), shots=2048, seed=3)
-    preps = [BitString.from_index(i, 4) for i in range(16)]
+    preps = range(16)
     record_dataset(backend, preps, 2048).to_json(ds)
     out1 = tmp_path / "est1.json"
     out2 = tmp_path / "est2.json"
@@ -196,7 +196,7 @@ def test_model_missing_required_key_exits_2(tmp_path, capsys, key):
 def test_exit_code_missing_replay(tmp_path, capsys):
     ds = tmp_path / "ds.json"
     backend = SampledBackend(melbourne_c4(), shots=256, seed=0)
-    preps = [BitString.from_index(i, 4) for i in range(4)]  # far from complete
+    preps = range(4)  # far from complete
     record_dataset(backend, preps, 256).to_json(ds)
     code = run(
         "estimate", "--backend", "replay", "--dataset", ds, "--k", "2",
@@ -225,11 +225,11 @@ def write_valid_inputs(tmp_path):
     files = {
         "model": m.to_dict(),
         "matrix": json.loads(m.full_matrix().to_json()),
-        "distribution": json.loads(save_distribution(m.column(BitString.from_str("0101")), 4)),
+        "distribution": json.loads(save_distribution(m.column(0b0101), 4)),
         "dataset": json.loads(
             record_dataset(
                 SampledBackend(m, shots=64, seed=0),
-                [BitString.from_index(i, 4) for i in range(16)],
+                range(16),
                 64,
             ).to_json()
         ),
@@ -397,3 +397,39 @@ def test_correct_negative_tolerance_exits_2(tmp_path, capsys):
     assert code == 2
     assert "tolerance must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_matrix_file_of_invalid_utf8_exits_2(tmp_path, capsys):
+    files = write_valid_inputs(tmp_path)
+    files["matrix"] = None
+    (tmp_path / "matrix.json").write_bytes(b'{"n": 1, "order": "msb-first", "data": "\xff"}')
+    code, out = run_on_inputs(tmp_path, "matrix", files)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed JSON" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_replay_correlators_name_every_missing_state(tmp_path, capsys):
+    lacking = {0b0000, 0b0001, 0b0100}
+    ds = tmp_path / "ds.json"
+    preps = [x for x in range(16) if x not in lacking]
+    record_dataset(SampledBackend(melbourne_c4(), seed=0), preps, 64).to_json(ds)
+    out = tmp_path / "c.json"
+    code = run("correlators", "--backend", "replay", "--dataset", ds, "--out", out)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "missing prepared state(s): 0000, 0001, 0100\n" in err
+    assert not out.exists()
+
+
+def test_correlators_csv_holds_plain_numbers(tmp_path):
+    out, csv_path = tmp_path / "c.json", tmp_path / "c.csv"
+    assert run("correlators", "--preset", "melbourne-c8", "--out", out, "--csv", csv_path) == 0
+    header, *rows = csv.reader(csv_path.read_text().splitlines())
+    assert header == ["i\\j"] + [str(j) for j in range(1, 9)]
+    assert len(rows) == 8
+    for row in rows:
+        for cell in row:
+            float(cell)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spamcal.backends import ExactBackend, SampledBackend
-from spamcal.bits import BitString
 from spamcal.correct import (
     compare_matrices,
     correct_constrained,
@@ -51,9 +50,9 @@ def test_projection_fixed_point_and_equivariance():
 def test_round_trip_recovers_true_distribution():
     m = melbourne_c4()
     t = m.full_matrix()
-    x = BitString.from_str("0110")
+    x = 0b0110
     p_true = np.zeros(16)
-    p_true[x.index] = 1.0
+    p_true[x] = 1.0
     p_raw = ExactBackend(m).distribution(x)
     res = correct_constrained(t, p_raw)
     assert np.max(np.abs(res.p_corr - p_true)) < 1e-7
@@ -64,9 +63,7 @@ def test_round_trip_recovers_true_distribution():
 def test_constrained_output_is_a_distribution_under_noise():
     m = melbourne_c4()
     t = m.full_matrix()
-    p_raw = SampledBackend(m, shots=4096, seed=5).distribution(
-        BitString.from_str("1010")
-    )
+    p_raw = SampledBackend(m, shots=4096, seed=5).distribution(0b1010)
     res = correct_constrained(t, p_raw)
     assert res.p_corr.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.min(res.p_corr) >= 0.0
@@ -78,9 +75,7 @@ def test_constrained_never_beaten_by_projected_inverse():
     m = melbourne_c4()
     t = m.full_matrix()
     for seed in range(5):
-        p_raw = SampledBackend(m, shots=2048, seed=seed).distribution(
-            BitString.from_str("0011")
-        )
+        p_raw = SampledBackend(m, shots=2048, seed=seed).distribution(0b0011)
         res = correct_constrained(t, p_raw)
         proj = project_simplex(correct_direct_inverse(t, p_raw).p_corr)
         assert res.residual <= np.linalg.norm(t.data @ proj - p_raw) + 1e-9

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spamcal.backends import ExactBackend
-from spamcal.bits import BitString, submasks
+from spamcal.backends import Dataset, ExactBackend, ReplayBackend
+from spamcal.bits import submasks
 from spamcal.characterize import (
     Uniform,
     correlator_report,
     measure_single_qubit_T,
     t_prod,
 )
-from spamcal.errors import ValidationError
+from spamcal.errors import MissingDataError, ValidationError
 from spamcal.estimate import (
     CalibrationTables,
     assemble_t_mean,
@@ -84,8 +84,7 @@ def test_t_pair_two_qubit_closed_form():
     _t_est, tables = estimate_transition_matrix(ExactBackend(m), g, 2)
     t_pair = assemble_t_pair(tables).data
     for c in range(4):
-        xp = BitString.from_index(c, 2)
-        cval = cov[xp.bit(1), xp.bit(2)]
+        cval = cov[c >> 1, c & 1]
         for x in range(4):
             sign = (-1.0) ** (bin(x).count("1"))
             assert t_pair[x, c] == pytest.approx(sign * cval, abs=1e-13)
@@ -328,3 +327,12 @@ def test_tables_json_rejects_non_finite_entry(tmp_path):
     path = edited_tables_file(tmp_path, "mean_fields", "2|0|0100", float("nan"))
     with pytest.raises(ValidationError, match="non-finite"):
         CalibrationTables.from_json(path)
+
+
+def test_replay_without_records_names_only_step_one_states():
+    # the first step's preparations are collected before any pair mask is
+    # built: at k = 0 they are all-zeros and the six single flips
+    backend = ReplayBackend(Dataset(n=6))
+    with pytest.raises(MissingDataError) as info:
+        estimate_transition_matrix(backend, RegisterGeometry.chain(6), 0)
+    assert info.value.missing == ["000000"] + [format(1 << b, "06b") for b in range(6)]

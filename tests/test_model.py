@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spamcal.backends import ExactBackend
-from spamcal.bits import BitString
 from spamcal.errors import ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import (
@@ -20,7 +19,7 @@ from spamcal.norms import symmetric_single_qubit
 def brute_column(model, xprime):
     """Reference evaluation of the generative formula, outcome by outcome."""
     n = model.n
-    xp = [xprime.bit(i) for i in range(1, n + 1)]
+    xp = [(xprime >> (n - i)) & 1 for i in range(1, n + 1)]
 
     def mean0(i):
         m = model.base[i - 1][0, xp[i - 1]]
@@ -82,8 +81,7 @@ def random_model(seed, n=4, with_triples=False):
 def test_identity_model_delta_columns():
     m = identity_model(3)
     for c in range(8):
-        x = BitString.from_index(c, 3)
-        col = m.column(x)
+        col = m.column(c)
         expected = np.zeros(8)
         expected[c] = 1.0
         np.testing.assert_allclose(col, expected, atol=1e-15)
@@ -104,7 +102,7 @@ def test_pair_term_two_qubit():
     base = np.tile(np.eye(2), (2, 1, 1)) * 0.98 + 0.01
     cov = {(1, 2): 1e-4 * np.ones((2, 2))}
     m = NoiseModel(g, base, pair_cov=cov)
-    x = BitString.from_str("00")
+    x = 0b00
     col = m.column(x)
     m_prod = NoiseModel(g, base).column(x)
     assert col.sum() == pytest.approx(1.0, abs=1e-12)
@@ -117,8 +115,7 @@ def test_pair_term_two_qubit():
 def test_columns_match_bruteforce(seed):
     m = random_model(seed, with_triples=(seed % 2 == 0))
     for c in range(1 << m.n):
-        x = BitString.from_index(c, m.n)
-        np.testing.assert_allclose(m.column(x), brute_column(m, x), atol=1e-13)
+        np.testing.assert_allclose(m.column(c), brute_column(m, c), atol=1e-13)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -133,8 +130,7 @@ def test_pair_terms_sum_to_zero():
     m = random_model(3)
     m_uncorr = NoiseModel(m.geometry, m.base, shifts=m.shifts, shift_range=1)
     for c in range(1 << m.n):
-        x = BitString.from_index(c, m.n)
-        diff = m.column(x) - m_uncorr.column(x)
+        diff = m.column(c) - m_uncorr.column(c)
         assert abs(diff.sum()) < 1e-13
 
 
@@ -156,9 +152,9 @@ def invalid_chain13():
 
 def test_invalid_model_rejected_when_drawn_beyond_oracle_limit():
     backend = ExactBackend(invalid_chain13())
-    assert backend.distribution(BitString.from_index(0, 13)).min() >= 0.0
+    assert backend.distribution(0).min() >= 0.0
     with pytest.raises(ValidationError, match="negative probability"):
-        backend.distribution(BitString.from_index(1 << 11, 13))
+        backend.distribution(1 << 11)
 
 
 def test_out_of_range_shift_rejected():
