@@ -18,6 +18,7 @@ from spamcal.backends import (
     record_dataset,
     save_distribution,
 )
+from spamcal.bits import bitstring
 from spamcal.errors import MissingDataError, ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, identity_model, melbourne_c4
@@ -219,3 +220,13 @@ def test_collect_names_every_missing_state_after_the_last():
     with pytest.raises(MissingDataError) as info:
         next(gen)
     assert info.value.missing == ["0000", "0010"]
+
+
+def test_missing_data_message_stays_short_for_wide_registers():
+    states = [bitstring(x, 1500) for x in range(1501)]
+    exc = MissingDataError(states)
+    message = str(exc)
+    assert len(message) < 20_000
+    assert message.startswith("missing 1501 prepared states, the first 8: ")
+    assert states[7] in message and states[8] not in message
+    assert exc.missing == states

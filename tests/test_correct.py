@@ -4,13 +4,15 @@ from hypothesis import given, strategies as st
 
 from spamcal.backends import ExactBackend, SampledBackend
 from spamcal.correct import (
+    KKT_TOL_DEFAULT,
     compare_matrices,
     correct_constrained,
     correct_direct_inverse,
     project_simplex,
 )
-from spamcal.errors import NumericalError, ValidationError
-from spamcal.model import melbourne_c4
+from spamcal.errors import ConvergenceError, NumericalError, ValidationError
+from spamcal.estimate import estimate_transition_matrix
+from spamcal.model import melbourne_c4, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
 
 
@@ -79,6 +81,74 @@ def test_constrained_never_beaten_by_projected_inverse():
         res = correct_constrained(t, p_raw)
         proj = project_simplex(correct_direct_inverse(t, p_raw).p_corr)
         assert res.residual <= np.linalg.norm(t.data @ proj - p_raw) + 1e-9
+
+
+def gram_svd_correct(t, p_raw, tol=KKT_TOL_DEFAULT, max_iter=10_000):
+    """Reference solver: the projected-gradient loop on the Gram matrix,
+    with the step bound 1/||T^T T||_2 from an SVD."""
+    gram = t.T @ t
+    tb = t.T @ p_raw
+    x = project_simplex(p_raw.copy())
+    g = 2.0 * (gram @ x - tb)
+    step = lipschitz_step = 1.0 / max(np.linalg.norm(gram, 2), 1e-30)
+    for it in range(1, max_iter + 1):
+        if np.max(np.abs(x - project_simplex(x - g))) <= tol:
+            return x, it - 1
+        x_new = project_simplex(x - step * g)
+        g_new = 2.0 * (gram @ x_new - tb)
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 1e-30 else lipschitz_step
+        x, g = x_new, g_new
+    raise AssertionError("reference solver did not converge")
+
+
+def kkt_residual(t, p_raw, x):
+    """Fixed-point residual of projected gradient, from the bisection projection."""
+    g = 2.0 * (t.T @ t @ x - t.T @ p_raw)
+    return np.max(np.abs(x - bisect_simplex_projection(x - g)))
+
+
+@pytest.fixture(scope="module", params=["exact", "estimated-k2"])
+def c8_matrix(request):
+    m = melbourne_c8()
+    if request.param == "exact":
+        return m.full_matrix().data
+    # shot noise leaves small negative entries, so |T| enters the step bound
+    backend = SampledBackend(m, 32768, seed=1)
+    t, _tables = estimate_transition_matrix(backend, m.geometry, 2)
+    assert t.data.min() < 0
+    return t.data
+
+
+@pytest.mark.parametrize(
+    "seed, prepared",
+    [(0, 0b00000000), (1, 0b10110010), (2, 0b11111111), (3, 0b01010101)],
+)
+def test_matvec_solver_matches_gram_svd_reference(c8_matrix, seed, prepared):
+    t = c8_matrix
+    p_raw = SampledBackend(melbourne_c8(), shots=4096, seed=seed).distribution(prepared)
+    ref, ref_iterations = gram_svd_correct(t, p_raw)
+    res = correct_constrained(t, p_raw)
+    assert res.p_corr.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.min(res.p_corr) >= 0.0
+    assert kkt_residual(t, p_raw, res.p_corr) <= KKT_TOL_DEFAULT
+    assert np.max(np.abs(res.p_corr - ref)) <= 1e-8
+    assert res.iterations <= ref_iterations + 2
+
+
+def test_iteration_cap_raises_with_best_iterate():
+    t = melbourne_c4().full_matrix()
+    p_raw = SampledBackend(melbourne_c4(), shots=2048, seed=3).distribution(0b0110)
+    assert correct_constrained(t, p_raw).iterations > 1
+    with pytest.raises(ConvergenceError) as exc:
+        correct_constrained(t, p_raw, max_iter=1)
+    best = exc.value.best
+    assert best.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.min(best) >= 0.0
+    assert exc.value.iterations == 1
+    assert np.isfinite(exc.value.residual)
 
 
 def test_direct_inverse_negative_mass():
