@@ -3,10 +3,16 @@
 Three kinds: exact evaluation of a :class:`~spamcal.model.NoiseModel`,
 seeded finite-shot sampling of it, and replay of a recorded counts dataset.
 Each answers ``distribution(x)`` and ``counts(x, shots)`` for a prepared
-state given by its integer index (see :mod:`spamcal.bits`); outcome
-histograms are keyed by outcome index too. :func:`collect` is the one loop
-that queries a backend for distributions: it asks once per distinct state
-and reports every state a replay dataset lacks in one MissingDataError.
+state given by its integer index (see :mod:`spamcal.bits`), and the block
+query ``distributions(states)``, the (2^n, len(states)) array whose column
+c is the distribution of ``states[c]``; outcome histograms are keyed by
+outcome index too. A block query that raises changes nothing: the model
+backends evaluate the whole block with one checked model call before any
+draw, and replay, which looks states up one by one, names every state of
+the block it lacks in one MissingDataError. :func:`collect` is the one loop
+that queries a backend for distributions: it asks once per distinct state,
+through the block query only, and reports every state a replay dataset
+lacks in one MissingDataError.
 
 Sampling is reproducible across platforms: each query draws from a PCG64
 generator seeded by (seed, prepared-state index, query ordinal) and converts
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .assembly import BLOCK
 from .bits import bitstring, parse_bitstring
 from .errors import MissingDataError, ValidationError
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
@@ -93,16 +100,25 @@ class _ModelBackend:
         self.seed = seed
         self._ordinals: dict[int, int] = {}
 
-    def _draw(self, xprime: int, shots: int) -> Counts:
+    def _draw(self, states, shots: int) -> list:
+        """One sampled histogram per state, each from its own (seed, state,
+        ordinal) generator."""
         if shots <= 0:
             raise ValidationError(f"shots must be positive, got {shots}")
-        column = self.model.column(xprime)  # checked before the ordinal moves
-        ordinal = self._ordinals.get(xprime, 0)
-        self._ordinals[xprime] = ordinal + 1
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, xprime, ordinal]))
-        )
-        hist = _sample_histogram(column, shots, rng)
+        # the whole block is checked before any ordinal moves
+        columns = self.model._columns(states)
+        hists = []
+        for xprime, column in zip(states, columns.T):
+            ordinal = self._ordinals.get(xprime, 0)
+            self._ordinals[xprime] = ordinal + 1
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([self.seed, xprime, ordinal]))
+            )
+            hists.append(_sample_histogram(column, shots, rng))
+        return hists
+
+    def _counts(self, xprime: int, shots: int) -> Counts:
+        hist = self._draw([xprime], shots)[0]
         histogram = {int(x): int(hist[x]) for x in np.flatnonzero(hist)}
         return Counts(self.n, xprime, histogram, shots)
 
@@ -119,8 +135,11 @@ class ExactBackend(_ModelBackend):
     def distribution(self, xprime: int) -> np.ndarray:
         return self.model.column(xprime)
 
+    def distributions(self, states) -> np.ndarray:
+        return self.model._columns(states)
+
     def counts(self, xprime: int, shots: int = DEFAULT_SHOTS) -> Counts:
-        return self._draw(xprime, shots)
+        return self._counts(xprime, shots)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n}
@@ -138,10 +157,13 @@ class SampledBackend(_ModelBackend):
         self.shots = shots
 
     def counts(self, xprime: int, shots: int | None = None) -> Counts:
-        return self._draw(xprime, self.shots if shots is None else shots)
+        return self._counts(xprime, self.shots if shots is None else shots)
 
     def distribution(self, xprime: int) -> np.ndarray:
         return self.counts(xprime).distribution()
+
+    def distributions(self, states) -> np.ndarray:
+        return np.stack(self._draw(states, self.shots), axis=1) / self.shots
 
     def descriptor(self) -> dict:
         return {
@@ -229,6 +251,17 @@ class ReplayBackend:
     def distribution(self, xprime: int) -> np.ndarray:
         return self.counts(xprime).distribution()
 
+    def distributions(self, states) -> np.ndarray:
+        found, missing = [], []
+        for xprime in states:
+            try:
+                found.append(self.distribution(xprime))
+            except MissingDataError as exc:
+                missing.extend(exc.missing)
+        if missing:
+            raise MissingDataError(missing)
+        return np.stack(found, axis=1)
+
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "n": self.n, "states": len(self.dataset.records)}
         if self.source:
@@ -243,16 +276,25 @@ def ingest_dataset(path) -> ReplayBackend:
 
 def collect(backend, preps):
     """Yield (state, distribution) for each distinct prepared state, in
-    increasing order. A state the backend lacks is skipped; after the last
+    increasing order, asking the backend's block query for BLOCK states at a
+    time. A state the backend lacks is skipped: the block it was in is asked
+    again without the states its MissingDataError named, and after the last
     state one MissingDataError names every skipped state."""
+    states = sorted(set(preps))
     missing = []
-    for x in sorted(set(preps)):
+    for start in range(0, len(states), BLOCK):
+        chunk = states[start:start + BLOCK]
         try:
-            dist = backend.distribution(x)
+            block = backend.distributions(chunk)
         except MissingDataError as exc:
             missing.extend(exc.missing)
-            continue
-        yield x, dist
+            named = set(exc.missing)
+            chunk = [x for x in chunk if bitstring(x, backend.n) not in named]
+            if not chunk:
+                continue
+            block = backend.distributions(chunk)
+        # one contiguous row per distribution
+        yield from zip(chunk, np.ascontiguousarray(block.T))
     if missing:
         raise MissingDataError(missing)
 

@@ -11,6 +11,7 @@ one set of preparations among all of them; read single values from its
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +25,28 @@ from .serialize import dump_csv, dump_json
 from .tmatrix import TransitionMatrix
 
 
-def _outcome_bits(n: int, i: int) -> np.ndarray:
-    """Bit of qubit i for every outcome index, as a 0/1 array."""
-    return (np.arange(1 << n) >> (n - i)) & 1
+@functools.lru_cache(maxsize=1024)
+def _zero_outcomes(n: int, qubits: tuple) -> np.ndarray:
+    """Increasing indices of the outcomes in which every one of the qubits
+    reads 0; built once per (n, qubits) and read-only, since every caller
+    shares it."""
+    outcomes = np.arange(1 << n)
+    zero = np.ones(1 << n, dtype=bool)
+    for i in qubits:
+        zero &= (outcomes >> (n - i)) & 1 == 0
+    index = np.flatnonzero(zero)
+    index.flags.writeable = False
+    return index
 
 
 def prob_zero(dist: np.ndarray, i: int, n: int) -> float:
     """P(qubit i reads 0) under an outcome distribution."""
-    return float(dist[_outcome_bits(n, i) == 0].sum())
+    return float(dist[_zero_outcomes(n, (i,))].sum())
 
 
 def prob_joint_zero(dist: np.ndarray, i: int, j: int, n: int) -> float:
     """P(qubits i and j both read 0)."""
-    mask = (_outcome_bits(n, i) == 0) & (_outcome_bits(n, j) == 0)
-    return float(dist[mask].sum())
+    return float(dist[_zero_outcomes(n, (i, j))].sum())
 
 
 # -- single-qubit transition matrices --------------------------------------

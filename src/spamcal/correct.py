@@ -52,6 +52,19 @@ def _as_matrix(t) -> np.ndarray:
     return t
 
 
+def _as_problem(t, p_raw) -> tuple[np.ndarray, np.ndarray]:
+    """T as a square array and p_raw as a finite vector of matching size."""
+    t = _as_matrix(t)
+    p_raw = np.asarray(p_raw, dtype=float)
+    if p_raw.shape != (t.shape[0],):
+        raise ValidationError(
+            f"distribution of size {p_raw.size} does not match matrix dim {t.shape[0]}"
+        )
+    if not np.isfinite(p_raw).all():
+        raise ValidationError("input distribution has a NaN or infinite entry")
+    return t, p_raw
+
+
 def correct_constrained(
     t,
     p_raw: np.ndarray,
@@ -69,12 +82,7 @@ def correct_constrained(
     residual drops below tol. Raises ConvergenceError (carrying the best
     iterate) if the iteration cap is hit.
     """
-    t = _as_matrix(t)
-    p_raw = np.asarray(p_raw, dtype=float)
-    if p_raw.shape != (t.shape[0],):
-        raise ValidationError(
-            f"distribution of size {p_raw.size} does not match matrix dim {t.shape[0]}"
-        )
+    t, p_raw = _as_problem(t, p_raw)
     if abs(p_raw.sum() - 1.0) > 1e-6:
         raise ValidationError(f"input distribution sums to {p_raw.sum()}, expected 1")
     if not tol >= 0:
@@ -85,6 +93,12 @@ def correct_constrained(
     abs_t = np.abs(t)
     bound = abs_t.sum(axis=0).max() * abs_t.sum(axis=1).max()
     del abs_t
+    # a NaN or infinite entry of T makes the bound NaN or infinite, so this
+    # is the finiteness check on T without another pass over it
+    if not np.isfinite(bound):
+        raise ValidationError(
+            f"matrix has a NaN or infinite entry, or its norm overflows ({bound})"
+        )
     step = lipschitz_step = 1.0 / max(bound, 1e-30)
     x = project_simplex(p_raw.copy())
     r = t @ x - p_raw
@@ -123,12 +137,9 @@ def correct_direct_inverse(t, p_raw: np.ndarray) -> CorrectionResult:
     Reports the total negative mass of the result; refuses near-singular
     matrices with a typed error carrying the reciprocal condition estimate.
     """
-    t = _as_matrix(t)
-    p_raw = np.asarray(p_raw, dtype=float)
-    if p_raw.shape != (t.shape[0],):
-        raise ValidationError(
-            f"distribution of size {p_raw.size} does not match matrix dim {t.shape[0]}"
-        )
+    t, p_raw = _as_problem(t, p_raw)
+    if not np.isfinite(t).all():
+        raise ValidationError("matrix has a NaN or infinite entry")
     sv = np.linalg.svd(t, compute_uv=False)
     rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
     if rcond < RCOND_THRESHOLD:

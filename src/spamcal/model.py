@@ -15,7 +15,7 @@ column is automatically normalized. Columns are built in batches by
 assembles with: the means are base_i(0|x'_i) - (bits @ shift.T), and each
 pair or triple is a term whose weight carries the signs. Every batch is
 checked for negative entries and column sums, by full enumeration at
-construction when n <= ORACLE_LIMIT_DEFAULT and column by column as a
+construction when n <= ORACLE_LIMIT_DEFAULT and block by block as a
 backend draws them otherwise.
 
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
@@ -115,10 +115,18 @@ class NoiseModel:
                     f"range {self.cov_range}"
                 )
 
-    def _columns(self, cols: np.ndarray) -> np.ndarray:
-        """T[:, cols] for an array of prepared-state indices, each column
-        checked to be a probability distribution."""
+    def _columns(self, cols) -> np.ndarray:
+        """T[:, cols] for a sequence of prepared-state indices, each index
+        checked to be in range and each column to be a probability
+        distribution."""
         n = self.n
+        cols = np.asarray(cols)
+        wrong = (cols < 0) | (cols >= 1 << n)
+        if wrong.any():
+            raise ValidationError(
+                f"prepared state {cols[wrong][0]} is out of range: "
+                f"the register has {n} qubits"
+            )
         bits = (cols[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (cols, n)
         shift = np.zeros((n, n))
         for (i, j), v in self.shifts.items():
@@ -158,11 +166,7 @@ class NoiseModel:
 
     def column(self, xprime: int) -> np.ndarray:
         """The exact outcome distribution for one prepared state."""
-        if not 0 <= xprime < 1 << self.n:
-            raise ValidationError(
-                f"prepared state {xprime} is out of range: the register has {self.n} qubits"
-            )
-        return self._columns(np.array([xprime]))[:, 0]
+        return self._columns([xprime])[:, 0]
 
     def full_matrix(self, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
         """Exhaustive transition matrix over all 2^n prepared states."""

@@ -107,9 +107,9 @@ class _CountingBackend:
         self.n = inner.n
         self.issued = set()
 
-    def distribution(self, xprime):
-        self.issued.add(xprime)
-        return self.inner.distribution(xprime)
+    def distributions(self, states):
+        self.issued.update(states)
+        return self.inner.distributions(states)
 
     def descriptor(self):
         return self.inner.descriptor()

@@ -2,8 +2,33 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spamcal.assembly import BLOCK, kron_columns
+
+
+def strided_kron_columns(means, terms):
+    """Reference kernel: the previous kron_columns, which adds each term's
+    products straight into a strided view of the output."""
+    cols, n, _ = means.shape
+    out = np.zeros((1 << n, cols))
+    for start in range(0, cols, BLOCK):
+        m = means[start:start + BLOCK].transpose(1, 2, 0)  # (n, 2, block)
+        block = m.shape[-1]
+        acc = out[:, start:start + BLOCK].reshape((2,) * n + (block,))
+        for qubits, weights in terms:
+            v = np.ones((1, block))
+            for l in range(n):
+                if l not in qubits:
+                    v = (v[:, None, :] * m[l]).reshape(-1, block)
+            v = v.reshape((2,) * (n - len(qubits)) + (block,))
+            w = weights[start:start + BLOCK]
+            for bits in itertools.product((0, 1), repeat=len(qubits)):
+                slot = [slice(None)] * n
+                for q, b in zip(qubits, bits):
+                    slot[q] = b
+                acc[tuple(slot)] += v * w[(slice(None),) + bits]
+    return out
 
 
 def random_inputs(rng, n, cols=1, signed=False):
@@ -117,3 +142,33 @@ def test_pair_column_sums_to_zero():
     rng = np.random.default_rng(1)
     means, pairs, covs = random_inputs(rng, 5, signed=True)
     assert abs(kron_columns(means, pair_terms(pairs, covs)).sum()) < 1e-14
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Means and terms on 0 to 3 qubits of n <= 6, some with weights
+    broadcast from one (2,) * len(qubits) array as the model's triples are,
+    for column counts on both sides of BLOCK."""
+    n = draw(st.integers(1, 6))
+    cols = draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m0 = rng.uniform(0.5, 1.0, (cols, n))
+    means = np.stack([m0, 1.0 - m0], axis=-1)
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(0, min(3, n)))
+        qubits = tuple(sorted(draw(st.permutations(range(n)))[:size]))
+        if draw(st.booleans()):
+            shared = rng.uniform(-1e-3, 1e-3, (2,) * size)
+            weights = np.broadcast_to(shared, (cols,) + shared.shape)
+        else:
+            weights = rng.uniform(-1e-3, 1e-3, (cols,) + (2,) * size)
+        terms.append((qubits, weights))
+    return means, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_inputs())
+def test_kernel_is_bitwise_equal_to_strided_reference(inputs):
+    means, terms = inputs
+    assert np.array_equal(kron_columns(means, terms), strided_kron_columns(means, terms))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spamcal.assembly import BLOCK
 from spamcal.backends import (
     Counts,
     Dataset,
@@ -21,8 +22,9 @@ from spamcal.backends import (
 from spamcal.bits import bitstring
 from spamcal.errors import MissingDataError, ValidationError
 from spamcal.geometry import RegisterGeometry
-from spamcal.model import NoiseModel, identity_model, melbourne_c4
+from spamcal.model import NoiseModel, identity_model, melbourne_c4, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
+from test_model import invalid_chain13
 
 
 def all_preps(n):
@@ -205,9 +207,9 @@ def test_collect_asks_once_per_distinct_state_in_increasing_order():
     asked = []
 
     class Recording(ExactBackend):
-        def distribution(self, xprime):
-            asked.append(xprime)
-            return super().distribution(xprime)
+        def distributions(self, states):
+            asked.extend(states)
+            return super().distributions(states)
 
     got = [x for x, _dist in collect(Recording(melbourne_c4()), [5, 3, 5, 0, 3])]
     assert got == asked == [0, 3, 5]
@@ -230,3 +232,57 @@ def test_missing_data_message_stays_short_for_wide_registers():
     assert message.startswith("missing 1501 prepared states, the first 8: ")
     assert states[7] in message and states[8] not in message
     assert exc.missing == states
+
+
+@pytest.mark.parametrize("kind", [ExactBackend, SampledBackend])
+def test_collect_blocks_equal_per_state_distributions(kind):
+    # 256 states: four full blocks; every backend is fresh, so each state
+    # is drawn at ordinal 0 on both sides
+    m = melbourne_c8()
+    states = range(1 << m.n)
+    got = dict(collect(kind(m, seed=4), states))
+    assert list(got) == list(states)
+    for x in states:
+        assert np.array_equal(got[x], kind(m, seed=4).distribution(x))
+
+
+def test_mixed_block_and_per_state_queries_keep_counts_and_ordinals():
+    m = melbourne_c4()
+    mixed, single = SampledBackend(m, 512, seed=6), SampledBackend(m, 512, seed=6)
+    got = [mixed.distributions([1, 2, 3]), mixed.counts(2).vector() / 512,
+           mixed.distributions([2, 5]), mixed.distribution(2)[:, None]]
+    want = [np.stack([single.distribution(x) for x in (1, 2, 3)], axis=1),
+            single.counts(2).vector() / 512,
+            np.stack([single.distribution(x) for x in (2, 5)], axis=1),
+            single.distribution(2)[:, None]]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert mixed._ordinals == single._ordinals == {1: 1, 2: 4, 3: 1, 5: 1}
+
+
+@pytest.mark.parametrize("kind", [ExactBackend, SampledBackend])
+@pytest.mark.parametrize(
+    "model, preps, error",
+    [
+        (melbourne_c4, [0, 3, 1 << 4, 7], "prepared state 16 is out of range"),
+        (melbourne_c4, [-1, 0, 3], "prepared state -1 is out of range"),
+        (invalid_chain13, [0, 1, 1 << 11, 1 << 12], "negative probability"),
+    ],
+    ids=["past-register", "negative", "invalid-n13"],
+)
+def test_bad_state_in_a_block_raises_and_moves_no_ordinal(kind, model, preps, error):
+    backend = kind(model(), seed=2)
+    with pytest.raises(ValidationError, match=error):
+        list(collect(backend, preps))
+    assert backend._ordinals == {}
+
+
+def test_collect_names_missing_states_across_blocks():
+    n = 8
+    ds = record_dataset(ExactBackend(melbourne_c8()), range(0, 1 << n, 2), 64)
+    assert (1 << n) > 3 * BLOCK
+    gen = collect(ReplayBackend(ds), range(1 << n))
+    assert [x for x, _dist in itertools.islice(gen, 1 << (n - 1))] == list(range(0, 1 << n, 2))
+    with pytest.raises(MissingDataError) as info:
+        next(gen)
+    assert info.value.missing == [bitstring(x, n) for x in range(1, 1 << n, 2)]

@@ -188,3 +188,18 @@ def test_compare_matrices_report():
     assert "offset" in rep.to_text()
     with pytest.raises(ValidationError, match="shape"):
         compare_matrices({"bad": np.eye(4)}, ref)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["matrix", "distribution"])
+@pytest.mark.parametrize("solver", [correct_constrained, correct_direct_inverse])
+def test_solvers_reject_non_finite_input(solver, where, value):
+    m = melbourne_c4()
+    t = m.full_matrix().data.copy()
+    p_raw = ExactBackend(m).distribution(0b0110).copy()
+    if where == "matrix":
+        t[3, 5] = value
+    else:
+        p_raw[3] = value
+    with pytest.raises(ValidationError, match="NaN or infinite entry"):
+        solver(t, p_raw)
