@@ -48,7 +48,7 @@ from .estimate import (
     circuit_budget,
     estimate_transition_matrix,
 )
-from .geometry import Neighborhood, RegisterGeometry, moore_neighborhood
+from .geometry import RegisterGeometry, chebyshev_mask
 from .model import NoiseModel, PRESETS, identity_model, melbourne_c4, melbourne_c8
 from .norms import (
     MatrixNorm,

@@ -246,7 +246,7 @@ class ReplayBackend:
         try:
             return self.dataset.records[xprime]
         except KeyError:
-            raise MissingDataError(bitstring(xprime, self.n)) from None
+            raise MissingDataError([xprime], self.n) from None
 
     def distribution(self, xprime: int) -> np.ndarray:
         return self.counts(xprime).distribution()
@@ -259,7 +259,7 @@ class ReplayBackend:
             except MissingDataError as exc:
                 missing.extend(exc.missing)
         if missing:
-            raise MissingDataError(missing)
+            raise MissingDataError(missing, self.n)
         return np.stack(found, axis=1)
 
     def descriptor(self) -> dict:
@@ -289,14 +289,14 @@ def collect(backend, preps):
         except MissingDataError as exc:
             missing.extend(exc.missing)
             named = set(exc.missing)
-            chunk = [x for x in chunk if bitstring(x, backend.n) not in named]
+            chunk = [x for x in chunk if x not in named]
             if not chunk:
                 continue
             block = backend.distributions(chunk)
         # one contiguous row per distribution
         yield from zip(chunk, np.ascontiguousarray(block.T))
     if missing:
-        raise MissingDataError(missing)
+        raise MissingDataError(missing, backend.n)
 
 
 def record_dataset(backend, prepared_states, shots: int) -> Dataset:

@@ -7,6 +7,12 @@ A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x'). The
 correlators are measured only by :func:`correlator_report`, which shares
 one set of preparations among all of them; read single values from its
 ``single_shift``, ``joint_shift`` and ``covariance`` fields.
+
+Every marginal is one sum over the outcomes that a mask selects: the
+outcomes x with ``x & mask == 0`` are those in which every qubit of the
+mask reads 0 (:func:`prob_zero`, :func:`prob_joint_zero`). The averaged
+family's spectators are the submasks of the qubit's
+:func:`spamcal.geometry.chebyshev_mask` without the qubit itself.
 """
 
 from __future__ import annotations
@@ -17,36 +23,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import collect
-from .bits import bitstring, qubit_mask, submasks, support_mask
+from .bits import bitstring, qubit_mask, submasks
 from .errors import ValidationError
-from .geometry import RegisterGeometry, moore_neighborhood
+from .geometry import RegisterGeometry, chebyshev_mask, check_register
 from .norms import MatrixNorm, norm_distance
 from .serialize import dump_csv, dump_json
 from .tmatrix import TransitionMatrix
 
 
 @functools.lru_cache(maxsize=1024)
-def _zero_outcomes(n: int, qubits: tuple) -> np.ndarray:
-    """Increasing indices of the outcomes in which every one of the qubits
-    reads 0; built once per (n, qubits) and read-only, since every caller
+def _zero_outcomes(n: int, mask: int) -> np.ndarray:
+    """Increasing indices of the outcomes in which every qubit of the mask
+    reads 0; built once per (n, mask) and read-only, since every caller
     shares it."""
-    outcomes = np.arange(1 << n)
-    zero = np.ones(1 << n, dtype=bool)
-    for i in qubits:
-        zero &= (outcomes >> (n - i)) & 1 == 0
-    index = np.flatnonzero(zero)
+    index = np.flatnonzero((np.arange(1 << n) & mask) == 0)
     index.flags.writeable = False
     return index
 
 
 def prob_zero(dist: np.ndarray, i: int, n: int) -> float:
     """P(qubit i reads 0) under an outcome distribution."""
-    return float(dist[_zero_outcomes(n, (i,))].sum())
+    return float(dist[_zero_outcomes(n, qubit_mask(i, n))].sum())
 
 
 def prob_joint_zero(dist: np.ndarray, i: int, j: int, n: int) -> float:
     """P(qubits i and j both read 0)."""
-    return float(dist[_zero_outcomes(n, (i, j))].sum())
+    return float(dist[_zero_outcomes(n, qubit_mask(i, n) | qubit_mask(j, n))].sum())
 
 
 # -- single-qubit transition matrices --------------------------------------
@@ -88,8 +90,9 @@ def measure_single_qubit_T(backend, i: int, family,
     """Measure the 2x2 transition matrix of qubit i.
 
     Uniform family: spectators all prepared in b; two circuits. Average
-    family: the marginal is averaged over every preparation of the (possibly
-    boundary-truncated) neighborhood, far spectators prepared in 0.
+    family: the marginal is averaged over every preparation of the other
+    qubits of ``chebyshev_mask(geometry, i, k)``, far spectators prepared
+    in 0; the geometry must have the backend's register size.
     """
     n = backend.n
     qubit = qubit_mask(i, n)
@@ -98,8 +101,8 @@ def measure_single_qubit_T(backend, i: int, family,
     elif isinstance(family, Average):
         if geometry is None:
             raise ValidationError("the average family needs the register geometry")
-        nbhd = moore_neighborhood(geometry, i, family.k)
-        spectators = submasks(support_mask(sorted(nbhd.members), n))
+        check_register(backend, geometry)
+        spectators = submasks(chebyshev_mask(geometry, i, family.k) & ~qubit)
     else:
         raise ValidationError(f"unknown single-qubit family {family!r}")
     dists = dict(collect(backend, [s | bit for bit in (0, qubit) for s in spectators]))

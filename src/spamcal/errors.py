@@ -15,25 +15,25 @@ class ValidationError(SpamcalError):
 
 
 class MissingDataError(SpamcalError):
-    """A replay backend was asked for a prepared state it does not hold.
+    """A replay backend was asked for prepared states it does not hold.
 
-    ``.missing`` holds every missing state; the message names at most
-    ``SHOWN`` of them, since one state of an n-qubit register is n
-    characters long."""
+    ``.missing`` holds the index of every missing state of the n-qubit
+    register; the message names at most ``SHOWN`` of them as bitstrings,
+    since one bitstring is n characters long."""
 
     SHOWN = 8
 
-    def __init__(self, missing, message=None):
-        self.missing = list(missing) if not isinstance(missing, str) else [missing]
-        if message is None:
-            shown = ", ".join(self.missing[: self.SHOWN])
-            if len(self.missing) <= self.SHOWN:
-                message = "missing prepared state(s): " + shown
-            else:
-                message = (
-                    f"missing {len(self.missing)} prepared states, "
-                    f"the first {self.SHOWN}: {shown}"
-                )
+    def __init__(self, missing, n: int):
+        self.missing = list(missing)
+        # the bitstrings of spamcal.bits, which imports this module
+        shown = ", ".join(format(x, f"0{n}b") for x in self.missing[: self.SHOWN])
+        if len(self.missing) <= self.SHOWN:
+            message = "missing prepared state(s): " + shown
+        else:
+            message = (
+                f"missing {len(self.missing)} prepared states, "
+                f"the first {self.SHOWN}: {shown}"
+            )
         super().__init__(message)
 
 

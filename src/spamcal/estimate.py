@@ -1,18 +1,17 @@
 """Scalable transition-matrix estimation from filtered calibration data.
 
 The protocol measures, per qubit, the read-0/read-1 probabilities at every
-preparation supported on the qubit's neighborhood (far spectators 0), and,
-per pair, the covariance of the two read-0 indicators at every preparation
-supported on the union of the two neighborhoods. Identical prepared
-states are measured once and shared; :func:`estimate_transition_matrix`
-is the one entry point that measures, through
-:func:`spamcal.backends.collect`. It collects the first step's
-preparations before it builds the n(n-1)/2 pair masks, so a replay
+preparation supported on the qubit's mask (the qubit and its neighborhood,
+:func:`spamcal.geometry.chebyshev_mask`; far spectators 0), and, per pair,
+the covariance of the two read-0 indicators at every preparation supported
+on the union of the two masks. Identical prepared states are measured once
+and shared; :func:`estimate_transition_matrix` is the one entry point that
+measures, through :func:`spamcal.backends.collect`. It collects the first
+step's preparations before it builds the n(n-1)/2 pair masks, so a replay
 dataset that lacks them fails at once, naming only those states. The full
-matrix is then assembled
-classically: a product of per-qubit means plus an additive pairwise
-covariance correction, each mean/covariance looked up at the filtered
-version of the column's prepared state. Both parts go through
+matrix is then assembled classically: a product of per-qubit means plus an
+additive pairwise covariance correction, each mean/covariance looked up at
+the filtered version of the column's prepared state. Both parts go through
 :func:`spamcal.assembly.kron_columns`, the kernel the noise model builds
 its own columns with: the means are the product term and each pair's
 covariance table is a term on that pair.
@@ -36,10 +35,10 @@ import numpy as np
 
 from .assembly import kron_columns
 from .backends import collect
-from .bits import bitstring, parse_bitstring, submasks, support_mask
+from .bits import bitstring, parse_bitstring, submasks
 from .characterize import correlator_report, prob_joint_zero, prob_zero
 from .errors import ValidationError
-from .geometry import RegisterGeometry, all_neighborhoods
+from .geometry import RegisterGeometry, chebyshev_mask, check_register
 from .serialize import as_object, dump_json, integer, load_json, number, qubits
 from .tmatrix import TransitionMatrix
 
@@ -72,8 +71,8 @@ class CalibrationTables:
 
     n: int
     k: int
-    single_masks: dict  # i -> int mask over {i} | N_i
-    pair_masks: dict  # (i, j) -> int mask over {i, j} | N_i | N_j
+    single_masks: dict  # i -> chebyshev_mask(geometry, i, k)
+    pair_masks: dict  # (i, j) -> single_masks[i] | single_masks[j]
     mean_fields: dict = field(default_factory=dict)
     pair_fluct: dict = field(default_factory=dict)
     circuits_used: int = 0
@@ -162,11 +161,6 @@ def _preps(masks) -> set:
     return {s for mask in masks.values() for s in submasks(mask)}
 
 
-def _check_register(backend, geometry: RegisterGeometry):
-    if geometry.n != backend.n:
-        raise ValidationError(f"geometry has {geometry.n} qubits, backend has {backend.n}")
-
-
 def _rows(mask: int, cols: np.ndarray) -> np.ndarray:
     """Table row of every column: the index of its filtered state."""
     return np.searchsorted(submasks(mask), cols & mask)
@@ -205,10 +199,9 @@ def estimate_transition_matrix(
 ) -> tuple[TransitionMatrix, CalibrationTables]:
     """Run both measurement steps (sharing preparations), fill the tables
     and assemble the estimated matrix as mean product plus pair correction."""
-    _check_register(backend, geometry)
+    check_register(backend, geometry)
     n = geometry.n
-    nbhds = all_neighborhoods(geometry, k)
-    single = {i: support_mask({i} | nbhds[i].members, n) for i in range(1, n + 1)}
+    single = {i: chebyshev_mask(geometry, i, k) for i in range(1, n + 1)}
     step1 = _preps(single)
     dists = dict(collect(backend, step1))
     pair = {
@@ -262,7 +255,7 @@ def choose_neighborhood_size(
     reach of any such correlator (0 if none), k = (2 * reach + 1)**D - 1 on
     a D-dimensional lattice.
     """
-    _check_register(backend, geometry)
+    check_register(backend, geometry)
     report = correlator_report(backend)
     d = geometry.chebyshev
     above = np.argwhere(np.abs(report.single_shift) >= threshold) + 1

@@ -1,15 +1,19 @@
-"""Register geometry and Chebyshev-ball qubit neighborhoods.
+"""Register geometry and the Chebyshev-ball masks of qubit neighborhoods.
 
 Supported layouts are 1D chains and 2D square lattices with integer
-coordinates; other arrays are rejected. Admissible neighborhood sizes are
+coordinates; other arrays are rejected. A qubit's neighborhood of size k is
+held as one integer mask over the basis-state index (see
+:mod:`spamcal.bits`): :func:`chebyshev_mask` sets the bit of the qubit and
+of every qubit within l Chebyshev layers of it. Admissible sizes are
 k = (2*l + 1)**D - 1 for layer count l >= 0; near a register boundary the
-neighborhood is truncated and may hold fewer than k qubits.
+ball is truncated and may hold fewer than k qubits besides the center.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .bits import support_mask
 from .errors import ValidationError
 
 
@@ -61,22 +65,10 @@ class RegisterGeometry:
         return max(abs(a - b) for a, b in zip(pi, pj))
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """The qubits within a Chebyshev ball of a center qubit, center excluded."""
-
-    center: int
-    members: frozenset[int]
-    k_bulk: int = field(default=0)
-
-    def __post_init__(self):
-        if self.center in self.members:
-            raise ValidationError("neighborhood must not contain its center")
-        if len(self.members) > self.k_bulk:
-            raise ValidationError(
-                f"neighborhood of {self.center} has {len(self.members)} members, "
-                f"more than its bulk size {self.k_bulk}"
-            )
+def check_register(backend, geometry: RegisterGeometry):
+    """Raise unless the geometry and the backend have the same register size."""
+    if geometry.n != backend.n:
+        raise ValidationError(f"geometry has {geometry.n} qubits, backend has {backend.n}")
 
 
 def layers_for_size(k: int, dimension: int) -> int:
@@ -93,32 +85,14 @@ def layers_for_size(k: int, dimension: int) -> int:
     return l
 
 
-def moore_neighborhood(geometry: RegisterGeometry, i: int, k: int) -> Neighborhood:
-    """Qubits of the register within k's Chebyshev range of qubit i.
+def chebyshev_mask(geometry: RegisterGeometry, i: int, k: int) -> int:
+    """Mask over qubit i and every qubit within k's Chebyshev layers of it.
 
-    Truncated at register boundaries, so the result may hold fewer than k
-    members. Deterministic for fixed inputs.
+    Truncated at register boundaries, so the mask may hold fewer than k + 1
+    qubits.
     """
     if not 1 <= i <= geometry.n:
         raise ValidationError(f"unknown qubit index {i} for n={geometry.n}")
     layers = layers_for_size(k, geometry.dimension)
-    members = frozenset(
-        j
-        for j in range(1, geometry.n + 1)
-        if j != i and geometry.chebyshev(i, j) <= layers
-    )
-    return Neighborhood(center=i, members=members, k_bulk=k)
-
-
-def all_neighborhoods(geometry: RegisterGeometry, k: int) -> dict[int, Neighborhood]:
-    return {i: moore_neighborhood(geometry, i, k) for i in range(1, geometry.n + 1)}
-
-
-def full_size(geometry: RegisterGeometry) -> int:
-    """Smallest admissible k whose neighborhoods cover the whole register."""
-    spread = max(
-        geometry.chebyshev(i, j)
-        for i in range(1, geometry.n + 1)
-        for j in range(1, geometry.n + 1)
-    )
-    return (2 * spread + 1) ** geometry.dimension - 1
+    near = [j for j in range(1, geometry.n + 1) if geometry.chebyshev(i, j) <= layers]
+    return support_mask(near, geometry.n)

@@ -221,16 +221,16 @@ def test_collect_names_every_missing_state_after_the_last():
     assert [x for x, _dist in itertools.islice(gen, 2)] == [1, 3]
     with pytest.raises(MissingDataError) as info:
         next(gen)
-    assert info.value.missing == ["0000", "0010"]
+    assert info.value.missing == [0b0000, 0b0010]
 
 
 def test_missing_data_message_stays_short_for_wide_registers():
-    states = [bitstring(x, 1500) for x in range(1501)]
-    exc = MissingDataError(states)
+    states = list(range(1501))
+    exc = MissingDataError(states, 1500)
     message = str(exc)
     assert len(message) < 20_000
     assert message.startswith("missing 1501 prepared states, the first 8: ")
-    assert states[7] in message and states[8] not in message
+    assert bitstring(7, 1500) in message and bitstring(8, 1500) not in message
     assert exc.missing == states
 
 
@@ -285,4 +285,4 @@ def test_collect_names_missing_states_across_blocks():
     assert [x for x, _dist in itertools.islice(gen, 1 << (n - 1))] == list(range(0, 1 << n, 2))
     with pytest.raises(MissingDataError) as info:
         next(gen)
-    assert info.value.missing == [bitstring(x, n) for x in range(1, 1 << n, 2)]
+    assert info.value.missing == list(range(1, 1 << n, 2))

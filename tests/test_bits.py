@@ -7,8 +7,16 @@ from spamcal.backends import ExactBackend
 from spamcal.bits import bitstring, parse_bitstring, qubit_mask, submasks
 from spamcal.errors import ValidationError
 from spamcal.estimate import estimate_transition_matrix
-from spamcal.geometry import RegisterGeometry, moore_neighborhood
+from spamcal.geometry import RegisterGeometry
 from spamcal.model import identity_model
+
+
+def ball(geometry: RegisterGeometry, i: int, layers: int) -> set:
+    """Qubits other than i within the given Chebyshev distance of it."""
+    return {
+        j for j in range(1, geometry.n + 1)
+        if j != i and geometry.chebyshev(i, j) <= layers
+    }
 
 
 def brute_filter_single(x: str, i: int, members: set) -> str:
@@ -68,9 +76,9 @@ def test_filter_single_examples():
     assert masked("0000", single[2]) == "0000"
 
     single8, _pair8 = recorded_masks(8, 2)
-    nb4 = moore_neighborhood(RegisterGeometry.chain(8), 4, 2)
+    nb4 = ball(RegisterGeometry.chain(8), 4, 1)
     got = masked("10101010", single8[4])
-    assert got == brute_filter_single("10101010", 4, set(nb4.members))
+    assert got == brute_filter_single("10101010", 4, nb4)
     assert got == "00101000"
 
 
@@ -80,12 +88,8 @@ def test_filter_pair_examples():
 
     g8 = RegisterGeometry.chain(8)
     _single8, pair8 = recorded_masks(8, 2)
-    nb2 = moore_neighborhood(g8, 2, 2)
-    nb7 = moore_neighborhood(g8, 7, 2)
     got = masked("11111111", pair8[(2, 7)])
-    assert got == brute_filter_pair(
-        "11111111", 2, 7, set(nb2.members), set(nb7.members)
-    )
+    assert got == brute_filter_pair("11111111", 2, 7, ball(g8, 2, 1), ball(g8, 7, 1))
     assert got == "11100111"
     assert masked("0" * 8, pair8[(2, 7)]) == "0" * 8
 
@@ -99,17 +103,17 @@ def test_filters_idempotent_and_match_oracle(n, layers, data):
     j = data.draw(st.integers(1, n).filter(lambda v: v != i))
     idx = data.draw(st.integers(0, (1 << n) - 1))
     x = bitstring(idx, n)
-    nbi = moore_neighborhood(g, i, k)
-    nbj = moore_neighborhood(g, j, k)
+    nbi = ball(g, i, layers)
+    nbj = ball(g, j, layers)
 
     fx = masked(x, single[i])
     assert masked(fx, single[i]) == fx
-    assert fx == brute_filter_single(x, i, set(nbi.members))
+    assert fx == brute_filter_single(x, i, nbi)
 
     mask = pair[(min(i, j), max(i, j))]
     fp = masked(x, mask)
     assert masked(fp, mask) == fp
-    assert fp == brute_filter_pair(x, i, j, set(nbi.members), set(nbj.members))
+    assert fp == brute_filter_pair(x, i, j, nbi, nbj)
 
 
 def test_pair_filter_reduces_to_single_when_nested():

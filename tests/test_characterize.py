@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spamcal.backends import ExactBackend
 from spamcal.characterize import (
@@ -15,6 +16,7 @@ from spamcal.characterize import (
     total_spam_error,
 )
 from spamcal.errors import ValidationError
+from spamcal.geometry import RegisterGeometry
 from spamcal.norms import MatrixNorm
 from spamcal.model import melbourne_c4, melbourne_c4_product
 
@@ -33,6 +35,24 @@ def test_prob_zero_helpers():
     assert prob_joint_zero(dist, 1, 2, 2) == 0.0
     uniform = np.full(4, 0.25)
     assert prob_joint_zero(uniform, 1, 2, 2) == pytest.approx(0.25)
+
+
+def reading_zero(n: int, *qubits) -> np.ndarray:
+    """Outcomes in which every listed qubit reads 0, picked by the
+    characters of their bitstrings."""
+    return np.array(
+        [x for x in range(1 << n) if all(format(x, f"0{n}b")[q - 1] == "0" for q in qubits)]
+    )
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_marginals_are_sums_over_bitstring_selected_outcomes(n, seed, data):
+    dist = np.random.default_rng(seed).dirichlet(np.ones(1 << n))
+    i = data.draw(st.integers(1, n))
+    assert prob_zero(dist, i, n) == dist[reading_zero(n, i)].sum()
+    if n >= 2:
+        j = data.draw(st.integers(1, n).filter(lambda v: v != i))
+        assert prob_joint_zero(dist, i, j, n) == dist[reading_zero(n, i, j)].sum()
 
 
 def test_uniform0_matches_base_matrices():
@@ -78,6 +98,12 @@ def test_average_k0_equals_uniform0():
 def test_average_needs_geometry():
     with pytest.raises(ValidationError, match="geometry"):
         measure_single_qubit_T(backend(), 2, Average(0))
+
+
+@pytest.mark.parametrize("size", [3, 6])
+def test_average_rejects_geometry_of_another_size(size):
+    with pytest.raises(ValidationError, match=f"geometry has {size} qubits, backend has 4"):
+        measure_single_qubit_T(backend(), 2, Average(2), RegisterGeometry.chain(size))
 
 
 def test_tprod_of_product_model_is_exact():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spamcal.backends import Dataset, ExactBackend, ReplayBackend
-from spamcal.bits import submasks
+from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Uniform,
     correlator_report,
@@ -22,12 +22,7 @@ from spamcal.estimate import (
     circuit_budget,
     estimate_transition_matrix,
 )
-from spamcal.geometry import (
-    RegisterGeometry,
-    all_neighborhoods,
-    full_size,
-    layers_for_size,
-)
+from spamcal.geometry import RegisterGeometry, chebyshev_mask, layers_for_size
 from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product
 from spamcal.norms import symmetric_single_qubit
 
@@ -232,28 +227,40 @@ def test_choose_neighborhood_size():
     assert choose_neighborhood_size(ExactBackend(m2), m2.geometry) == 0
 
 
+def masks_at(geometry, k):
+    return [chebyshev_mask(geometry, i, k) for i in range(1, geometry.n + 1)]
+
+
+def covers_register(geometry, k):
+    """Whether every mask at k holds the whole register."""
+    return all(m == (1 << geometry.n) - 1 for m in masks_at(geometry, k))
+
+
 def loop_neighborhood_size(report, geometry, threshold):
     """Reference: try each admissible k in increasing order until every
-    shift correlator at or above the threshold lies inside the
-    neighborhoods."""
+    shift correlator at or above the threshold lies inside the masks, or
+    every mask covers the register."""
     n = geometry.n
-    kmax = full_size(geometry)
     k = 0
     while True:
-        nbhds = all_neighborhoods(geometry, k)
+        masks = dict(enumerate(masks_at(geometry, k), 1))
+
+        def inside(i, j):
+            return bool(masks[i] & qubit_mask(j, n))
+
         ok = True
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                if i == j or j in nbhds[i].members:
+                if i == j or inside(i, j):
                     continue
                 if abs(report.single_shift[i - 1, j - 1]) >= threshold:
                     ok = False
         for (i, j, l), v in report.joint_shift.items():
-            if l in nbhds[i].members or l in nbhds[j].members:
+            if inside(i, l) or inside(j, l):
                 continue
             if abs(v) >= threshold:
                 ok = False
-        if ok or k >= kmax:
+        if ok or covers_register(geometry, k):
             return k
         l = 0
         while (2 * l + 1) ** geometry.dimension - 1 <= k:
@@ -307,9 +314,12 @@ def test_choose_neighborhood_size_matches_loop(g, threshold, data):
     b = ExactBackend(m)
     k = choose_neighborhood_size(b, g, threshold)
     assert k == loop_neighborhood_size(correlator_report(b), g, threshold)
-    layers_for_size(k, g.dimension)  # admissible
+    layers = layers_for_size(k, g.dimension)  # admissible
     if threshold == 0.0:
-        assert k == full_size(g)
+        # the smallest admissible k that covers the register
+        assert covers_register(g, k)
+        assert layers >= 1
+        assert not covers_register(g, (2 * layers - 1) ** g.dimension - 1)
     if threshold == 1.0:
         assert k == 0
 
@@ -335,4 +345,4 @@ def test_replay_without_records_names_only_step_one_states():
     backend = ReplayBackend(Dataset(n=6))
     with pytest.raises(MissingDataError) as info:
         estimate_transition_matrix(backend, RegisterGeometry.chain(6), 0)
-    assert info.value.missing == ["000000"] + [format(1 << b, "06b") for b in range(6)]
+    assert info.value.missing == [0] + [1 << b for b in range(6)]

@@ -1,67 +1,65 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from spamcal.bits import qubit_mask, support_mask
 from spamcal.errors import ValidationError
-from spamcal.geometry import (
-    RegisterGeometry,
-    full_size,
-    layers_for_size,
-    moore_neighborhood,
-)
+from spamcal.geometry import RegisterGeometry, chebyshev_mask, layers_for_size
+
+
+def members(geometry: RegisterGeometry, mask: int) -> set:
+    """The qubits whose bits the mask sets."""
+    return {j for j in range(1, geometry.n + 1) if mask & qubit_mask(j, geometry.n)}
 
 
 def test_chain_neighborhood_interior():
     g = RegisterGeometry.chain(4)
-    nb = moore_neighborhood(g, 2, 2)
-    assert set(nb.members) == {1, 3}
+    assert members(g, chebyshev_mask(g, 2, 2)) == {1, 2, 3}
 
 
 def test_chain_neighborhood_boundary_truncated():
     g = RegisterGeometry.chain(4)
-    nb = moore_neighborhood(g, 1, 2)
-    assert set(nb.members) == {2}
-    assert len(nb.members) < nb.k_bulk
+    mask = chebyshev_mask(g, 1, 2)
+    assert members(g, mask) == {1, 2}
+    assert mask.bit_count() < 2 + 1
 
 
 def test_grid_center_k8():
     g = RegisterGeometry.grid(5, 5)
     center = 13  # row 2, col 2 (1-based index into row-major order)
-    nb = moore_neighborhood(g, center, 8)
-    assert set(nb.members) == {7, 8, 9, 12, 14, 17, 18, 19}
+    assert members(g, chebyshev_mask(g, center, 8)) == {7, 8, 9, 12, 13, 14, 17, 18, 19}
 
 
 def test_invalid_k_names_admissible_set():
     g = RegisterGeometry.chain(4)
     with pytest.raises(ValidationError, match="admissible"):
-        moore_neighborhood(g, 2, 3)
+        chebyshev_mask(g, 2, 3)
     g2 = RegisterGeometry.grid(3, 3)
     with pytest.raises(ValidationError, match="admissible"):
-        moore_neighborhood(g2, 5, 4)
+        chebyshev_mask(g2, 5, 4)
 
 
 def test_unknown_qubit_rejected():
     g = RegisterGeometry.chain(4)
-    with pytest.raises(ValidationError):
-        moore_neighborhood(g, 5, 2)
-    with pytest.raises(ValidationError):
-        moore_neighborhood(g, 0, 2)
+    with pytest.raises(ValidationError, match="unknown qubit index 5"):
+        chebyshev_mask(g, 5, 2)
+    with pytest.raises(ValidationError, match="unknown qubit index 0"):
+        chebyshev_mask(g, 0, 2)
 
 
 def test_bulk_size_exact():
-    # far from the boundary the neighborhood has exactly k members
+    # far from the boundary the mask holds the center and exactly k others
     g = RegisterGeometry.chain(20)
     for k in (0, 2, 4, 6):
-        nb = moore_neighborhood(g, 10, k)
-        assert len(nb.members) == k
+        assert chebyshev_mask(g, 10, k).bit_count() == k + 1
     g2 = RegisterGeometry.grid(9, 9)
     for k in (0, 8, 24):
-        nb = moore_neighborhood(g2, 41, k)  # center of the grid
-        assert len(nb.members) == k
+        assert chebyshev_mask(g2, 41, k).bit_count() == k + 1  # center of the grid
 
 
 def test_k0_everywhere_empty():
     g = RegisterGeometry.chain(5)
     for i in range(1, 6):
-        assert moore_neighborhood(g, i, 0).members == frozenset()
+        assert chebyshev_mask(g, i, 0) == qubit_mask(i, 5)
 
 
 def test_layers_for_size():
@@ -71,12 +69,24 @@ def test_layers_for_size():
     assert layers_for_size(24, 2) == 2
 
 
-def test_full_size_covers_register():
-    g = RegisterGeometry.chain(6)
-    k = full_size(g)
-    for i in range(1, 7):
-        nb = moore_neighborhood(g, i, k)
-        assert set(nb.members) == set(range(1, 7)) - {i}
+GEOMETRIES = st.one_of(
+    st.builds(RegisterGeometry.chain, st.integers(1, 12)),
+    st.builds(RegisterGeometry.grid, st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+@given(GEOMETRIES, st.integers(0, 3), st.data())
+def test_chebyshev_mask_is_the_truncated_ball(g, layers, data):
+    k = (2 * layers + 1) ** g.dimension - 1
+    i = data.draw(st.integers(1, g.n))
+    mask = chebyshev_mask(g, i, k)
+    ball = {j for j in range(1, g.n + 1) if g.chebyshev(i, j) <= layers}
+    assert mask == support_mask(ball, g.n)
+    assert mask & qubit_mask(i, g.n)
+    pos = g.positions[i - 1]
+    extent = [max(p[d] for p in g.positions) for d in range(g.dimension)]
+    if all(layers <= c <= e - layers for c, e in zip(pos, extent)):
+        assert mask.bit_count() == k + 1
 
 
 def test_geometry_validation():
