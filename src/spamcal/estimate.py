@@ -14,7 +14,10 @@ additive pairwise covariance correction, each mean/covariance looked up at
 the filtered version of the column's prepared state. Both parts go through
 :func:`spamcal.assembly.kron_columns`, the kernel the noise model builds
 its own columns with: the means are the product term and each pair's
-covariance table is a term on that pair.
+covariance table is a term on that pair. The kernel builds all n(n-1)/2
+pair terms in one sweep over the qubits. Each read-0 marginal of a
+(filtered state, qubit) is summed once and shared by the qubit's mean
+field and every pair table that reads it.
 
 Each table is an array whose row r belongs to the r-th filtered state of
 its mask in :func:`spamcal.bits.submasks` order, so a column c reads row
@@ -28,6 +31,7 @@ filtered state of every mask has its entries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -211,16 +215,18 @@ def estimate_transition_matrix(
     }
     dists.update(collect(backend, _preps(pair) - step1))
     tables = CalibrationTables(n, k, single, pair)
-    # one 1-D marginal sum per filtered state: a row sum over stacked
+    # one 1-D marginal sum per (filtered state, qubit), shared by the qubit's
+    # table and every pair table that reads it: a row sum over stacked
     # distributions adds in another order and moves the last bits
+    zero = functools.cache(lambda s, i: prob_zero(dists[s], i, n))
     for i, mask in single.items():
-        p0 = np.array([prob_zero(dists[s], i, n) for s in submasks(mask)])
+        p0 = np.array([zero(s, i) for s in submasks(mask)])
         tables.mean_fields[i] = np.stack([p0, 1.0 - p0], axis=-1)
     for (i, j), mask in pair.items():
-        rows = [dists[s] for s in submasks(mask)]
-        pi = np.array([prob_zero(d, i, n) for d in rows])
-        pj = np.array([prob_zero(d, j, n) for d in rows])
-        joint = np.array([prob_joint_zero(d, i, j, n) for d in rows])
+        states = submasks(mask)
+        pi = np.array([zero(s, i) for s in states])
+        pj = np.array([zero(s, j) for s in states])
+        joint = np.array([prob_joint_zero(dists[s], i, j, n) for s in states])
         # covariance of the four indicator combinations from the same
         # measured distribution
         tables.pair_fluct[(i, j)] = np.stack(

@@ -13,7 +13,9 @@ signed pair and triple terms each sum to zero over outcomes, so every
 column is automatically normalized. Columns are built in batches by
 :func:`spamcal.assembly.kron_columns`, the kernel the estimator also
 assembles with: the means are base_i(0|x'_i) - (bits @ shift.T), and each
-pair or triple is a term whose weight carries the signs. Every batch is
+pair or triple is a term whose weight carries the signs. The kernel builds
+the product and every term in one sweep over the qubits, so a column costs
+O(n * 2^n) whatever the number of pairs. Every batch is
 checked for negative entries and column sums, by full enumeration at
 construction when n <= ORACLE_LIMIT_DEFAULT and block by block as a
 backend draws them otherwise.

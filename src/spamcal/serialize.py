@@ -11,9 +11,9 @@ The reader raises ValidationError (CLI exit 2) for each input rule:
 key, or an ``order`` tag other than "msb-first"; :func:`number` for a value
 that is not a finite JSON number (a bool is not one); :func:`integer` for a
 value that is not a JSON integer at or above its lower bound (``n >= 1``);
-:func:`array` for a numeric array with a non-finite entry or of the wrong
-shape; and :func:`qubits` for an "i,j" key without the right count of
-qubit indices.
+:func:`array` for a numeric array with a non-finite entry, an integer
+beyond the float range, or of the wrong shape; and :func:`qubits` for an
+"i,j" key without the right count of qubit indices.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def array(value, name: str, shape=None) -> np.ndarray:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} has a non-numeric value {value!r:.60}") from None
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValidationError(f"{name} has a value too large for a float") from None
     if shape is not None and a.shape != shape:
         raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():

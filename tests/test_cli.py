@@ -366,6 +366,15 @@ NAN = float("nan")
         ("distribution", ("probs", "0101"), NAN, "probability of 0101 has a non-finite"),
         ("distribution", ("probs", "0101"), True, "non-numeric value True"),
         ("dataset", ("records", 0, "counts", "0000"), 1.5, "count of 0000 must be an integer"),
+    ]
+    + [
+        # an integer literal beyond the float range
+        pytest.param(kind, path, 10**400, message, id=f"{kind}-{path[0]}-10**400")
+        for kind, path, message in [
+            ("matrix", ("data", 5), "data has a value too large for a float"),
+            ("model", ("base", 0, 0, 0), "base has a value too large for a float"),
+            ("model", ("positions", 0, 0), "positions has a value too large for a float"),
+        ]
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, kind, path, value, message):

@@ -16,8 +16,9 @@ from spamcal.model import melbourne_c4
 from test_cli import run_on_inputs, set_path, write_valid_inputs
 
 DELETE = object()
-# n stays at most 64, so that no mutated file asks for a huge register
-MUTATIONS = [DELETE, "abc", True, float("nan"), -1, 0, 64, 4.5, [1.0], {"a": 1}]
+# n stays at most 64, so that no mutated file asks for a huge register;
+# 10**400 is an integer literal beyond the float range
+MUTATIONS = [DELETE, "abc", True, float("nan"), -1, 0, 64, 4.5, 10**400, [1.0], {"a": 1}]
 
 
 def paths(obj, prefix=()):
