@@ -1,9 +1,11 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spamcal import serialize
 from spamcal.backends import (
     SampledBackend,
     load_distribution,
@@ -11,6 +13,8 @@ from spamcal.backends import (
     save_distribution,
 )
 from spamcal.cli import main
+from spamcal.errors import ValidationError
+from spamcal.estimate import CalibrationTables
 from spamcal.model import melbourne_c4
 from spamcal.serialize import load_json
 from spamcal.tmatrix import TransitionMatrix
@@ -442,3 +446,90 @@ def test_correlators_csv_holds_plain_numbers(tmp_path):
     for row in rows:
         for cell in row:
             float(cell)
+
+
+# valid JSON, nested deeper than the standard library parser recurses
+DEEP = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--input", "--model", "--dataset"])
+def test_deeply_nested_input_exits_2(tmp_path, capsys, flag):
+    files = write_valid_inputs(tmp_path)
+    kind = {"--matrix": "matrix", "--input": "distribution"}.get(flag, flag[2:])
+    files[kind] = None
+    (tmp_path / f"{kind}.json").write_text(DEEP)
+    code, out = run_on_inputs(tmp_path, kind, files)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"malformed JSON in {tmp_path / kind}.json" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_deeply_nested_tables_file_is_a_validation_error(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text(DEEP)
+    with pytest.raises(ValidationError, match="malformed JSON"):
+        CalibrationTables.from_json(path)
+
+
+@pytest.fixture(scope="module")
+def large_matrix(tmp_path_factory):
+    """A dense n = 9 matrix JSON of random doubles, above the size from
+    which load_json parses with jiter, its text, and a distribution."""
+    d = tmp_path_factory.mktemp("large")
+    rng = np.random.default_rng(9)
+    t = rng.random((512, 512))
+    t /= t.sum(axis=0)
+    text = TransitionMatrix(9, t).to_json(d / "matrix.json")
+    save_distribution(t @ rng.dirichlet(np.ones(512)), 9, d / "dist.json")
+    assert len(text) >= serialize.LARGE_JSON_BYTES
+    return d, text
+
+
+def test_large_matrix_loads_bitwise_equal_to_json_loads(tmp_path, monkeypatch, large_matrix):
+    d, text = large_matrix
+    expected = np.array(json.loads(text)["data"]).reshape(512, 512)
+    with monkeypatch.context() as m:
+        # a fall back to json.loads would fail here
+        m.setattr(serialize, "json", SimpleNamespace(dumps=json.dumps))
+        got = TransitionMatrix.from_json(d / "matrix.json").data
+    assert got.tobytes() == expected.tobytes()
+    # the corrected output is the same whichever parser read T
+    outputs = []
+    for limit in (serialize.LARGE_JSON_BYTES, 1 << 40):
+        monkeypatch.setattr(serialize, "LARGE_JSON_BYTES", limit)
+        outputs.append(tmp_path / f"out-{limit}.json")
+        assert run("correct", "--matrix", d / "matrix.json", "--input", d / "dist.json",
+                   "--out", outputs[-1]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def nan_entry(text):
+    obj = json.loads(text)
+    obj["data"][5] = NAN
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (nan_entry, "data has a non-finite value"),
+        (lambda text: text.encode()[:-100], "malformed JSON"),
+        (lambda text: text.replace('"msb-first"', '"msb-first\xff"').encode("latin-1"),
+         "malformed JSON"),
+        # the one string json.loads reads and jiter rejects
+        (lambda text: text.replace('"msb-first"', '"\\ud800"').encode(), "malformed JSON"),
+    ],
+    ids=["nan", "truncated", "invalid-utf8", "unpaired-surrogate"],
+)
+def test_large_matrix_errors_exit_2(tmp_path, capsys, large_matrix, corrupt, message):
+    d, text = large_matrix
+    matrix, out = tmp_path / "matrix.json", tmp_path / "out.json"
+    matrix.write_bytes(corrupt(text))
+    assert matrix.stat().st_size >= serialize.LARGE_JSON_BYTES
+    assert run("correct", "--matrix", matrix, "--input", d / "dist.json", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()

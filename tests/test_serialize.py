@@ -1,0 +1,176 @@
+"""The two JSON parsers behind ``serialize.load_json`` read the same values:
+``json.loads`` for small files, ``pydantic_core.from_json`` (jiter) for
+files of at least ``LARGE_JSON_BYTES``."""
+
+import decimal
+import json
+import math
+import operator
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from pydantic_core import from_json
+
+import spamcal
+from spamcal import serialize
+from spamcal.backends import save_distribution
+from spamcal.errors import ValidationError
+from spamcal.model import melbourne_c4
+
+
+def same(a, b) -> bool:
+    """a and b are equal values of equal types, floats bit for bit, and
+    objects hold their keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def float_token(x: float, fmt) -> str:
+    if fmt is None or not math.isfinite(x):
+        return json.dumps(x)  # shortest repr, or NaN / Infinity / -Infinity
+    return fmt % x
+
+
+@st.composite
+def midpoint_tokens(draw) -> str:
+    """The exact decimal halfway between a double and the next one up, or
+    that point nudged far below its last digit: the hardest roundings."""
+    x = draw(st.floats(min_value=0.0, max_value=1.7976931348623155e308))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3000
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        nudge = draw(st.sampled_from([0, 1, -1]))
+        mid += nudge * decimal.Decimal(10) ** (mid.adjusted() - 1000)
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + str(mid)
+
+
+def integers_of(digits):
+    """Integers of 1 to ``digits`` decimal digits."""
+    return st.integers(1, digits).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+
+
+SPECIAL = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1E-400", "-0.0", "-0", "0",
+    "5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "2.2250738585072011e-308", "2.2250738585072012e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+    "9007199254740993", "9007199254740993.0", "18446744073709551616", "0.1",
+]
+# the whole double range, subnormals and -0.0 included, in four formats
+floats = st.builds(
+    float_token, st.floats(), st.sampled_from([None, "%.17g", "%.25e", "%.40f"])
+)
+decimals = st.from_regex(
+    r"-?(0|[1-9][0-9]{0,40})(\.[0-9]{1,40})?([eE][+-]?[0-9]{1,3})?", fullmatch=True
+)
+# up to the 4300 characters, sign included, that both parsers read (see
+# test_long_integer_part_is_malformed_only_to_jiter)
+integers = st.one_of(
+    st.integers(), integers_of(4300), integers_of(4299).map(operator.neg)
+).map(str)
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+strings = st.builds(json.dumps, texts, ensure_ascii=st.booleans())
+leaves = st.one_of(
+    floats, decimals, integers, midpoint_tokens(), st.sampled_from(SPECIAL), strings,
+    st.sampled_from(["true", "false", "null"]),
+)
+separators = st.sampled_from([",", ", ", ",\n  ", " ,\t"])
+
+
+def containers(children):
+    lists = st.builds(
+        lambda items, sep: "[" + sep.join(items) + "]", st.lists(children, max_size=6), separators
+    )
+    members = st.lists(st.tuples(strings, children), max_size=6)
+    objects = st.builds(
+        lambda items, sep: "{" + sep.join(f"{k}: {v}" for k, v in items) + "}", members, separators
+    )
+    return lists | objects
+
+
+documents = st.recursive(leaves, containers, max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_parsers_agree(text):
+    assert same(json.loads(text), from_json(text.encode(), allow_inf_nan=True))
+
+
+def test_same_compares_types_and_bits():
+    assert same([1.0, {"a": float("nan")}], [1.0, {"a": float("nan")}])
+    assert not same([1], [1.0])
+    assert not same(0.0, -0.0)
+    assert not same({"a": 1, "b": 2}, {"b": 2, "a": 1})
+
+
+def test_unpaired_surrogate_is_malformed_only_to_jiter():
+    # json.loads reads a lone surrogate into the string; jiter calls the
+    # escape malformed, so a large file holding one exits 2 (test_cli)
+    assert json.loads('"\\ud800"') == "\ud800"
+    with pytest.raises(ValueError):
+        from_json(b'"\\ud800"')
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("-" + "1" * 4300, -int("1" * 4300)), ("1" * 4301 + "e-4300", 1.1111111111111112)],
+    ids=["negative-4300-digits", "float-4301-digit-integer-part"],
+)
+def test_long_integer_part_is_malformed_only_to_jiter(token, value):
+    # jiter caps a number's integer part at 4300 characters, sign included;
+    # json.loads caps only an integer's digits. No numeric field accepts
+    # the first value, but the second is an ordinary float.
+    assert same(json.loads(token), value)
+    with pytest.raises(ValueError, match="number out of range"):
+        from_json(token.encode())
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+def test_integer_over_the_digit_limit_is_malformed_on_both_paths(tmp_path, monkeypatch, large):
+    if large:
+        monkeypatch.setattr(serialize, "LARGE_JSON_BYTES", 0)
+    path = tmp_path / "long.json"
+    path.write_text("[" + "1" * 4301 + "]")
+    with pytest.raises(ValidationError, match="malformed JSON"):
+        serialize.load_json(path)
+
+
+def test_small_files_do_not_import_the_parser(tmp_path):
+    m = melbourne_c4()
+    m.to_json(tmp_path / "model.json")
+    save_distribution(m.column(0b0101), 4, tmp_path / "dist.json")
+    large = tmp_path / "large.json"
+    large.write_text("[" + " " * serialize.LARGE_JSON_BYTES + "1]")
+    script = (
+        "import sys\n"
+        "from spamcal.backends import load_distribution\n"
+        "from spamcal.model import NoiseModel\n"
+        "import spamcal.cli\n"
+        "load_distribution(sys.argv[1])\n"
+        "NoiseModel.from_json(sys.argv[2])\n"
+        "assert 'pydantic_core' not in sys.modules, 'small files imported the parser'\n"
+        "from spamcal.serialize import load_json\n"
+        "assert load_json(sys.argv[3]) == [1]\n"
+        "assert 'pydantic_core' in sys.modules, 'a large file did not use the parser'\n"
+    )
+    src = str(Path(spamcal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, tmp_path / "dist.json", tmp_path / "model.json", large],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
