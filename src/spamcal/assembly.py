@@ -3,11 +3,12 @@
 Both build blocks of a transition matrix whose column for prepared state c
 is a Kronecker product of per-qubit means plus signed correlated terms:
 
-    T[x, c] = sum_t w_t(c)[x_q] * prod_{l not in q_t} means[c, l, x_l]
+    T[x, c] = sum_t a_t(c) * (-1)^(sum_{q in q_t} x_q) * prod_{l not in q_t} m_l(x_l|c)
 
-where each term t acts on a sorted tuple q_t of qubits. The product of the
-means alone is the term with no qubits and weight 1. Qubit axes are 0-based
-here, MSB first, matching the bitstring index convention.
+where read0[c, l] = m_l(0|c) = 1 - m_l(1|c), a term t acts on a sorted
+tuple q_t of qubits with one coefficient a_t(c) per column, and the mean
+product is the term () with coefficient 1. Qubit axes are 0-based here,
+MSB first, matching the bitstring index convention.
 
 The kernel works on BLOCK columns at a time, with the column axis last and
 every array contiguous, and builds every term in one left-to-right sweep
@@ -20,7 +21,7 @@ over the qubits 0..l:
   qubit: the product of the means off that prefix, with a size-1 axis at
   each of its qubits, so that reaching a term qubit costs nothing;
 - the closed accumulator: at a term's last qubit its open partial times its
-  weights is added into it, and every later mean multiplies it.
+  signed coefficient is added into it, and every later mean multiplies it.
 
 Each partial is multiplied by one mean per qubit, so pair terms cost
 O(n * 2^n) per column, not the O(n^2 * 2^n) of a product per term. The plan
@@ -41,7 +42,7 @@ def _plan(n: int, qubit_sets) -> list:
     """Per qubit l: the open prefixes that means[l] multiplies, the prefixes
     that l extends and leaves open, and the terms that close at l, each term
     with the prefix it reads and the shapes that prefix's partial and the
-    term's weights take over the axes 0..l."""
+    term's signed coefficient take over the axes 0..l."""
     plan = []
     for l in range(n):
         cont, extend, close = {}, {}, []
@@ -62,18 +63,22 @@ def _plan(n: int, qubit_sets) -> list:
     return plan
 
 
-def kron_columns(means: np.ndarray, terms) -> np.ndarray:
-    """(2^n, cols) block of T from means (cols, n, 2) and a list of
-    (qubits, weights) terms, weights of shape (cols,) + (2,) * len(qubits)."""
-    cols, n, _ = means.shape
-    qubit_sets = [tuple(q) for q, _w in terms]
+def kron_columns(read0: np.ndarray, terms) -> np.ndarray:
+    """(2^n, cols) block of T from read0 (cols, n), P(qubit reads 0), and a
+    list of (qubits, coefficient) terms, each coefficient of shape (cols,)."""
+    cols, n = read0.shape
+    qubit_sets = [tuple(q) for q, _a in terms]
     plan = _plan(n, qubit_sets)
+    # (-1)^(sum of the outcome bits), one (2,) * k array per term order k
+    signs = {k: 1.0 - 2.0 * (np.indices((2,) * k).sum(0) % 2)
+             for k in set(map(len, qubit_sets))}
     out = np.empty((1 << n, cols))
     for start in range(0, cols, BLOCK):
         blk = slice(start, start + BLOCK)
-        m = np.ascontiguousarray(means[blk].transpose(1, 2, 0))  # (n, 2, block)
+        p = np.ascontiguousarray(read0[blk].T)  # np.stack keeps a view's strides
+        m = np.stack([p, 1.0 - p], axis=1)  # (n, 2, block)
         block = m.shape[-1]
-        w = [np.ascontiguousarray(np.moveaxis(weights[blk], 0, -1)) for _q, weights in terms]
+        w = [signs[len(q)][..., None] * a[blk] for q, a in terms]
         # partials by prefix, flat (entries, block); () is the free product
         parts = {(): np.ones((1, block))}
         acc = np.zeros((1, block))

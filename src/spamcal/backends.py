@@ -86,7 +86,14 @@ def _sample_histogram(p: np.ndarray, shots: int, rng: np.random.Generator) -> np
     return np.bincount(idx, minlength=p.size)
 
 
-class _ModelBackend:
+class _Backend:
+    """The one-state query of every backend: a one-state block query."""
+
+    def distribution(self, xprime: int) -> np.ndarray:
+        return self.distributions([xprime])[:, 0]
+
+
+class _ModelBackend(_Backend):
     """Common sampling machinery for model-driven backends.
 
     Repeated queries for the same prepared state advance a per-state query
@@ -132,9 +139,6 @@ class ExactBackend(_ModelBackend):
 
     kind = "exact"
 
-    def distribution(self, xprime: int) -> np.ndarray:
-        return self.model.column(xprime)
-
     def distributions(self, states) -> np.ndarray:
         return self.model._columns(states)
 
@@ -158,9 +162,6 @@ class SampledBackend(_ModelBackend):
 
     def counts(self, xprime: int, shots: int | None = None) -> Counts:
         return self._counts(xprime, self.shots if shots is None else shots)
-
-    def distribution(self, xprime: int) -> np.ndarray:
-        return self.counts(xprime).distribution()
 
     def distributions(self, states) -> np.ndarray:
         return np.stack(self._draw(states, self.shots), axis=1) / self.shots
@@ -227,7 +228,7 @@ class Dataset:
         return cls.from_dict(load_json(path))
 
 
-class ReplayBackend:
+class ReplayBackend(_Backend):
     """Serves only the prepared states present in its dataset."""
 
     kind = "replay"
@@ -248,14 +249,11 @@ class ReplayBackend:
         except KeyError:
             raise MissingDataError([xprime], self.n) from None
 
-    def distribution(self, xprime: int) -> np.ndarray:
-        return self.counts(xprime).distribution()
-
     def distributions(self, states) -> np.ndarray:
         found, missing = [], []
         for xprime in states:
             try:
-                found.append(self.distribution(xprime))
+                found.append(self.counts(xprime).distribution())
             except MissingDataError as exc:
                 missing.extend(exc.missing)
         if missing:

@@ -1,10 +1,11 @@
 """Scalable transition-matrix estimation from filtered calibration data.
 
-The protocol measures, per qubit, the read-0/read-1 probabilities at every
-preparation supported on the qubit's mask (the qubit and its neighborhood,
+The protocol measures, per qubit, P(i reads 0) at every preparation
+supported on the qubit's mask (the qubit and its neighborhood,
 :func:`spamcal.geometry.chebyshev_mask`; far spectators 0), and, per pair,
-the covariance of the two read-0 indicators at every preparation supported
-on the union of the two masks. Identical prepared states are measured once
+c = P(i, j read 00) - P(i reads 0) P(j reads 0) at every preparation
+supported on the union of the two masks; the other three indicator
+covariances are -c, -c and +c. Identical prepared states are measured once
 and shared; :func:`estimate_transition_matrix` is the one entry point that
 measures, through :func:`spamcal.backends.collect`. It collects the first
 step's preparations before it builds the n(n-1)/2 pair masks, so a replay
@@ -13,33 +14,34 @@ matrix is then assembled classically: a product of per-qubit means plus an
 additive pairwise covariance correction, each mean/covariance looked up at
 the filtered version of the column's prepared state. Both parts go through
 :func:`spamcal.assembly.kron_columns`, the kernel the noise model builds
-its own columns with: the means are the product term and each pair's
-covariance table is a term on that pair. The kernel builds all n(n-1)/2
-pair terms in one sweep over the qubits. Each read-0 marginal of a
-(filtered state, qubit) is summed once and shared by the qubit's mean
-field and every pair table that reads it.
+its own columns with: the read-0 probabilities give the product term and
+each pair's c is the coefficient of a term on that pair. The kernel builds
+all n(n-1)/2 pair terms in one sweep over the qubits. Each read-0
+marginal of a (filtered state, qubit) is summed once and shared by the
+qubit's mean field and every pair table that reads it.
 
 Each table is an array whose row r belongs to the r-th filtered state of
 its mask in :func:`spamcal.bits.submasks` order, so a column c reads row
 ``searchsorted(submasks(mask), c & mask)``.
 
-CalibrationTables JSON: mean-field keys "i|b|bits", pair keys
-"i,j|bi bj|bits", one float per key; metadata records k, the backend
-descriptor, and the deduplicated circuit count. Loading checks that every
-filtered state of every mask has its entries.
+CalibrationTables JSON: keys "i|bits" hold P(i reads 0) and "i,j|bits" hold
+c, one float per filtered state; metadata records k, the backend
+descriptor, and the deduplicated circuit count. Loading checks that the
+single masks name the qubits 1..n, that each pair has 1 <= i < j <= n (a
+pair may be absent), that every mask holds its own qubits, and that every
+filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import kron_columns
 from .backends import collect
-from .bits import bitstring, parse_bitstring, submasks
+from .bits import bitstring, parse_bitstring, qubit_mask, submasks
 from .characterize import correlator_report, prob_joint_zero, prob_zero
 from .errors import ValidationError
 from .geometry import RegisterGeometry, chebyshev_mask, check_register
@@ -49,6 +51,9 @@ from .tmatrix import TransitionMatrix
 # The two kernel calls of the estimator, under their own names so that a
 # profile can tell kernel time from table lookups.
 mean_column = pair_column = kron_columns
+
+# a read-0 probability summed from an exact distribution can round past 1
+RANGE_SLACK = 1e-12
 
 
 def circuit_budget(n: int, k: int) -> tuple[int, int]:
@@ -64,13 +69,13 @@ def circuit_budget(n: int, k: int) -> tuple[int, int]:
 class CalibrationTables:
     """Filtered mean fields and pair covariances for one neighborhood size.
 
-    mean_fields: i -> (rows, 2) array, [r, b] = P(qubit i reads b)
-    pair_fluct:  (i, j) -> (rows, 2, 2) array, [r, bi, bj] = covariance of
-                 the indicators "i reads bi" and "j reads bj", i < j
+    mean_fields: i -> (rows,) array, [r] = P(qubit i reads 0)
+    pair_fluct:  (i, j) -> (rows,) array, [r] = P(i, j read 00)
+                 - P(i reads 0) P(j reads 0), i < j
     Row r is the r-th filtered state of the qubit's or pair's mask, in
-    submasks order. The JSON form keeps one entry per (table, outcome bits,
-    filtered state), as described in the module docstring; ``from_json``
-    raises ValidationError naming the first entry it lacks.
+    submasks order. The JSON form keeps one entry per (table, filtered
+    state), as described in the module docstring; ``from_json`` raises
+    ValidationError naming the first mask or entry that breaks its rules.
     """
 
     n: int
@@ -87,9 +92,7 @@ class CalibrationTables:
             return {
                 key: v
                 for q, mask in masks.items()
-                for key, v in zip(
-                    _keys(qubits(q), mask, self.n), tables[q].ravel().tolist()
-                )
+                for key, v in zip(_keys(qubits(q), mask, self.n), tables[q].tolist())
             }
 
         n = self.n
@@ -116,7 +119,20 @@ class CalibrationTables:
             as_object(obj[key], key)
         n = integer(obj["n"], "n")
 
-        def table(entries, qubits, mask):
+        def masks(name, parts):
+            out = {}
+            for key, m in obj[name].items():
+                q = qubits(key, parts, "tables")
+                if q != tuple(sorted(set(q))):
+                    raise ValidationError(f"{name} key {key!r} needs i < j")
+                mask = parse_bitstring(m, n)
+                for i in q:  # qubit_mask rejects an index outside 1..n
+                    if not mask & qubit_mask(i, n):
+                        raise ValidationError(f"{name}[{key!r}] lacks qubit {i}")
+                out[q if parts > 1 else q[0]] = mask
+            return out
+
+        def table(entries, qubits, mask, low, high):
             who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
             vals = []
             for key in _keys(qubits, mask, n):
@@ -126,38 +142,31 @@ class CalibrationTables:
                         f"no table entry for {who}, filtered state {state}"
                     )
                 vals.append(number(entries[key], f"table entry {key!r}"))
-            return np.array(vals).reshape((-1,) + (2,) * len(qubits))
+                if not low - RANGE_SLACK <= vals[-1] <= high + RANGE_SLACK:
+                    raise ValidationError(f"table entry {key!r} lies outside [{low}, {high}]")
+            return np.array(vals)
 
         tables = cls(
             n=n,
             k=integer(obj["k"], "k", 0),
-            single_masks={
-                qubits(i, 1, "tables")[0]: parse_bitstring(m, n)
-                for i, m in obj["single_masks"].items()
-            },
-            pair_masks={
-                qubits(key, 2, "tables"): parse_bitstring(m, n)
-                for key, m in obj["pair_masks"].items()
-            },
+            single_masks=masks("single_masks", 1),
+            pair_masks=masks("pair_masks", 2),
             circuits_used=integer(obj.get("circuits_used", 0), "circuits_used", 0),
             metadata=obj.get("metadata", {}),
         )
+        if sorted(tables.single_masks) != list(range(1, n + 1)):
+            raise ValidationError(f"single_masks must name each of the qubits 1..{n}")
         for i, mask in tables.single_masks.items():
-            tables.mean_fields[i] = table(obj["mean_fields"], (i,), mask)
+            tables.mean_fields[i] = table(obj["mean_fields"], (i,), mask, 0, 1)
         for ij, mask in tables.pair_masks.items():
-            tables.pair_fluct[ij] = table(obj["pair_fluct"], ij, mask)
+            tables.pair_fluct[ij] = table(obj["pair_fluct"], ij, mask, -0.25, 0.25)
         return tables
 
 
 def _keys(qubits: tuple, mask: int, n: int) -> list:
-    """JSON keys of one table in its array order: filtered state, then the
-    outcome bits of the qubits."""
+    """JSON keys of one table in its row order, one per filtered state."""
     who = ",".join(map(str, qubits))
-    return [
-        f"{who}|{' '.join(map(str, bits))}|{bitstring(s, n)}"
-        for s in submasks(mask)
-        for bits in itertools.product((0, 1), repeat=len(qubits))
-    ]
+    return [f"{who}|{bitstring(s, n)}" for s in submasks(mask)]
 
 
 def _preps(masks) -> set:
@@ -170,7 +179,8 @@ def _rows(mask: int, cols: np.ndarray) -> np.ndarray:
     return np.searchsorted(submasks(mask), cols & mask)
 
 
-def _means(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:
+def _read0(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:
+    """(cols, n) P(qubit reads 0) at every column's filtered state."""
     return np.stack(
         [
             tables.mean_fields[i][_rows(tables.single_masks[i], cols)]
@@ -183,7 +193,7 @@ def _means(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:
 def assemble_t_mean(tables: CalibrationTables) -> TransitionMatrix:
     """Product-of-means matrix from the filtered mean fields."""
     cols = np.arange(1 << tables.n)
-    t = mean_column(_means(tables, cols), [((), np.ones(cols.size))])
+    t = mean_column(_read0(tables, cols), [((), np.ones(cols.size))])
     return TransitionMatrix(tables.n, t)
 
 
@@ -195,7 +205,7 @@ def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
         ((i - 1, j - 1), tables.pair_fluct[(i, j)][_rows(mask, cols)])
         for (i, j), mask in sorted(tables.pair_masks.items())
     ]
-    return TransitionMatrix(n, pair_column(_means(tables, cols), terms))
+    return TransitionMatrix(n, pair_column(_read0(tables, cols), terms))
 
 
 def estimate_transition_matrix(
@@ -220,24 +230,13 @@ def estimate_transition_matrix(
     # distributions adds in another order and moves the last bits
     zero = functools.cache(lambda s, i: prob_zero(dists[s], i, n))
     for i, mask in single.items():
-        p0 = np.array([zero(s, i) for s in submasks(mask)])
-        tables.mean_fields[i] = np.stack([p0, 1.0 - p0], axis=-1)
+        tables.mean_fields[i] = np.array([zero(s, i) for s in submasks(mask)])
     for (i, j), mask in pair.items():
         states = submasks(mask)
         pi = np.array([zero(s, i) for s in states])
         pj = np.array([zero(s, j) for s in states])
         joint = np.array([prob_joint_zero(dists[s], i, j, n) for s in states])
-        # covariance of the four indicator combinations from the same
-        # measured distribution
-        tables.pair_fluct[(i, j)] = np.stack(
-            [
-                joint - pi * pj,
-                (pi - joint) - pi * (1.0 - pj),
-                (pj - joint) - (1.0 - pi) * pj,
-                (1.0 - pi - pj + joint) - (1.0 - pi) * (1.0 - pj),
-            ],
-            axis=-1,
-        ).reshape(-1, 2, 2)
+        tables.pair_fluct[(i, j)] = joint - pi * pj
     tables.circuits_used = len(dists)
     bound1, bound2 = circuit_budget(n, k)
     tables.metadata = {

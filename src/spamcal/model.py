@@ -12,13 +12,13 @@ probability that qubit i reads 0, and c_ij(x') = cov[i][j](x'_i, x'_j)
 signed pair and triple terms each sum to zero over outcomes, so every
 column is automatically normalized. Columns are built in batches by
 :func:`spamcal.assembly.kron_columns`, the kernel the estimator also
-assembles with: the means are base_i(0|x'_i) - (bits @ shift.T), and each
-pair or triple is a term whose weight carries the signs. The kernel builds
-the product and every term in one sweep over the qubits, so a column costs
-O(n * 2^n) whatever the number of pairs. Every batch is
-checked for negative entries and column sums, by full enumeration at
-construction when n <= ORACLE_LIMIT_DEFAULT and block by block as a
-backend draws them otherwise.
+assembles with: the model passes m_i(0|x') = base_i(0|x'_i) - (bits @
+shift.T)_i and one coefficient per pair (c_ij) or triple (g_ijk) and
+column, and the kernel applies the signs. It builds the product and every
+term in one sweep over the qubits, so a column costs O(n * 2^n) whatever
+the number of pairs. Every batch is checked for negative entries and column
+sums, by full enumeration at construction when n <= ORACLE_LIMIT_DEFAULT
+and block by block as a backend draws them otherwise.
 
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
 P(read 0) when prepared spectator j is flipped to 1, i.e. exactly the
@@ -40,7 +40,6 @@ from .serialize import array, as_object, dump_json, integer, load_json, number, 
 from .tmatrix import TransitionMatrix
 
 ORACLE_LIMIT_DEFAULT = 12
-_SIGN = np.array([1.0, -1.0])  # (-1)^x for outcome bit x
 
 
 @dataclass
@@ -135,7 +134,6 @@ class NoiseModel:
             shift[i - 1, j - 1] = v
         # summed row by row, so a column does not depend on its batch
         read0 = self.base[np.arange(n), 0, bits] - (bits[:, None, :] * shift).sum(-1)
-        means = np.stack([read0, 1.0 - read0], axis=-1)
         terms = [((), np.ones(len(cols)))]
         pairs = set(self.pair_cov) | {(i, j) for (i, j, _l) in self.spectator_cov}
         for (i, j) in sorted(pairs):
@@ -145,11 +143,10 @@ class NoiseModel:
             for (a, b, l), v in self.spectator_cov.items():
                 if (a, b) == (i, j):
                     c += v * bits[:, l - 1]
-            terms.append(((i - 1, j - 1), c[:, None, None] * _SIGN[:, None] * _SIGN))
+            terms.append(((i - 1, j - 1), c))
         for (i, j, k), g in sorted(self.triples.items()):
-            w = g * _SIGN[:, None, None] * _SIGN[:, None] * _SIGN
-            terms.append(((i - 1, j - 1, k - 1), np.broadcast_to(w, (len(cols), 2, 2, 2))))
-        t = kron_columns(means, terms)
+            terms.append(((i - 1, j - 1, k - 1), np.full(len(cols), g)))
+        t = kron_columns(read0, terms)
         if not t.min() >= -1e-12:
             x, c = np.unravel_index(np.argmin(t), t.shape)
             raise ValidationError(

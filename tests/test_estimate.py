@@ -60,7 +60,7 @@ def test_mean_field_preparations_k0():
     states = {s for mask in tables.single_masks.values() for s in submasks(mask)}
     assert states == {0b0000, 0b1000, 0b0100, 0b0010, 0b0001}
     for i, mask in tables.single_masks.items():
-        assert tables.mean_fields[i].shape == (len(submasks(mask)), 2)
+        assert tables.mean_fields[i].shape == (len(submasks(mask)),)
 
 
 def test_t_mean_equals_product_model():
@@ -127,32 +127,127 @@ def test_k0_reduces_to_tensor_product():
     np.testing.assert_allclose(t_est.data, t_prod(singles).data, atol=1e-12)
 
 
-def edited_tables_file(tmp_path, table, key, value=None):
-    """melbourne_c4's k = 0 tables JSON with one entry of a table (or, when
-    table is None, one top-level field) set to value, or deleted if None."""
+def c4_tables_json():
     m = melbourne_c4()
     _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 0)
-    obj = json.loads(tables.to_json())
-    entries = obj[table] if table else obj
-    if value is None:
-        del entries[key]
-    else:
-        entries[key] = value
+    return json.loads(tables.to_json())
+
+
+def write_tables(tmp_path, obj):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(obj))
     return path
 
 
+def edited_tables_file(tmp_path, table, key, value=None):
+    """melbourne_c4's k = 0 tables JSON with one entry of a table (or, when
+    table is None, one top-level field) set to value, or deleted if None."""
+    obj = c4_tables_json()
+    entries = obj[table] if table else obj
+    if value is None:
+        del entries[key]
+    else:
+        entries[key] = value
+    return write_tables(tmp_path, obj)
+
+
 def test_mean_lookup_errors_name_the_hole(tmp_path):
-    path = edited_tables_file(tmp_path, "mean_fields", "2|0|0100")
+    path = edited_tables_file(tmp_path, "mean_fields", "2|0100")
     with pytest.raises(ValidationError, match="qubit 2, filtered state 0100"):
         CalibrationTables.from_json(path)
 
 
 def test_pair_lookup_errors_name_the_hole(tmp_path):
-    path = edited_tables_file(tmp_path, "pair_fluct", "2,3|1 0|0110")
+    path = edited_tables_file(tmp_path, "pair_fluct", "2,3|0110")
     with pytest.raises(ValidationError, match=r"qubits \(2, 3\), filtered state 0110"):
         CalibrationTables.from_json(path)
+
+
+def test_old_four_entry_tables_name_the_first_missing_entry(tmp_path):
+    # the earlier format kept P(i reads b) for b = 0, 1 and the covariances
+    # of all four outcome pairs, under keys "i|b|bits" and "i,j|bi bj|bits"
+    obj = c4_tables_json()
+    old = {"mean_fields": {}, "pair_fluct": {}}
+    for key, p in obj["mean_fields"].items():
+        who, state = key.split("|")
+        old["mean_fields"].update({f"{who}|0|{state}": p, f"{who}|1|{state}": 1 - p})
+    for key, c in obj["pair_fluct"].items():
+        who, state = key.split("|")
+        for bits, v in (("0 0", c), ("0 1", -c), ("1 0", -c), ("1 1", c)):
+            old["pair_fluct"][f"{who}|{bits}|{state}"] = v
+    path = write_tables(tmp_path, dict(obj, **old))
+    with pytest.raises(ValidationError, match="no table entry for qubit 1, filtered state 0000"):
+        CalibrationTables.from_json(path)
+
+
+@pytest.mark.parametrize("qubit", ["1", "3", "4"])
+def test_tables_json_rejects_single_masks_short_of_a_qubit(tmp_path, qubit):
+    path = edited_tables_file(tmp_path, "single_masks", qubit)
+    with pytest.raises(ValidationError, match="single_masks must name each of the qubits 1..4"):
+        CalibrationTables.from_json(path)
+
+
+def test_tables_json_rejects_a_mask_without_its_qubit(tmp_path):
+    path = edited_tables_file(tmp_path, "single_masks", "1", "0000")
+    with pytest.raises(ValidationError, match=r"single_masks\['1'\] lacks qubit 1"):
+        CalibrationTables.from_json(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("2,3", "3,2", "pair_masks key '3,2' needs i < j"),
+        ("3,4", "4,5", "qubit index 5 out of range 1..4"),
+        ("2,3", "0,2", "qubit index 0 out of range 1..4"),
+    ],
+)
+def test_tables_json_rejects_a_pair_outside_the_register_order(tmp_path, old, new, match):
+    # the pair's mask and entries move with it, so only its key is wrong
+    obj = c4_tables_json()
+    obj["pair_masks"][new] = obj["pair_masks"].pop(old)
+    obj["pair_fluct"] = {
+        key.replace(f"{old}|", f"{new}|"): v for key, v in obj["pair_fluct"].items()
+    }
+    with pytest.raises(ValidationError, match=match):
+        CalibrationTables.from_json(write_tables(tmp_path, obj))
+
+
+@pytest.mark.parametrize("mask, lacking", [("0100", 3), ("0010", 2), ("0000", 2)])
+def test_tables_json_rejects_a_pair_mask_without_its_qubits(tmp_path, mask, lacking):
+    path = edited_tables_file(tmp_path, "pair_masks", "2,3", mask)
+    with pytest.raises(ValidationError, match=rf"pair_masks\['2,3'\] lacks qubit {lacking}"):
+        CalibrationTables.from_json(path)
+
+
+@pytest.mark.parametrize("value", [-0.01, 1.01, 2.0])
+def test_tables_json_rejects_a_read0_outside_the_unit_interval(tmp_path, value):
+    path = edited_tables_file(tmp_path, "mean_fields", "2|0100", value)
+    with pytest.raises(ValidationError, match=r"'2\|0100' lies outside \[0, 1\]"):
+        CalibrationTables.from_json(path)
+
+
+@pytest.mark.parametrize("value", [-0.26, 0.26, 1.0])
+def test_tables_json_rejects_a_covariance_beyond_a_quarter(tmp_path, value):
+    path = edited_tables_file(tmp_path, "pair_fluct", "2,3|0110", value)
+    with pytest.raises(ValidationError, match=r"'2,3\|0110' lies outside \[-0.25, 0.25\]"):
+        CalibrationTables.from_json(path)
+
+
+def test_tables_json_keeps_read0_rounded_past_one(tmp_path):
+    # qubits 1, 2 and 4 always read 0 when prepared in 0, and at k = 2 one
+    # read-0 sum over the exact distribution comes out 1 + 2^-52
+    def single(p0, p1):
+        return [[p0, p1], [1 - p0, 1 - p1]]
+
+    g = RegisterGeometry.chain(4)
+    base = np.array([single(1.0, 0.1)] * 2 + [single(0.8, 0.2), single(1.0, 0.1)])
+    t_est, tables = estimate_transition_matrix(ExactBackend(NoiseModel(g, base)), g, 2)
+    assert max(a.max() for a in tables.mean_fields.values()) > 1.0
+    path = tmp_path / "tables.json"
+    tables.to_json(path)
+    loaded = CalibrationTables.from_json(path)
+    t_re = assemble_t_mean(loaded).data + assemble_t_pair(loaded).data
+    assert np.array_equal(t_re, t_est.data)
 
 
 def test_tables_json_missing_table_rejected(tmp_path):
@@ -164,8 +259,8 @@ def test_tables_json_missing_table_rejected(tmp_path):
 @pytest.mark.parametrize(
     "table, key, value",
     [
-        ("mean_fields", "2|0|0100", "x"),
-        ("pair_fluct", "2,3|1 0|0110", [1.0]),
+        ("mean_fields", "2|0100", "x"),
+        ("pair_fluct", "2,3|0110", [1.0]),
         (None, "n", "four"),
         (None, "circuits_used", ""),
     ],
@@ -334,7 +429,7 @@ def test_register_size_mismatch_names_both_sizes():
 
 
 def test_tables_json_rejects_non_finite_entry(tmp_path):
-    path = edited_tables_file(tmp_path, "mean_fields", "2|0|0100", float("nan"))
+    path = edited_tables_file(tmp_path, "mean_fields", "2|0100", float("nan"))
     with pytest.raises(ValidationError, match="non-finite"):
         CalibrationTables.from_json(path)
 
