@@ -1,8 +1,13 @@
 """The two JSON parsers behind ``serialize.load_json`` read the same values:
 ``json.loads`` for small files, ``pydantic_core.from_json`` (jiter) for
-files of at least ``LARGE_JSON_BYTES``."""
+files of at least ``LARGE_JSON_BYTES``. The two writers behind
+``serialize.dump_json`` write the same text: ``json.dumps`` for small
+arrays, ``serialize.float_list_json`` (pydantic-core) for large ones."""
 
+import csv
 import decimal
+import hashlib
+import io
 import json
 import math
 import operator
@@ -14,6 +19,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import numpy as np
 from pydantic_core import from_json
 
 import spamcal
@@ -21,6 +27,7 @@ from spamcal import serialize
 from spamcal.backends import save_distribution
 from spamcal.errors import ValidationError
 from spamcal.model import melbourne_c4
+from spamcal.tmatrix import TransitionMatrix
 
 
 def same(a, b) -> bool:
@@ -110,6 +117,87 @@ def test_parsers_agree(text):
     assert same(json.loads(text), from_json(text.encode(), allow_inf_nan=True))
 
 
+def toward_zero(x: float) -> list:
+    return [x, math.nextafter(x, 0.0)]
+
+
+# the bounds of repr's and pydantic-core's spellings, the smallest
+# subnormal, both zeros, a float whose text holds "0.0000" past its start,
+# and two values that naive rewrites get wrong: padding every "e-" to "e-0"
+# writes e-044, and pydantic-core writes the last one positionally
+WRITER_SPECIAL = [
+    *toward_zero(1e-4), *toward_zero(1e-5), *toward_zero(1e-10), *toward_zero(1e16),
+    5e-324, 0.0, -0.0, 10.00001, 9.81462212229977e-44, 2.5614156986229296e-05,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(), st.sampled_from(WRITER_SPECIAL)), min_size=1),
+    st.sampled_from([", ", ",", ",\n    "]),
+)
+def test_writers_agree(values, sep):
+    # NaN, Infinity and -Infinity come from st.floats()
+    expected = json.dumps(values, separators=(sep, ": "))
+    assert serialize.float_list_json(np.array(values), sep) == expected
+
+
+@pytest.mark.parametrize("sep", [", ", ","])
+def test_writers_agree_on_the_special_values(sep):
+    values = WRITER_SPECIAL + [-x for x in WRITER_SPECIAL] + [math.nan, math.inf, -math.inf]
+    assert serialize.float_list_json(np.array(values), sep) == json.dumps(
+        values, separators=(sep, ": ")
+    )
+    rows = np.array(values[:-1]).reshape(-1, 3)
+    assert serialize.float_list_json(rows, sep) == json.dumps(
+        rows.tolist(), separators=(sep, ": ")
+    )
+
+
+def assert_same_lines(got: str, expected: str):
+    """got == expected, shown on failure as the first line that differs
+    rather than as a diff of megabytes."""
+    for number, (a, b) in enumerate(zip(got.split("\n"), expected.split("\n")), 1):
+        assert a == b, f"line {number}"
+    assert len(got) == len(expected)
+
+
+@pytest.fixture(scope="module")
+def awkward_matrix():
+    """A 9-qubit matrix, not a stochastic one, holding every spelling
+    float_list_json rewrites, NaN and both infinities."""
+    rng = np.random.default_rng(17)
+    data = 10.0 ** rng.uniform(-12, 0, (512, 512)) * rng.choice([-1.0, 1.0], (512, 512))
+    data.ravel()[: 3 * len(WRITER_SPECIAL) : 3] = WRITER_SPECIAL
+    data[7, 9], data[8, 1], data[300, 511] = math.nan, math.inf, -math.inf
+    return TransitionMatrix(9, data)
+
+
+def test_large_matrix_json_matches_json_dumps(awkward_matrix):
+    t = awkward_matrix
+    assert serialize._may_be_large(t.data)
+    obj = {"n": 9, "order": "msb-first", "data": t.data.ravel().tolist()}
+    assert_same_lines(t.to_json(), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def test_large_matrix_csv_matches_csv_writer(awkward_matrix, tmp_path):
+    t = awkward_matrix
+    labels = [format(c, "09b") for c in range(512)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["outcome"] + labels)
+    writer.writerows([label] + [repr(v) for v in row] for label, row in zip(labels, t.data.tolist()))
+    assert_same_lines(t.to_csv(tmp_path / "T.csv"), buf.getvalue())
+    assert (tmp_path / "T.csv").read_text() == buf.getvalue()
+
+
+@pytest.mark.parametrize("size", [0, 5, 1 << 20, (3 << 20) + 7])
+def test_sha256_file_streams_to_the_whole_file_digest(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert serialize.sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_same_compares_types_and_bits():
     assert same([1.0, {"a": float("nan")}], [1.0, {"a": float("nan")}])
     assert not same([1], [1.0])
@@ -149,13 +237,22 @@ def test_integer_over_the_digit_limit_is_malformed_on_both_paths(tmp_path, monke
         serialize.load_json(path)
 
 
+def run_python(script, *args):
+    src = str(Path(spamcal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_small_files_do_not_import_the_parser(tmp_path):
     m = melbourne_c4()
     m.to_json(tmp_path / "model.json")
     save_distribution(m.column(0b0101), 4, tmp_path / "dist.json")
     large = tmp_path / "large.json"
     large.write_text("[" + " " * serialize.LARGE_JSON_BYTES + "1]")
-    script = (
+    run_python(
         "import sys\n"
         "from spamcal.backends import load_distribution\n"
         "from spamcal.model import NoiseModel\n"
@@ -165,12 +262,26 @@ def test_small_files_do_not_import_the_parser(tmp_path):
         "assert 'pydantic_core' not in sys.modules, 'small files imported the parser'\n"
         "from spamcal.serialize import load_json\n"
         "assert load_json(sys.argv[3]) == [1]\n"
-        "assert 'pydantic_core' in sys.modules, 'a large file did not use the parser'\n"
+        "assert 'pydantic_core' in sys.modules, 'a large file did not use the parser'\n",
+        tmp_path / "dist.json", tmp_path / "model.json", large,
     )
-    src = str(Path(spamcal.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, tmp_path / "dist.json", tmp_path / "model.json", large],
-        env=env, capture_output=True, text=True,
+
+
+def test_small_files_do_not_import_the_writer(tmp_path):
+    run_python(
+        "import sys\n"
+        "import spamcal.cli\n"
+        "from spamcal.backends import save_distribution\n"
+        "from spamcal.model import melbourne_c4\n"
+        "from spamcal.tmatrix import TransitionMatrix\n"
+        "m = melbourne_c4()\n"
+        "m.to_json(sys.argv[1] + '/model.json')\n"
+        "save_distribution(m.column(0b0101), 4, sys.argv[1] + '/dist.json')\n"
+        "t = m.full_matrix()\n"
+        "t.to_json(sys.argv[1] + '/T4.json')\n"
+        "t.to_csv(sys.argv[1] + '/T4.csv')\n"
+        "assert 'pydantic_core' not in sys.modules, 'small files imported the writer'\n"
+        "TransitionMatrix.identity(9).to_json(sys.argv[1] + '/T9.json')\n"
+        "assert 'pydantic_core' in sys.modules, 'an n = 9 T did not use the writer'\n",
+        tmp_path,
     )
-    assert proc.returncode == 0, proc.stderr
