@@ -6,19 +6,19 @@ indentation, and floats emitted by Python's shortest round-trip repr (the
 serialized value re-reads to the identical double).
 
 Two writers give one text, as two parsers (below) give one value.
-:func:`dump_json` writes a float array among an object's values as a flat
-list: with ``json.dumps`` when its text is sure to stay below
-:data:`LARGE_JSON_BYTES`, and otherwise, in practice a dense matrix from
-n = 9 up, with :func:`float_list_json`, which takes the digits from
-``pydantic_core.to_json``. That formats the million floats of an n = 10
-matrix in 0.11 s, where ``json.dumps`` with an indent runs its pure-Python
-encoder and takes 2.8 s. pydantic-core writes the shortest round-trip
-digits, as repr does, and spells them the same way but in two cases, both
-rewritten: values in [1e-5, 1e-4) come out positional
-(``0.000025614156986229296`` for ``2.5614156986229296e-05``), and a
-one-digit negative exponent comes out unpadded (``e-6`` for ``e-06``). The
-matrix CSV (:func:`float_cells`) takes its cells from the same text above
-the same size. Smaller outputs never import pydantic-core.
+:func:`float_list_json` is the one writer of float arrays and holds the
+size gate: below :data:`LARGE_JSON_BYTES` of possible text it returns
+``json.dumps``, whose C encoder runs when no indent is set; above it, in
+practice a dense matrix from n = 9 up, it takes the digits from
+``pydantic_core.to_json``, which formats the million floats of an n = 10
+matrix in 0.11 s. pydantic-core writes the shortest round-trip digits, as
+repr does, and spells them the same way but in two cases, both rewritten:
+values in [1e-5, 1e-4) come out positional (``0.000025614156986229296``
+for ``2.5614156986229296e-05``), and a one-digit negative exponent comes
+out unpadded (``e-6`` for ``e-06``). :func:`dump_json` fills its text in
+for each float array among an object's values, and the matrix CSV cuts its
+rows from it. Smaller outputs never import pydantic-core. :func:`write_text`
+writes every output file, and an unwritable path is a ValidationError.
 
 The reader raises ValidationError (CLI exit 2) for each input rule:
 :func:`load_json` for a missing, unreadable or malformed file;
@@ -65,32 +65,35 @@ import numpy as np
 from .errors import ValidationError
 
 
+def write_text(text: str, path) -> str:
+    """text, also written to path when one is given: an output path that
+    cannot be written is a ValidationError."""
+    if path is not None:
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    return text
+
+
 def dump_json(obj, path=None) -> str:
     """obj, a dict, as JSON text with sorted keys, two-space indents and a
-    final newline. A float array among its values is written as a flat list
-    of its entries."""
-    arrays = {key: a.ravel() for key, a in obj.items() if isinstance(a, np.ndarray)}
-    large = {key: a for key, a in arrays.items() if _may_be_large(a)}
-    lists = {key: [] if key in large else a.tolist() for key, a in arrays.items()}
-    text = json.dumps({**obj, **lists}, indent=2, sort_keys=True)
-    for key, a in large.items():
+    final newline. A non-empty float array among its values is written as a
+    flat list of its entries."""
+    arrays = {key: a for key, a in obj.items() if isinstance(a, np.ndarray)}
+    text = json.dumps({**obj, **dict.fromkeys(arrays, [])}, indent=2, sort_keys=True)
+    for key, a in arrays.items():
         # fill the empty list json.dumps wrote in its place, at its indent
         slot = f"\n  {json.dumps(key)}: ["
-        items = float_list_json(a, ",\n    ")[1:-1]
+        items = float_list_json(a.ravel(), ",\n    ")[1:-1]
         text = text.replace(slot + "]", f"{slot}\n    {items}\n  ]", 1)
-    text += "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return write_text(text + "\n", path)
 
 
 def dump_csv(rows, path=None) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return write_text(buf.getvalue(), path)
 
 
 # Measured break-even of the two parsers (2-vCPU x86-64, CPython 3.11,
@@ -99,19 +102,17 @@ def dump_csv(rows, path=None) -> str:
 LARGE_JSON_BYTES = 4 << 20
 
 
-def _may_be_large(values: np.ndarray) -> bool:
-    """Whether the text of values can reach LARGE_JSON_BYTES. No float's
-    repr is longer than 24 characters (-2.2250738585072014e-308), so for a
-    dense matrix this is n >= 9. The writers share the readers' gate: their
-    own break-even is lower (the import against about 2 us saved a float)."""
-    return 24 * values.size >= LARGE_JSON_BYTES
-
-
 def float_list_json(values: np.ndarray, sep: str = ", ") -> str:
     """``json.dumps(values.tolist(), separators=(sep, ": "))``, byte for
-    byte, for a float array of any shape but 0-d, with the digits from
-    ``pydantic_core.to_json`` and its two spellings unlike repr rewritten.
+    byte, for a float array of any shape but 0-d. When the text can reach
+    LARGE_JSON_BYTES the digits come from ``pydantic_core.to_json``, with
+    its two spellings unlike repr rewritten.
     """
+    # no float's repr is longer than 24 characters (-2.2250738585072014e-308),
+    # so a dense matrix passes the readers' gate from n = 9 up; the writer's
+    # own break-even is lower (the import against about 2 us saved a float)
+    if 24 * values.size < LARGE_JSON_BYTES:
+        return json.dumps(values.tolist(), separators=(sep, ": "))
     from pydantic_core import to_json
 
     # values in [1e-5, 1e-4), which pydantic-core writes positionally, go
@@ -130,17 +131,6 @@ def float_list_json(values: np.ndarray, sep: str = ", ") -> str:
     short = minus[(text[minus - 1] == ord("e")) & ((after < ord("0")) | (after > ord("9")))]
     text = np.insert(text, short + 1, ord("0")).tobytes().decode()
     return text if sep == "," else text.replace(",", sep)
-
-
-def float_cells(values: np.ndarray) -> list:
-    """The rows of a 2-D float array as lists of CSV cells, each float in
-    its repr (``nan``, ``inf`` and ``-inf`` included)."""
-    if not _may_be_large(values):
-        return [[repr(x) for x in row] for row in values.tolist()]
-    text = float_list_json(values, ",")
-    if not np.isfinite(values).all():
-        text = text.replace("NaN", "nan").replace("Infinity", "inf")
-    return [row.split(",") for row in text[2:-2].split("],[")]
 
 
 def load_json(path):

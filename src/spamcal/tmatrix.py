@@ -5,24 +5,24 @@ the MSB-first basis-state index of :mod:`spamcal.bits`.
 
 JSON schema: {"n": int, "order": "msb-first", "data": row-major list}.
 CSV: a header row of prepared-state labels, then one row per outcome.
-Both write each float in Python's repr. From n = 9 up, where the text can
-reach ``serialize.LARGE_JSON_BYTES``, the float text comes from
-pydantic-core (:func:`spamcal.serialize.float_list_json`), byte for byte
-the same. At n = 10 (2-vCPU x86-64, CPython 3.11) that writes the 28.6 MB
-JSON in 0.7-0.9 s instead of 2.4-3.3 s, and the CSV in 1.7-1.9 s instead
-of 2.3-3.1 s, most of the rest being ``csv.writer``.
+Both write each float in Python's repr, the CSV cutting its rows from the
+JSON text of :func:`spamcal.serialize.float_list_json`, with no
+``csv.writer``. From n = 9 up, where the text can reach
+``serialize.LARGE_JSON_BYTES``, that text comes from pydantic-core, byte
+for byte the same. At n = 10 (2-vCPU x86-64, CPython 3.11) that writes the
+28.6 MB JSON in 0.6-1.0 s instead of 2.4-3.3 s, and the CSV in 0.7-1.0 s
+instead of 2.3-3.1 s (1.6-1.8 s through ``csv.writer``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import bitstring
 from .errors import ValidationError
-from .serialize import array, as_object, dump_csv, dump_json, float_cells, integer, load_json
+from .serialize import array, as_object, dump_json, float_list_json, integer, load_json, write_text
 
 
 @dataclass
@@ -66,5 +66,9 @@ class TransitionMatrix:
 
     def to_csv(self, path=None) -> str:
         labels = [bitstring(c, self.n) for c in range(self.dim)]
-        rows = ([label] + cells for label, cells in zip(labels, float_cells(self.data)))
-        return dump_csv(itertools.chain([["outcome"] + labels], rows), path)
+        # the JSON rows, their floats respelled as repr's nan and inf
+        text = float_list_json(self.data, ",")
+        if not np.isfinite(self.data).all():
+            text = text.replace("NaN", "nan").replace("Infinity", "inf")
+        lines = zip(["outcome", *labels], [",".join(labels), *text[2:-2].split("],[")])
+        return write_text("".join(f"{label},{row}\n" for label, row in lines), path)

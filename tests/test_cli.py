@@ -404,6 +404,19 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen-model", "calibrate-full"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    unwritable = tmp_path / "missing" / "out"
+    if command == "gen-model":
+        outputs = ["--out", unwritable]
+    else:
+        outputs = ["--out", tmp_path / "t.json", "--csv", unwritable]
+    assert run(command, "--preset", "melbourne-c4", *outputs) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {unwritable}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
 def test_correct_negative_tolerance_exits_2(tmp_path, capsys):
     files = write_valid_inputs(tmp_path)
     code, out = run_on_inputs(tmp_path, "matrix", files, "--tol", "-1")

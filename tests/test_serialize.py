@@ -1,8 +1,8 @@
 """The two JSON parsers behind ``serialize.load_json`` read the same values:
 ``json.loads`` for small files, ``pydantic_core.from_json`` (jiter) for
 files of at least ``LARGE_JSON_BYTES``. The two writers behind
-``serialize.dump_json`` write the same text: ``json.dumps`` for small
-arrays, ``serialize.float_list_json`` (pydantic-core) for large ones."""
+``serialize.float_list_json`` write the same text: ``json.dumps`` for small
+arrays, pydantic-core for those whose text can reach that size."""
 
 import csv
 import decimal
@@ -16,10 +16,12 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pydantic_core
 from pydantic_core import from_json
 
 import spamcal
@@ -139,19 +141,23 @@ WRITER_SPECIAL = [
 def test_writers_agree(values, sep):
     # NaN, Infinity and -Infinity come from st.floats()
     expected = json.dumps(values, separators=(sep, ": "))
-    assert serialize.float_list_json(np.array(values), sep) == expected
+    # the pydantic-core writer for every size; a function-scoped fixture
+    # such as monkeypatch does not reset between Hypothesis examples
+    with mock.patch.object(serialize, "LARGE_JSON_BYTES", 0):
+        assert serialize.float_list_json(np.array(values), sep) == expected
 
 
 @pytest.mark.parametrize("sep", [", ", ","])
 def test_writers_agree_on_the_special_values(sep):
     values = WRITER_SPECIAL + [-x for x in WRITER_SPECIAL] + [math.nan, math.inf, -math.inf]
-    assert serialize.float_list_json(np.array(values), sep) == json.dumps(
-        values, separators=(sep, ": ")
-    )
     rows = np.array(values[:-1]).reshape(-1, 3)
-    assert serialize.float_list_json(rows, sep) == json.dumps(
-        rows.tolist(), separators=(sep, ": ")
-    )
+    with mock.patch.object(serialize, "LARGE_JSON_BYTES", 0):
+        assert serialize.float_list_json(np.array(values), sep) == json.dumps(
+            values, separators=(sep, ": ")
+        )
+        assert serialize.float_list_json(rows, sep) == json.dumps(
+            rows.tolist(), separators=(sep, ": ")
+        )
 
 
 def assert_same_lines(got: str, expected: str):
@@ -162,32 +168,43 @@ def assert_same_lines(got: str, expected: str):
     assert len(got) == len(expected)
 
 
-@pytest.fixture(scope="module")
-def awkward_matrix():
-    """A 9-qubit matrix, not a stochastic one, holding every spelling
-    float_list_json rewrites, NaN and both infinities."""
+@pytest.fixture(scope="module", params=[3, 9], ids=["small", "large"])
+def awkward_matrix(request):
+    """A matrix, not a stochastic one, holding every spelling float_list_json
+    rewrites, NaN and both infinities: at n = 3 below the writers' size
+    gate, at n = 9 above it."""
+    dim = 1 << request.param
     rng = np.random.default_rng(17)
-    data = 10.0 ** rng.uniform(-12, 0, (512, 512)) * rng.choice([-1.0, 1.0], (512, 512))
+    data = 10.0 ** rng.uniform(-12, 0, (dim, dim)) * rng.choice([-1.0, 1.0], (dim, dim))
     data.ravel()[: 3 * len(WRITER_SPECIAL) : 3] = WRITER_SPECIAL
-    data[7, 9], data[8, 1], data[300, 511] = math.nan, math.inf, -math.inf
-    return TransitionMatrix(9, data)
+    data[-1, 1], data[-2, 0], data[-1, -1] = math.nan, math.inf, -math.inf
+    return TransitionMatrix(request.param, data)
+
+
+def written_by_pydantic_core(write, *args):
+    """The text write(*args) returns, and whether pydantic-core wrote it."""
+    with mock.patch("pydantic_core.to_json", wraps=pydantic_core.to_json) as to_json:
+        return write(*args), to_json.called
 
 
 def test_large_matrix_json_matches_json_dumps(awkward_matrix):
     t = awkward_matrix
-    assert serialize._may_be_large(t.data)
-    obj = {"n": 9, "order": "msb-first", "data": t.data.ravel().tolist()}
-    assert_same_lines(t.to_json(), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    text, large = written_by_pydantic_core(t.to_json)
+    assert large == (t.n == 9)
+    obj = {"n": t.n, "order": "msb-first", "data": t.data.ravel().tolist()}
+    assert_same_lines(text, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def test_large_matrix_csv_matches_csv_writer(awkward_matrix, tmp_path):
     t = awkward_matrix
-    labels = [format(c, "09b") for c in range(512)]
+    labels = [format(c, f"0{t.n}b") for c in range(t.dim)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["outcome"] + labels)
     writer.writerows([label] + [repr(v) for v in row] for label, row in zip(labels, t.data.tolist()))
-    assert_same_lines(t.to_csv(tmp_path / "T.csv"), buf.getvalue())
+    text, large = written_by_pydantic_core(t.to_csv, tmp_path / "T.csv")
+    assert large == (t.n == 9)
+    assert_same_lines(text, buf.getvalue())
     assert (tmp_path / "T.csv").read_text() == buf.getvalue()
 
 
