@@ -5,14 +5,22 @@ the resolved configuration, tool version, seed derivation scheme, and
 SHA-256 hashes of inputs and outputs. Re-running a command with the same
 configuration produces byte-identical primary outputs.
 
-Exit codes: 0 success, 2 validation error, 3 missing replay data,
-4 numerical failure.
+Each command computes its result and hands its files to :func:`_emit`,
+the one output step: it hashes the inputs as they were read, before
+anything is written (so an output may rewrite an input in place), writes
+the outputs all or none, and writes the manifest last. Two outputs at one
+path, the manifest's included, are a validation error before any write.
+
+Exit codes, carried by the error classes as ``exit_code``: 0 success,
+2 validation error, 3 missing replay data, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import partial
 
 from . import __version__
 from .backends import (
@@ -33,31 +41,13 @@ from .correct import (
     correct_constrained,
     correct_direct_inverse,
 )
-from .errors import (
-    ConvergenceError,
-    MissingDataError,
-    NumericalError,
-    SpamcalError,
-    ValidationError,
-)
+from .errors import SpamcalError, ValidationError
 from .estimate import circuit_budget, estimate_transition_matrix
 from .geometry import RegisterGeometry
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel, PRESETS, identity_model
 from .norms import MatrixNorm
 from .serialize import dump_json, sha256_file
 from .tmatrix import TransitionMatrix
-
-
-def _write_manifest(out_path, command, config, inputs, outputs):
-    manifest = {
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "seed_derivation": f"{SAMPLER_ID}; per-query seed = (seed, prepared index, ordinal)",
-        "input_hashes": {str(p): sha256_file(p) for p in inputs},
-        "output_hashes": {str(p): sha256_file(p) for p in outputs},
-    }
-    dump_json(manifest, str(out_path) + ".manifest.json")
 
 
 def _add_backend_args(p):
@@ -98,8 +88,51 @@ def _make_backend(args):
     return backend, model.geometry, inputs
 
 
-def _config_dict(args, skip=("func",)):
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _config_dict(args):
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+
+
+def _emit(args, files, inputs, **config):
+    """Write a command's files: hash the inputs, write each output, then
+    ``<args.out>.manifest.json``, all or none.
+
+    ``files`` holds (path, writer) pairs; a None path is an optional output
+    that was not asked for. Two outputs at one path, the manifest's
+    included, are a ValidationError before anything is written. The
+    manifest's config is ``_config_dict(args)`` plus ``config``. If a write
+    fails, the files this call wrote or created are removed, a file cut
+    short included, except one that replaced an input, and the error is
+    re-raised."""
+    files = [(str(path), write) for path, write in files if path is not None]
+    manifest_path = f"{args.out}.manifest.json"
+    paths = [p for p, _ in files] + [manifest_path]
+    seen = set()
+    for path in paths:
+        if os.path.realpath(path) in seen:
+            raise ValidationError(f"two outputs at one path: {path}")
+        seen.add(os.path.realpath(path))
+    manifest = {
+        "command": args.command,
+        "config": {**_config_dict(args), **config},
+        "version": __version__,
+        "seed_derivation": f"{SAMPLER_ID}; per-query seed = (seed, prepared index, ordinal)",
+        "input_hashes": {str(p): sha256_file(p) for p in inputs},
+    }
+    kept = {os.path.realpath(p) for p in inputs}
+    # a write cut short leaves part of a file that did not exist before
+    created = [p for p in paths if not os.path.exists(p)]
+    written = []
+    try:
+        for path, write in files:
+            write(path)
+            written.append(path)
+        manifest["output_hashes"] = {p: sha256_file(p) for p in written}
+        dump_json(manifest, manifest_path)
+    except BaseException:
+        for path in {*written, *created}:
+            if os.path.exists(path) and os.path.realpath(path) not in kept:
+                os.remove(path)
+        raise
 
 
 # -- commands --------------------------------------------------------------
@@ -114,14 +147,7 @@ def cmd_gen_model(args):
         model = NoiseModel.from_json(args.spec)  # re-validates
     else:
         raise ValidationError("need --preset or --spec")
-    model.to_json(args.out)
-    _write_manifest(
-        args.out,
-        "gen-model",
-        _config_dict(args),
-        [args.spec] if args.spec else [],
-        [args.out],
-    )
+    _emit(args, [(args.out, model.to_json)], [args.spec] if args.spec else [])
     print(f"wrote {args.out}")
     return 0
 
@@ -129,14 +155,7 @@ def cmd_gen_model(args):
 def cmd_calibrate_full(args):
     backend, _geometry, inputs = _make_backend(args)
     t = measure_full_matrix(backend, limit=args.oracle_limit)
-    outputs = [args.out]
-    t.to_json(args.out)
-    if args.csv:
-        t.to_csv(args.csv)
-        outputs.append(args.csv)
-    config = _config_dict(args)
-    config["circuits"] = t.dim
-    _write_manifest(args.out, "calibrate-full", config, inputs, outputs)
+    _emit(args, [(args.out, t.to_json), (args.csv, t.to_csv)], inputs, circuits=t.dim)
     print(f"wrote {args.out} ({t.dim} circuits)")
     return 0
 
@@ -144,16 +163,9 @@ def cmd_calibrate_full(args):
 def cmd_estimate(args):
     backend, geometry, inputs = _make_backend(args)
     t_est, tables = estimate_transition_matrix(backend, geometry, args.k)
-    outputs = [args.out]
-    t_est.to_json(args.out)
-    if args.tables:
-        tables.to_json(args.tables)
-        outputs.append(args.tables)
     budget = tables.metadata["budget"]
-    config = _config_dict(args)
-    config["circuits_used"] = tables.circuits_used
-    config["circuit_budget"] = budget
-    _write_manifest(args.out, "estimate", config, inputs, outputs)
+    files = [(args.out, t_est.to_json), (args.tables, tables.to_json)]
+    _emit(args, files, inputs, circuits_used=tables.circuits_used, circuit_budget=budget)
     print(
         f"wrote {args.out}; circuits used {tables.circuits_used} "
         f"(budget {budget['step1']} + {budget['step2']})"
@@ -165,12 +177,8 @@ def cmd_correlators(args):
     backend, _geometry, inputs = _make_backend(args)
     xprime = parse_bitstring(args.xprime, backend.n) if args.xprime else 0
     report = correlator_report(backend, xprime)
-    outputs = [args.out]
-    report.to_json(args.out)
-    if args.csv:
-        report.single_shift_csv(args.csv)
-        outputs.append(args.csv)
-    _write_manifest(args.out, "correlators", _config_dict(args), inputs, outputs)
+    files = [(args.out, report.to_json), (args.csv, report.single_shift_csv)]
+    _emit(args, files, inputs)
     print(f"wrote {args.out} ({report.circuits_used} circuits)")
     return 0
 
@@ -186,8 +194,7 @@ def cmd_compare(args):
         candidates[name] = TransitionMatrix.from_json(path)
         inputs.append(path)
     report = compare_matrices(candidates, reference)
-    report.to_csv(args.out)
-    _write_manifest(args.out, "compare", _config_dict(args), inputs, [args.out])
+    _emit(args, [(args.out, report.to_csv)], inputs)
     print(report.to_text(), end="")
     return 0
 
@@ -199,13 +206,13 @@ def cmd_correct(args):
         result = correct_constrained(t, p_raw, tol=args.tol)
     else:
         result = correct_direct_inverse(t, p_raw)
-    save_distribution(result.p_corr, n, args.out)
-    config = _config_dict(args)
-    config["residual"] = result.residual
-    config["iterations"] = result.iterations
-    config["negative_mass_removed"] = result.negative_mass_removed
-    _write_manifest(
-        args.out, "correct", config, [args.matrix, args.input], [args.out]
+    _emit(
+        args,
+        [(args.out, partial(save_distribution, result.p_corr, n))],
+        [args.matrix, args.input],
+        residual=result.residual,
+        iterations=result.iterations,
+        negative_mass_removed=result.negative_mass_removed,
     )
     print(
         f"wrote {args.out} (residual {result.residual:.3e}, "
@@ -226,9 +233,7 @@ def cmd_tprod(args):
         measure_single_qubit_T(backend, i, Uniform(args.spectators), geometry)
         for i in range(1, geometry.n + 1)
     ]
-    t = t_prod(singles)
-    t.to_json(args.out)
-    _write_manifest(args.out, "tprod", _config_dict(args), inputs, [args.out])
+    _emit(args, [(args.out, t_prod(singles).to_json)], inputs)
     print(f"wrote {args.out}")
     return 0
 
@@ -308,18 +313,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MissingDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except SpamcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

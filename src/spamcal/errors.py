@@ -1,12 +1,13 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: ValidationError -> 2,
-MissingDataError -> 3, NumericalError / ConvergenceError -> 4.
+Each class carries the CLI's exit code for it as ``exit_code``.
 """
 
 
 class SpamcalError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ValidationError(SpamcalError):
@@ -21,6 +22,7 @@ class MissingDataError(SpamcalError):
     register; the message names at most ``SHOWN`` of them as bitstrings,
     since one bitstring is n characters long."""
 
+    exit_code = 3
     SHOWN = 8
 
     def __init__(self, missing, n: int):
@@ -40,6 +42,8 @@ class MissingDataError(SpamcalError):
 class NumericalError(SpamcalError):
     """Singular or ill-conditioned matrix; carries the condition estimate."""
 
+    exit_code = 4
+
     def __init__(self, message, rcond=None):
         self.rcond = rcond
         super().__init__(message)
@@ -47,6 +51,8 @@ class NumericalError(SpamcalError):
 
 class ConvergenceError(SpamcalError):
     """Iterative solver hit its iteration cap; carries the best iterate."""
+
+    exit_code = 4
 
     def __init__(self, message, best=None, residual=None, iterations=None):
         self.best = best

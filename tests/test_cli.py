@@ -1,11 +1,14 @@
+import contextlib
 import csv
+import hashlib
 import json
+import resource
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spamcal import serialize
+from spamcal import cli, serialize
 from spamcal.backends import (
     SampledBackend,
     load_distribution,
@@ -13,7 +16,13 @@ from spamcal.backends import (
     save_distribution,
 )
 from spamcal.cli import main
-from spamcal.errors import ValidationError
+from spamcal.errors import (
+    ConvergenceError,
+    MissingDataError,
+    NumericalError,
+    SpamcalError,
+    ValidationError,
+)
 from spamcal.estimate import CalibrationTables
 from spamcal.model import melbourne_c4
 from spamcal.serialize import load_json
@@ -404,17 +413,126 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-model", "calibrate-full"])
+# the arguments before each command's second, optional output path
+SECOND_OUTPUT = {
+    "calibrate-full": ["--csv"],
+    "estimate": ["--k", "2", "--tables"],
+    "correlators": ["--csv"],
+}
+
+
+@pytest.mark.parametrize("command", ["gen-model", *SECOND_OUTPUT])
 def test_unwritable_output_exits_2(tmp_path, capsys, command):
     unwritable = tmp_path / "missing" / "out"
     if command == "gen-model":
         outputs = ["--out", unwritable]
     else:
-        outputs = ["--out", tmp_path / "t.json", "--csv", unwritable]
+        outputs = ["--out", tmp_path / "t.json", *SECOND_OUTPUT[command], unwritable]
     assert run(command, "--preset", "melbourne-c4", *outputs) == 2
     err = capsys.readouterr().err
     assert f"cannot write {unwritable}: No such file or directory" in err
     assert "Traceback" not in err
+    # the output written before the failing one is removed, and no manifest
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_manifest_removes_the_outputs(tmp_path, capsys):
+    out, csv_path = tmp_path / "t.json", tmp_path / "t.csv"
+    manifest = tmp_path / "t.json.manifest.json"
+    manifest.mkdir()
+    code = run("calibrate-full", "--preset", "melbourne-c4", "--out", out, "--csv", csv_path)
+    assert code == 2
+    assert f"cannot write {manifest}: Is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
+def test_unwritable_manifest_keeps_an_input_rewritten_in_place(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    melbourne_c4().to_json(model)
+    (tmp_path / "m.json.manifest.json").mkdir()
+    assert run("gen-model", "--spec", model, "--out", model) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert model.read_bytes() == melbourne_c4().to_json().encode()
+
+
+@contextlib.contextmanager
+def file_size_limit(size):
+    """Writes past size bytes fail with EFBIG (Python ignores SIGXFSZ)."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+# the output (168 bytes) fits under the larger limit, its manifest does not
+@pytest.mark.parametrize("limit, cut", [(100, "out.json"), (400, "out.json.manifest.json")])
+def test_a_write_cut_short_leaves_no_output(tmp_path, capsys, limit, cut):
+    m = melbourne_c4()
+    mat, raw = tmp_path / "t.json", tmp_path / "raw.json"
+    m.full_matrix().to_json(mat)
+    save_distribution(m.column(0b0101), 4, raw)
+    with file_size_limit(limit):
+        code = run("correct", "--matrix", mat, "--input", raw, "--out", tmp_path / "out.json")
+    assert code == 2
+    assert f"cannot write {tmp_path / cut}: File too large" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [raw, mat]
+
+
+@pytest.mark.parametrize("second", ["t.json", "./t.json", "t.json.manifest.json"])
+def test_two_outputs_at_one_path_exit_2_before_any_write(tmp_path, capsys, monkeypatch, second):
+    monkeypatch.chdir(tmp_path)
+    code = run("calibrate-full", "--preset", "melbourne-c4", "--out", "t.json", "--csv", second)
+    assert code == 2
+    assert f"error: two outputs at one path: {second}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def sha256_bytes(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["correct", "gen-model"])
+def test_inputs_are_hashed_before_an_output_rewrites_them(tmp_path, command):
+    m = melbourne_c4()
+    if command == "correct":
+        mat, path = tmp_path / "t.json", tmp_path / "raw.json"
+        m.full_matrix().to_json(mat)
+        save_distribution(m.column(0b0101), 4, path)
+        argv = ["correct", "--matrix", mat, "--input", path]
+    else:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_dict()))  # not the canonical bytes
+        argv = ["gen-model", "--spec", path]
+    before = sha256_bytes(path)
+    assert run(*argv, "--out", path) == 0
+    manifest = load_json(f"{path}.manifest.json")
+    assert manifest["input_hashes"][str(path)] == before
+    assert manifest["output_hashes"] == {str(path): sha256_bytes(path)}
+    assert sha256_bytes(path) != before
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (SpamcalError("unclassified"), 2),
+        (ValidationError("invalid"), 2),
+        (MissingDataError([0b0101], 4), 3),
+        (NumericalError("singular"), 4),
+        (ConvergenceError("no convergence"), 4),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_every_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "correct_constrained", fail)
+    got, out = run_on_inputs(tmp_path, "matrix", write_valid_inputs(tmp_path))
+    assert got == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 def test_correct_negative_tolerance_exits_2(tmp_path, capsys):
