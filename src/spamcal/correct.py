@@ -5,8 +5,9 @@ Two modes: constrained least squares over the probability simplex
 and naive direct inversion, which is kept to demonstrate that it can
 produce negative probabilities and fail on near-singular matrices.
 The constrained solver touches T only through the products ``T @ x`` and
-``T.T @ r``, and bounds its step by 1/(||T||_1 ||T||_inf), so every step
-costs O(4^n) for a 2^n × 2^n T.
+``T.T @ r``, and bounds its step by 1/(||T||_1 ||T||_inf). The bound and the
+first product T x_0 come from one pass over T in row blocks, so a correction
+makes no 2^n × 2^n temporary.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import BLOCK
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .norms import MatrixNorm, norm_distance
 from .serialize import dump_csv
@@ -65,6 +67,33 @@ def _as_problem(t, p_raw) -> tuple[np.ndarray, np.ndarray]:
     return t, p_raw
 
 
+def _norm_bound_and_product(t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """||T||_1 ||T||_inf and T @ x from one pass over T in row blocks.
+
+    |T| is formed BLOCK rows at a time in one reused buffer whose row 0
+    carries the column sums so far. Reducing that buffer along axis 0 adds
+    the rows in the order np.abs(t).sum(axis=0) does, so the bound is
+    bitwise that of the whole-matrix formula. np.maximum keeps a NaN row
+    sum, which Python's max could drop. Each block's product with x is taken
+    while the block is still in cache.
+    """
+    dim = t.shape[0]
+    buf = np.zeros((min(BLOCK, dim) + 1, dim))
+    col_sums = np.empty(dim)
+    row_max = np.float64(0.0)
+    tx = np.empty(dim)
+    for start in range(0, dim, BLOCK):
+        blk = t[start : start + BLOCK]
+        rows = blk.shape[0]
+        abs_blk = buf[1 : rows + 1]
+        np.abs(blk, out=abs_blk)
+        row_max = np.maximum(row_max, abs_blk.sum(axis=1).max())
+        np.add.reduce(buf[: rows + 1], axis=0, out=col_sums)
+        buf[0] = col_sums
+        np.matmul(blk, x, out=tx[start : start + rows])
+    return float(col_sums.max() * row_max), tx
+
+
 def correct_constrained(
     t,
     p_raw: np.ndarray,
@@ -76,7 +105,9 @@ def correct_constrained(
     Each iteration takes the gradient 2 T^T (T x - p_raw) from two
     matrix-vector products; no Gram matrix is formed. The step is
     Barzilai-Borwein, falling back to 1/(||T||_1 ||T||_inf), the largest
-    column sum of |T| times its largest row sum.
+    column sum of |T| times its largest row sum. That bound and the first
+    product T x_0 come from one pass over T in row blocks, which makes no
+    dim x dim temporary.
 
     Deterministic; converged when the projected-gradient fixed-point
     residual drops below tol. Raises ConvergenceError (carrying the best
@@ -88,11 +119,10 @@ def correct_constrained(
     if not tol >= 0:
         raise ValidationError(f"tolerance must be nonnegative, got {tol}")
 
+    x = project_simplex(p_raw.copy())
     # ||T^T T||_2 = ||T||_2^2 <= ||T||_1 ||T||_inf, so this step is never
     # larger than 1/||T^T T||_2
-    abs_t = np.abs(t)
-    bound = abs_t.sum(axis=0).max() * abs_t.sum(axis=1).max()
-    del abs_t
+    bound, r = _norm_bound_and_product(t, x)
     # a NaN or infinite entry of T makes the bound NaN or infinite, so this
     # is the finiteness check on T without another pass over it
     if not np.isfinite(bound):
@@ -100,8 +130,7 @@ def correct_constrained(
             f"matrix has a NaN or infinite entry, or its norm overflows ({bound})"
         )
     step = lipschitz_step = 1.0 / max(bound, 1e-30)
-    x = project_simplex(p_raw.copy())
-    r = t @ x - p_raw
+    r -= p_raw
     g = 2.0 * (t.T @ r)
     for it in range(1, max_iter + 1):
         kkt = np.max(np.abs(x - project_simplex(x - g)))

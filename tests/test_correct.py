@@ -1,10 +1,14 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spamcal.backends import ExactBackend, SampledBackend
 from spamcal.correct import (
     KKT_TOL_DEFAULT,
+    _norm_bound_and_product,
     compare_matrices,
     correct_constrained,
     correct_direct_inverse,
@@ -203,3 +207,58 @@ def test_solvers_reject_non_finite_input(solver, where, value):
         p_raw[3] = value
     with pytest.raises(ValidationError, match="NaN or infinite entry"):
         solver(t, p_raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    low=st.integers(-300, 300),
+    span=st.integers(0, 600),
+)
+@example(side=1, seed=0, low=0, span=0)
+@example(side=63, seed=1, low=-300, span=600)
+@example(side=64, seed=2, low=-1, span=2)
+@example(side=65, seed=3, low=290, span=10)
+@example(side=100, seed=4, low=-300, span=5)
+@example(side=128, seed=5, low=-20, span=40)
+@example(side=300, seed=6, low=-300, span=600)
+def test_blocked_bound_is_bitwise_the_whole_matrix_formula(side, seed, low, span):
+    rng = np.random.default_rng(seed)
+    high = min(low + span, 300)
+    magnitude = 10.0 ** rng.uniform(low, high, (side, side))
+    t = np.where(rng.random((side, side)) < 0.3, -magnitude, magnitude)
+    x = project_simplex(rng.normal(size=side))
+    with np.errstate(over="ignore"):
+        bound, tx = _norm_bound_and_product(t, x)
+        expected = np.abs(t).sum(0).max() * np.abs(t).sum(1).max()
+    assert bound == expected
+    assert np.all(np.abs(tx - t @ x) <= 1e-15 * (np.abs(t) @ np.abs(x)))
+
+
+def test_constrained_makes_no_dim_squared_temporary():
+    # a product-noise T on 10 qubits: 1024 x 1024, 8 MiB of float64
+    flip = np.array([[0.97, 0.05], [0.03, 0.95]])
+    t = reduce(np.kron, [flip] * 10)
+    p_raw = t[:, 0b1011001110].copy()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        res = correct_constrained(t, p_raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.p_corr[0b1011001110] == pytest.approx(1.0, abs=1e-6)
+    assert peak - start < t.nbytes // 8
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row", ["first", "last"])
+@pytest.mark.parametrize("side", [128, 100], ids=["two-blocks", "partial-block"])
+def test_constrained_rejects_non_finite_entry_in_any_row_block(side, row, value):
+    t = np.full((side, side), 0.1 / side) + 0.9 * np.eye(side)
+    t[0 if row == "first" else side - 1, side // 2] = value
+    p_raw = np.full(side, 1.0 / side)
+    with pytest.raises(ValidationError, match="NaN or infinite entry"):
+        correct_constrained(t, p_raw)
