@@ -102,6 +102,9 @@ class _ModelBackend(_Backend):
     """
 
     def __init__(self, model: NoiseModel, seed: int = 0):
+        # every draw seeds a SeedSequence with it, which takes no negatives
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed}")
         self.model = model
         self.n = model.n
         self.seed = seed

@@ -9,8 +9,8 @@ and :func:`parse_bitstring` reads one.
 A filter that keeps only some qubits' bits is an integer mask over the
 index (see :func:`support_mask`): the filtered form of a prepared state x
 is ``x & mask``, and :func:`submasks` lists every filtered state of a mask.
-The estimator records its masks in ``CalibrationTables.single_masks`` and
-``pair_masks``.
+The estimator and the noise model record their masks in
+``CalibrationTables.single_masks`` and ``pair_masks``.
 """
 
 from __future__ import annotations

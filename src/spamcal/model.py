@@ -10,15 +10,17 @@ where m_i(0|x') = base_i(0|x'_i) - sum_j shift[i][j] * x'_j is the
 probability that qubit i reads 0, and c_ij(x') = cov[i][j](x'_i, x'_j)
 + sum_l spectator_cov[i][j][l] * x'_l is a signed pair covariance. The
 signed pair and triple terms each sum to zero over outcomes, so every
-column is automatically normalized. Columns are built in batches by
-:func:`spamcal.assembly.kron_columns`, the kernel the estimator also
-assembles with: the model passes m_i(0|x') = base_i(0|x'_i) - (bits @
-shift.T)_i and one coefficient per pair (c_ij) or triple (g_ijk) and
-column, and the kernel applies the signs. It builds the product and every
-term in one sweep over the qubits, so a column costs O(n * 2^n) whatever
-the number of pairs. Every batch is checked for negative entries and column
-sums, by full enumeration at construction when n <= ORACLE_LIMIT_DEFAULT
-and block by block as a backend draws them otherwise.
+column is automatically normalized. Each m_i(0|x') reads only the prepared
+bits of qubit i and its shift sources, and each c_ij(x') only those of i, j
+and their spectators, so the model is its own calibration tables
+(:attr:`NoiseModel.tables`, a :class:`spamcal.assembly.CalibrationTables`
+with one row per filtered state; each triple's rows are the constant
+g_ijk). Columns come from those tables through the lookup and the kernel
+the estimator assembles with, in one sweep over the qubits, so a column
+costs O(n * 2^n) whatever the number of pairs. Every batch is checked for
+negative entries and column sums, by full enumeration at construction when
+n <= ORACLE_LIMIT_DEFAULT and block by block as a backend draws them
+otherwise.
 
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
 P(read 0) when prepared spectator j is flipped to 1, i.e. exactly the
@@ -27,12 +29,13 @@ spectator-shift correlator measured by :mod:`spamcal.characterize`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BLOCK, kron_columns
-from .bits import bitstring
+from .assembly import BLOCK, CalibrationTables
+from .bits import bitstring, support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry
 from .norms import check_column_stochastic
@@ -116,6 +119,41 @@ class NoiseModel:
                     f"range {self.cov_range}"
                 )
 
+    @functools.cached_property
+    def tables(self) -> CalibrationTables:
+        """The model in local form, built on first use. Qubit i's mask is i
+        and its shift sources, a pair's mask is the pair and its
+        spectators, and a triple's mask is its qubits."""
+        n = self.n
+        shift = np.zeros((n, n))
+        sources = {i: {i} for i in range(1, n + 1)}
+        for (i, j), v in self.shifts.items():
+            shift[i - 1, j - 1] = v
+            sources[i].add(j)
+        single, means = {}, {}
+        for i, qs in sources.items():
+            bits = _filtered_bits(qs, n)
+            single[i] = support_mask(qs, n)
+            # summed over all n qubits, as for a whole prepared state: the
+            # order of the sum fixes the last bits of T
+            means[i] = self.base[i - 1, 0, bits[:, i - 1]] - (bits * shift[i - 1]).sum(-1)
+        spectators = {ij: {} for ij in self.pair_cov}
+        for (i, j, l), v in self.spectator_cov.items():
+            spectators.setdefault((i, j), {})[l] = v
+        masks, coefs = {}, {}
+        for (i, j), spec in spectators.items():
+            qs = (i, j, *spec)
+            bits = _filtered_bits(qs, n)
+            c = np.zeros(len(bits))
+            if (i, j) in self.pair_cov:
+                c += self.pair_cov[(i, j)][bits[:, i - 1], bits[:, j - 1]]
+            for l, v in spec.items():
+                c += v * bits[:, l - 1]
+            masks[(i, j)], coefs[(i, j)] = support_mask(qs, n), c
+        for q, g in self.triples.items():
+            masks[q], coefs[q] = support_mask(q, n), np.full(8, g)
+        return CalibrationTables(n, None, single, masks, means, coefs)
+
     def _columns(self, cols) -> np.ndarray:
         """T[:, cols] for a sequence of prepared-state indices, each index
         checked to be in range and each column to be a probability
@@ -128,25 +166,7 @@ class NoiseModel:
                 f"prepared state {cols[wrong][0]} is out of range: "
                 f"the register has {n} qubits"
             )
-        bits = (cols[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (cols, n)
-        shift = np.zeros((n, n))
-        for (i, j), v in self.shifts.items():
-            shift[i - 1, j - 1] = v
-        # summed row by row, so a column does not depend on its batch
-        read0 = self.base[np.arange(n), 0, bits] - (bits[:, None, :] * shift).sum(-1)
-        terms = [((), np.ones(len(cols)))]
-        pairs = set(self.pair_cov) | {(i, j) for (i, j, _l) in self.spectator_cov}
-        for (i, j) in sorted(pairs):
-            c = np.zeros(len(cols))
-            if (i, j) in self.pair_cov:
-                c += self.pair_cov[(i, j)][bits[:, i - 1], bits[:, j - 1]]
-            for (a, b, l), v in self.spectator_cov.items():
-                if (a, b) == (i, j):
-                    c += v * bits[:, l - 1]
-            terms.append(((i - 1, j - 1), c))
-        for (i, j, k), g in sorted(self.triples.items()):
-            terms.append(((i - 1, j - 1, k - 1), np.full(len(cols), g)))
-        t = kron_columns(read0, terms)
+        t = self.tables.columns(cols)
         if not t.min() >= -1e-12:
             x, c = np.unravel_index(np.argmin(t), t.shape)
             raise ValidationError(
@@ -230,6 +250,15 @@ class NoiseModel:
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
         return cls.from_dict(load_json(path))
+
+
+def _filtered_bits(qs, n: int) -> np.ndarray:
+    """(rows, n) prepared bits of every filtered state of the qubits qs,
+    in submasks order; 0 off qs."""
+    qs = sorted(qs)
+    bits = np.zeros((1 << len(qs), n), dtype=int)
+    bits[:, [q - 1 for q in qs]] = np.indices((2,) * len(qs)).reshape(len(qs), -1).T
+    return bits
 
 
 # -- presets ---------------------------------------------------------------

@@ -84,6 +84,14 @@ def test_seeded_determinism():
     assert c3.histogram != c1.histogram
 
 
+@pytest.mark.parametrize("make", [ExactBackend, SampledBackend])
+def test_negative_seed_rejected_at_construction(make):
+    with pytest.raises(ValidationError, match="seed must be nonnegative, got -3"):
+        make(melbourne_c4(), seed=-3)
+    # seed 0 stays valid: the exact backend draws counts with it too
+    assert sum(make(melbourne_c4(), seed=0).counts(0b0101, 8).histogram.values()) == 8
+
+
 def test_query_order_independence_and_ordinal():
     m = melbourne_c4()
     a, b = SampledBackend(m, seed=5), SampledBackend(m, seed=5)

@@ -346,6 +346,22 @@ def test_calibrate_full_oracle_limit_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "calibrate-full"])
+@pytest.mark.parametrize("backend", ["exact", "sampled"])
+def test_negative_seed_exits_2_before_any_write(tmp_path, capsys, command, backend):
+    out = tmp_path / "t.json"
+    k = ["--k", "0"] if command == "estimate" else []
+    code = run(
+        command, "--preset", "melbourne-c4", "--backend", backend, "--seed", "-1",
+        *k, "--out", out,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def set_path(obj, path, value):
     """Replace the value that path leads to from the top of obj."""
     for key in path[:-1]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spamcal.assembly import _rows
 from spamcal.backends import Dataset, ExactBackend, ReplayBackend
 from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
@@ -23,8 +24,9 @@ from spamcal.estimate import (
     estimate_transition_matrix,
 )
 from spamcal.geometry import RegisterGeometry, chebyshev_mask, layers_for_size
-from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product
+from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
+from test_model import grid3x3_spectator_model
 
 GOLDEN_TABLES = Path(__file__).parent / "data" / "melbourne_c4_k2_tables.json"
 
@@ -441,3 +443,47 @@ def test_replay_without_records_names_only_step_one_states():
     with pytest.raises(MissingDataError) as info:
         estimate_transition_matrix(backend, RegisterGeometry.chain(6), 0)
     assert info.value.missing == [0] + [1 << b for b in range(6)]
+
+
+def nests(inner: int, outer: int) -> bool:
+    return inner & ~outer == 0
+
+
+# model and a k whose masks cover every shift source and spectator
+TABLE_ORACLE_CASES = {
+    "melbourne-c4": (melbourne_c4, 6),
+    "melbourne-c8": (melbourne_c8, 6),
+    "correlated_chain6": (correlated_chain6, 2),
+    "grid3x3": (grid3x3_spectator_model, 8),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ORACLE_CASES)
+def test_table_oracle_every_estimated_entry_is_the_models(name):
+    # an exact estimate's tables equal the model's own tables at every
+    # filtered state, compared in O(table rows) with no 2^n object
+    make, k = TABLE_ORACLE_CASES[name]
+    model = make()
+    _t, est = estimate_transition_matrix(ExactBackend(model), model.geometry, k)
+    truth = model.tables
+    worst = 0.0
+    for got, masks, want, want_masks in (
+        (est.mean_fields, est.single_masks, truth.mean_fields, truth.single_masks),
+        (est.pair_fluct, est.pair_masks, truth.pair_fluct, truth.pair_masks),
+    ):
+        for q, mask in masks.items():
+            states = np.array(submasks(mask))
+            if q in want_masks:
+                assert nests(want_masks[q], mask)
+                expected = want[q][_rows(want_masks[q], states)]
+            else:  # a pair the model leaves uncorrelated
+                expected = np.zeros(states.size)
+            worst = max(worst, np.abs(got[q] - expected).max())
+    assert worst <= 1e-15
+
+
+def test_table_oracle_masks_do_not_nest_below_the_shift_range():
+    # melbourne-c8's shift of qubit 4 from qubit 1 lies outside k = 2
+    model = melbourne_c8()
+    _t, est = estimate_transition_matrix(ExactBackend(model), model.geometry, 2)
+    assert not nests(model.tables.single_masks[4], est.single_masks[4])

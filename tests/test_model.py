@@ -1,12 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spamcal.assembly import BLOCK, kron_columns
 from spamcal.backends import ExactBackend
+from spamcal.bits import support_mask
 from spamcal.errors import ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import (
+    PRESETS,
     NoiseModel,
     identity_model,
     melbourne_c4,
@@ -14,6 +18,7 @@ from spamcal.model import (
     melbourne_c8,
 )
 from spamcal.norms import symmetric_single_qubit
+from test_acceptance import correlated_chain6
 
 
 def brute_column(model, xprime):
@@ -203,3 +208,132 @@ def test_nan_shift_rejected():
     base = np.stack([symmetric_single_qubit(0.05)] * 3)
     with pytest.raises(ValidationError, match="nan"):
         NoiseModel(RegisterGeometry.chain(3), base, shifts={(1, 2): np.nan}, shift_range=1)
+
+
+def reference_columns(model, cols):
+    """T[:, cols] from per-column terms, as the model built them before it
+    kept its own tables: every qubit's mean summed over the bits of all n
+    prepared qubits, then pairs, then triples, each in sorted order."""
+    n = model.n
+    cols = np.asarray(cols)
+    bits = (cols[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (cols, n)
+    shift = np.zeros((n, n))
+    for (i, j), v in model.shifts.items():
+        shift[i - 1, j - 1] = v
+    read0 = model.base[np.arange(n), 0, bits] - (bits[:, None, :] * shift).sum(-1)
+    terms = [((), np.ones(len(cols)))]
+    pairs = set(model.pair_cov) | {(i, j) for (i, j, _l) in model.spectator_cov}
+    for (i, j) in sorted(pairs):
+        c = np.zeros(len(cols))
+        if (i, j) in model.pair_cov:
+            c += model.pair_cov[(i, j)][bits[:, i - 1], bits[:, j - 1]]
+        for (a, b, l), v in model.spectator_cov.items():
+            if (a, b) == (i, j):
+                c += v * bits[:, l - 1]
+        terms.append(((i - 1, j - 1), c))
+    for (i, j, k), g in sorted(model.triples.items()):
+        terms.append(((i - 1, j - 1, k - 1), np.full(len(cols), g)))
+    return kron_columns(read0, terms)
+
+
+def grid3x3_spectator_model():
+    """A 3x3 grid with shifts from every Chebyshev neighbour (3 to 8 shift
+    sources per qubit), nearest-neighbour covariances with spectators, and
+    two triples."""
+    g = RegisterGeometry.grid(3, 3)
+    rng = np.random.default_rng(11)
+    e0, e1 = rng.uniform(0.02, 0.05, 9), rng.uniform(0.04, 0.09, 9)
+    base = np.array([[[1 - a, b], [a, 1 - b]] for a, b in zip(e0, e1)])
+    near = [
+        (i, j) for i in range(1, 10) for j in range(1, 10)
+        if i != j and g.chebyshev(i, j) == 1
+    ]
+    shifts = {ij: float(v) for ij, v in zip(near, rng.uniform(-1e-3, 5e-3, len(near)))}
+    pairs = [(i, j) for i, j in near if i < j]
+    cov = {ij: rng.uniform(0.0, 2e-4, (2, 2)) for ij in pairs}
+    spectators = {(1, 2, 5): 3e-5, (4, 5, 8): -2e-5, (5, 6, 2): 4e-5, (5, 6, 9): 1e-5}
+    return NoiseModel(
+        g, base, shifts=shifts, shift_range=1, pair_cov=cov,
+        spectator_cov=spectators, cov_range=1,
+        triples={(1, 2, 5): 1e-5, (4, 5, 6): -1e-5},
+    )
+
+
+def chain_model(n):
+    """A chain with shifts from both neighbours, neighbour covariances and
+    one spectator covariance; valid as drawn at n <= 10."""
+    rng = np.random.default_rng(n)
+    base = np.array([symmetric_single_qubit(e) for e in rng.uniform(0.03, 0.06, n)])
+    shifts = {(i, i + 1): 0.005 for i in range(1, n)}
+    shifts.update({(i + 1, i): 0.004 for i in range(1, n)})
+    cov = {(i, i + 1): 5e-5 * np.ones((2, 2)) for i in range(1, n)}
+    return NoiseModel(
+        RegisterGeometry.chain(n), base, shifts=shifts, shift_range=1, pair_cov=cov,
+        spectator_cov={(2, 3, 4): 2e-5}, cov_range=1,
+    )
+
+
+REFERENCE_MODELS = {
+    **{f"random{seed}": lambda seed=seed: random_model(seed) for seed in range(2)},
+    **{
+        f"random{seed}-n6-triples": lambda seed=seed: random_model(seed, 6, True)
+        for seed in range(2)
+    },
+    "correlated_chain6": correlated_chain6,
+    "correlated_chain6-triples": lambda: correlated_chain6(
+        triples={(1, 2, 3): 1e-5, (2, 3, 4): -2e-5, (4, 5, 6): 1.5e-5}
+    ),
+    "grid3x3-spectators": grid3x3_spectator_model,
+    "chain10": lambda: chain_model(10),
+    **PRESETS,
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_columns_bitwise_equal_the_per_column_term_builder(name):
+    m = REFERENCE_MODELS[name]()
+    cols = np.arange(1 << m.n)
+    assert np.array_equal(m.full_matrix().data, reference_columns(m, cols))
+
+
+def test_a_drawn_block_beyond_the_oracle_limit_equals_the_term_builder():
+    m = random_model(2, n=13, with_triples=True)
+    cols = np.arange(0, 1 << 13, 128)
+    assert cols.size == BLOCK
+    assert np.array_equal(ExactBackend(m).distributions(cols), reference_columns(m, cols))
+
+
+def test_model_tables_hold_every_term_with_its_mask():
+    m = grid3x3_spectator_model()
+    tables = m.tables
+    assert tables.k is None
+    assert tables.single_masks[5] == (1 << 9) - 1  # the centre reads all eight
+    assert tables.pair_masks[(5, 6)] == support_mask((2, 5, 6, 9), 9)
+    assert tables.pair_masks[(4, 5, 6)] == support_mask((4, 5, 6), 9)
+    np.testing.assert_array_equal(tables.pair_fluct[(4, 5, 6)], np.full(8, -1e-5))
+    # a term the model does not have is absent, not a table of zeros
+    assert (1, 9) not in tables.pair_masks
+
+
+@pytest.mark.parametrize("n, rows", [(40, 472), (100, 1192)])
+def test_tables_at_scale_hold_one_row_per_filtered_state(n, rows):
+    m = chain_model(n)
+    tracemalloc.start()
+    try:
+        tables = m.tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sizes = [
+        (len(table[q]), masks[q])
+        for table, masks in (
+            (tables.mean_fields, tables.single_masks),
+            (tables.pair_fluct, tables.pair_masks),
+        )
+        for q in masks
+    ]
+    assert all(size == 2 ** bin(mask).count("1") for size, mask in sizes)
+    assert sum(size for size, _mask in sizes) == rows
+    # the masks name qubits beyond bit 63, and nothing of size 2^n is built
+    assert tables.single_masks[1].bit_length() == n
+    assert peak < 1 << 20
