@@ -51,6 +51,7 @@ filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,9 +250,18 @@ def _keys(qubits: tuple, mask: int, n: int) -> list:
     return [f"{who}|{bitstring(s, n)}" for s in submasks(mask)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _states(mask: int) -> np.ndarray:
+    """The filtered states of a mask in row order; built once per mask and
+    read-only, since every caller shares it."""
+    states = np.array(submasks(mask))
+    states.flags.writeable = False
+    return states
+
+
 def _rows(mask: int, cols: np.ndarray) -> np.ndarray:
     """Table row of every column: the index of its filtered state."""
-    return np.searchsorted(submasks(mask), cols & mask)
+    return np.searchsorted(_states(mask), cols & mask)
 
 
 def _read0(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:

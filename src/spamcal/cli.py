@@ -191,6 +191,8 @@ def cmd_compare(args):
         if "=" not in spec:
             raise ValidationError(f"candidate must be name=path, got {spec!r}")
         name, path = spec.split("=", 1)
+        if name in candidates:
+            raise ValidationError(f"candidate name {name!r} given twice")
         candidates[name] = TransitionMatrix.from_json(path)
         inputs.append(path)
     report = compare_matrices(candidates, reference)

@@ -9,18 +9,20 @@ covariances are -c, -c and +c. Identical prepared states are measured once
 and shared; :func:`estimate_transition_matrix` is the one entry point that
 measures, through :func:`spamcal.backends.collect`. It collects the first
 step's preparations before it builds the n(n-1)/2 pair masks, so a replay
-dataset that lacks them fails at once, naming only those states. The full
-matrix is then assembled classically: a product of per-qubit means plus an
-additive pairwise covariance correction, each mean/covariance looked up at
-the filtered version of the column's prepared state. The tables, their
-lookup and their JSON form live in :mod:`spamcal.assembly`, beside
-:func:`~spamcal.assembly.kron_columns`, the kernel both parts go through:
-the read-0 probabilities give the product term and each pair's c is the
-coefficient of a term on that pair. The noise model reaches its own columns
-through the same tables and kernel. The kernel builds all n(n-1)/2 pair
-terms in one sweep over the qubits. Each read-0 marginal of a (filtered
-state, qubit) is summed once and shared by the qubit's mean field and every
-pair table that reads it.
+dataset that lacks them fails at once, naming only those states. Each
+read-0 marginal of a (filtered state, qubit) is summed once and shared by
+the qubit's mean field and every pair table that reads it.
+
+The full matrix is then assembled classically, in one call that the noise
+model also makes for its own columns: :meth:`CalibrationTables.columns`,
+one pass of :func:`~spamcal.assembly.kron_columns` over every column. The
+tables, their lookup and their JSON form live in :mod:`spamcal.assembly`.
+The read-0 probabilities, looked up at the filtered version of the
+column's prepared state, give the product of means, and each pair's c is
+the coefficient of a signed term on that pair. :func:`assemble_t_mean` and
+:func:`assemble_t_pair` split the same matrix into the product of means
+and the additive pair correction, whose columns sum to 0; their sum is the
+estimate up to rounding.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .errors import ValidationError
 from .geometry import RegisterGeometry, chebyshev_mask, check_register
 from .tmatrix import TransitionMatrix
 
-# The two kernel calls of the estimator, under their own names so that a
-# profile can tell kernel time from table lookups.
+# The kernel calls of the T_mean / T_pair decomposition, under their own
+# names so that a profile can tell kernel time from table lookups.
 mean_column = pair_column = kron_columns
 
 
@@ -74,7 +76,7 @@ def estimate_transition_matrix(
     backend, geometry: RegisterGeometry, k: int
 ) -> tuple[TransitionMatrix, CalibrationTables]:
     """Run both measurement steps (sharing preparations), fill the tables
-    and assemble the estimated matrix as mean product plus pair correction."""
+    and assemble the estimated matrix from them in one kernel call."""
     check_register(backend, geometry)
     n = geometry.n
     single = {i: chebyshev_mask(geometry, i, k) for i in range(1, n + 1)}
@@ -106,9 +108,7 @@ def estimate_transition_matrix(
         "step1_preparations": len(step1),
         "budget": {"step1": bound1, "step2": bound2},
     }
-    t_est = assemble_t_mean(tables)
-    t_est.data += assemble_t_pair(tables).data
-    return t_est, tables
+    return TransitionMatrix(n, tables.columns(np.arange(1 << n))), tables
 
 
 def choose_neighborhood_size(

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spamcal import assembly
 from spamcal.assembly import BLOCK, kron_columns
+from spamcal.bits import submasks
+from spamcal.model import melbourne_c8
 
 
 def per_term_kron_columns(read0, terms):
@@ -176,3 +179,23 @@ def test_every_column_sums_to_one_whatever_the_coefficients(inputs):
     terms = [(q, a) for q, a in terms if q]
     t = kron_columns(read0, [((), np.ones(read0.shape[0]))] + terms)
     np.testing.assert_allclose(t.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+def test_table_lookup_lists_each_mask_once(monkeypatch):
+    tables = melbourne_c8().tables
+    cols = np.arange(1 << tables.n)
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return submasks(mask)
+
+    monkeypatch.setattr(assembly, "submasks", counted)
+    assembly._states.cache_clear()
+    first = tables.columns(cols)
+    listed = len(calls)
+    assert listed > 0
+    assert np.array_equal(tables.columns(cols), first)
+    assert len(calls) == listed
+    # the shared row order is read-only
+    assert not assembly._states(tables.single_masks[1]).flags.writeable

@@ -119,6 +119,23 @@ def test_compare_command(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "candidate,scaled_frobenius,max"
 
 
+def test_compare_rejects_a_repeated_candidate_name(tmp_path, capsys):
+    ref = tmp_path / "ref.json"
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    TransitionMatrix.identity(2).to_json(ref)
+    TransitionMatrix(2, np.eye(4) * 0.96 + 0.01).to_json(first)
+    TransitionMatrix(2, np.eye(4) * 0.92 + 0.02).to_json(second)
+    out = tmp_path / "cmp.csv"
+    assert (
+        run("compare", "--reference", ref, "--candidate", f"a={first}",
+            "--candidate", f"a={second}", "--out", out)
+        == 2
+    )
+    assert "'a' given twice" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "cmp.csv.manifest.json").exists()
+
 def test_correct_round_trip(tmp_path):
     m = melbourne_c4()
     mat = tmp_path / "t.json"

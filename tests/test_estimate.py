@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spamcal.assembly import _rows
-from spamcal.backends import Dataset, ExactBackend, ReplayBackend
+from spamcal.backends import Dataset, ExactBackend, ReplayBackend, SampledBackend
 from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Uniform,
@@ -26,7 +27,7 @@ from spamcal.estimate import (
 from spamcal.geometry import RegisterGeometry, chebyshev_mask, layers_for_size
 from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
-from test_model import grid3x3_spectator_model
+from test_model import chain_model, grid3x3_spectator_model
 
 GOLDEN_TABLES = Path(__file__).parent / "data" / "melbourne_c4_k2_tables.json"
 
@@ -248,8 +249,7 @@ def test_tables_json_keeps_read0_rounded_past_one(tmp_path):
     path = tmp_path / "tables.json"
     tables.to_json(path)
     loaded = CalibrationTables.from_json(path)
-    t_re = assemble_t_mean(loaded).data + assemble_t_pair(loaded).data
-    assert np.array_equal(t_re, t_est.data)
+    assert np.array_equal(loaded.columns(np.arange(16)), t_est.data)
 
 
 def test_tables_json_missing_table_rejected(tmp_path):
@@ -291,8 +291,8 @@ def test_tables_json_round_trip(tmp_path):
     assert t2.single_masks == tables.single_masks
     assert t2.pair_masks == tables.pair_masks
     assert t2.to_json() == tables.to_json()
-    t_re = assemble_t_mean(t2).data + assemble_t_pair(t2).data
-    np.testing.assert_allclose(t_re, t_est.data, atol=0)
+    t_re = t2.columns(np.arange(1 << t2.n))
+    np.testing.assert_allclose(t_re, t_est.data, rtol=0, atol=0)
 
 
 def test_tables_json_matches_golden_file():
@@ -309,8 +309,8 @@ def test_golden_tables_reassemble_the_estimate():
     m = melbourne_c4()
     t_est, _tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 2)
     loaded = CalibrationTables.from_json(GOLDEN_TABLES)
-    t_re = assemble_t_mean(loaded).data + assemble_t_pair(loaded).data
-    assert np.max(np.abs(t_re - t_est.data)) <= 1e-12
+    t_re = loaded.columns(np.arange(16))
+    assert np.array_equal(t_re, t_est.data)
     assert np.max(np.abs(t_re - m.full_matrix().data)) > 1e-3
 
 
@@ -487,3 +487,34 @@ def test_table_oracle_masks_do_not_nest_below_the_shift_range():
     model = melbourne_c8()
     _t, est = estimate_transition_matrix(ExactBackend(model), model.geometry, 2)
     assert not nests(model.tables.single_masks[4], est.single_masks[4])
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled"])
+@pytest.mark.parametrize("name", TABLE_ORACLE_CASES)
+def test_estimate_is_one_columns_call_on_its_own_tables(name, kind):
+    make, k = TABLE_ORACLE_CASES[name]
+    model = make()
+    if kind == "exact":
+        backend = ExactBackend(model)
+    else:
+        backend = SampledBackend(model, shots=4096, seed=1)
+    t_est, tables = estimate_transition_matrix(backend, model.geometry, k)
+    assert np.array_equal(t_est.data, tables.columns(np.arange(t_est.dim)))
+    # the T_mean + T_pair decomposition is the same matrix up to rounding
+    t_sum = assemble_t_mean(tables).data + assemble_t_pair(tables).data
+    assert np.max(np.abs(t_sum - t_est.data)) <= 1e-15
+
+
+def test_estimate_holds_one_dense_matrix():
+    # T is 32 MiB at n = 11; a mean matrix plus a pair matrix would be two
+    model = chain_model(11)
+    backend = ExactBackend(model)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        t_est, _tables = estimate_transition_matrix(backend, model.geometry, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * t_est.data.nbytes
