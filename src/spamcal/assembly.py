@@ -215,6 +215,10 @@ class CalibrationTables:
 
         def table(entries, qubits, mask, low, high):
             who = f"qubit {qubits[0]}" if len(qubits) == 1 else f"qubits {qubits}"
+            if 1 << mask.bit_count() > len(entries):  # before listing 2^|mask| keys
+                raise ValidationError(
+                    f"{who} needs 2^{mask.bit_count()} entries, the file holds {len(entries)}"
+                )
             vals = []
             for key in _keys(qubits, mask, n):
                 if key not in entries:
@@ -235,7 +239,7 @@ class CalibrationTables:
             circuits_used=integer(obj.get("circuits_used", 0), "circuits_used", 0),
             metadata=obj.get("metadata", {}),
         )
-        if sorted(tables.single_masks) != list(range(1, n + 1)):
+        if len(tables.single_masks) != n:  # each key is checked to lie in 1..n
             raise ValidationError(f"single_masks must name each of the qubits 1..{n}")
         for i, mask in tables.single_masks.items():
             tables.mean_fields[i] = table(obj["mean_fields"], (i,), mask, 0, 1)

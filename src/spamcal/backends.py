@@ -6,7 +6,8 @@ Each answers ``distribution(x)`` and ``counts(x, shots)`` for a prepared
 state given by its integer index (see :mod:`spamcal.bits`), and the block
 query ``distributions(states)``, the (2^n, len(states)) array whose column
 c is the distribution of ``states[c]``; outcome histograms are keyed by
-outcome index too. A block query that raises changes nothing: the model
+outcome index too. The model backends share one ``counts``, of their own
+shots by default. A block query that raises changes nothing: the model
 backends evaluate the whole block with one checked model call before any
 draw, and replay, which looks states up one by one, names every state of
 the block it lacks in one MissingDataError. :func:`collect` is the one loop
@@ -127,7 +128,8 @@ class _ModelBackend(_Backend):
             hists.append(_sample_histogram(column, shots, rng))
         return hists
 
-    def _counts(self, xprime: int, shots: int) -> Counts:
+    def counts(self, xprime: int, shots: int | None = None) -> Counts:
+        shots = self.shots if shots is None else shots
         hist = self._draw([xprime], shots)[0]
         histogram = {int(x): int(hist[x]) for x in np.flatnonzero(hist)}
         return Counts(self.n, xprime, histogram, shots)
@@ -141,12 +143,10 @@ class ExactBackend(_ModelBackend):
     """
 
     kind = "exact"
+    shots = DEFAULT_SHOTS  # of a counts query only; not in the descriptor
 
     def distributions(self, states) -> np.ndarray:
         return self.model._columns(states)
-
-    def counts(self, xprime: int, shots: int = DEFAULT_SHOTS) -> Counts:
-        return self._counts(xprime, shots)
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n}
@@ -162,9 +162,6 @@ class SampledBackend(_ModelBackend):
             raise ValidationError(f"shots must be positive, got {shots}")
         super().__init__(model, seed)
         self.shots = shots
-
-    def counts(self, xprime: int, shots: int | None = None) -> Counts:
-        return self._counts(xprime, self.shots if shots is None else shots)
 
     def distributions(self, states) -> np.ndarray:
         return np.stack(self._draw(states, self.shots), axis=1) / self.shots

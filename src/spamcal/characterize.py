@@ -3,10 +3,12 @@
 Covers single-qubit transition matrices (uniform- and neighborhood-averaged
 spectator families), the tensor-product approximation, the total SPAM error
 of a measured matrix, and the three pairwise correlators: spectator shift
-A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x'). The
+A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x'). T_prod
+is assembled by :meth:`CalibrationTables.columns`, as every dense T is. The
 correlators are measured only by :func:`correlator_report`, which shares
-one set of preparations among all of them; read single values from its
-``single_shift``, ``joint_shift`` and ``covariance`` fields.
+one set of preparations among all of them and reads each one's marginals
+once; read single values from its ``single_shift``, ``joint_shift`` and
+``covariance`` fields.
 
 Every marginal is one sum over the outcomes that a mask selects: the
 outcomes x with ``x & mask == 0`` are those in which every qubit of the
@@ -18,10 +20,12 @@ family's spectators are the submasks of the qubit's
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import CalibrationTables
 from .backends import collect
 from .bits import bitstring, qubit_mask, submasks
 from .errors import ValidationError
@@ -117,18 +121,19 @@ def measure_single_qubit_T(backend, i: int, family,
 
 
 def t_prod(singles: list[SingleQubitT]) -> TransitionMatrix:
-    """Kronecker product of per-qubit matrices, in qubit order 1..n."""
+    """Tensor product of per-qubit matrices, in qubit order 1..n: the local
+    form in which qubit i's read-0 row reads only its own prepared bit."""
     if not singles:
         raise ValidationError("need at least one single-qubit matrix")
     families = {s.family.label() for s in singles}
     if len(families) != 1:
         raise ValidationError(f"mixed single-qubit families: {sorted(families)}")
-    if [s.qubit for s in singles] != list(range(1, len(singles) + 1)):
+    n = len(singles)
+    if [s.qubit for s in singles] != list(range(1, n + 1)):
         raise ValidationError("need one matrix per qubit, ordered 1..n")
-    t = np.ones((1, 1))
-    for s in singles:
-        t = np.kron(t, s.matrix)
-    return TransitionMatrix(len(singles), t)
+    masks = {s.qubit: qubit_mask(s.qubit, n) for s in singles}
+    tables = CalibrationTables(n, None, masks, {}, {s.qubit: s.matrix[0] for s in singles})
+    return TransitionMatrix(n, tables.columns(np.arange(1 << n)))
 
 
 def total_spam_error(t_meas: TransitionMatrix, norm: MatrixNorm) -> float:
@@ -180,45 +185,33 @@ class CorrelatorReport:
         return dump_csv([["i\\j"] + [str(j) for j in range(1, self.n + 1)]] + rows, path)
 
 
+def _reads(dist: np.ndarray, n: int) -> tuple:
+    """P(i reads 0) of every qubit and P(i, j read 00) of every pair i < j."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return (
+        {i: prob_zero(dist, i, n) for i in range(1, n + 1)},
+        {(i, j): prob_joint_zero(dist, i, j, n) for i, j in pairs},
+    )
+
+
 def correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
     """Measure every pairwise correlator.
 
     The shift correlators share the n+1 preparations {0..0} plus the n
     single-flips; covariances are measured at one prepared state (all-zeros
-    by default). Distributions are fetched once per distinct preparation.
+    by default). Each distinct preparation is fetched and its marginals read once.
     """
     n = backend.n
-    preps = [0, xprime] + [qubit_mask(j, n) for j in range(1, n + 1)]
-    dists = dict(collect(backend, preps))
-    base = dists[0]
+    flip = {l: qubit_mask(l, n) for l in range(1, n + 1)}
+    reads = {x: _reads(d, n) for x, d in collect(backend, [0, xprime, *flip.values()])}
+    zero, joint = reads[0]
     a = np.zeros((n, n))
-    b = {}
-    for i in range(1, n + 1):
-        p0_base = prob_zero(base, i, n)
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            a[i - 1, j - 1] = p0_base - prob_zero(dists[qubit_mask(j, n)], i, n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            joint_base = prob_joint_zero(base, i, j, n)
-            for l in range(1, n + 1):
-                if l in (i, j):
-                    continue
-                b[(i, j, l)] = joint_base - prob_joint_zero(
-                    dists[qubit_mask(l, n)], i, j, n
-                )
-    c = {}
-    dist_x = dists[xprime]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c[(i, j, xprime)] = prob_joint_zero(dist_x, i, j, n) - prob_zero(
-                dist_x, i, n
-            ) * prob_zero(dist_x, j, n)
-    return CorrelatorReport(
-        n=n,
-        single_shift=a,
-        joint_shift=b,
-        covariance=c,
-        circuits_used=len(dists),
-    )
+    for i, l in itertools.permutations(range(1, n + 1), 2):
+        a[i - 1, l - 1] = zero[i] - reads[flip[l]][0][i]
+    b = {
+        (i, j, l): v - reads[flip[l]][1][i, j]
+        for (i, j), v in joint.items() for l in flip if l not in (i, j)
+    }
+    zero, joint = reads[xprime]
+    c = {(i, j, xprime): v - zero[i] * zero[j] for (i, j), v in joint.items()}
+    return CorrelatorReport(n, a, b, c, circuits_used=len(reads))

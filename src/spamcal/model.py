@@ -129,7 +129,8 @@ class NoiseModel:
         sources = {i: {i} for i in range(1, n + 1)}
         for (i, j), v in self.shifts.items():
             shift[i - 1, j - 1] = v
-            sources[i].add(j)
+            if v != 0.0:  # a zero entry reads no bit, as _check_ranges assumes
+                sources[i].add(j)
         single, means = {}, {}
         for i, qs in sources.items():
             bits = _filtered_bits(qs, n)
@@ -139,7 +140,8 @@ class NoiseModel:
             means[i] = self.base[i - 1, 0, bits[:, i - 1]] - (bits * shift[i - 1]).sum(-1)
         spectators = {ij: {} for ij in self.pair_cov}
         for (i, j, l), v in self.spectator_cov.items():
-            spectators.setdefault((i, j), {})[l] = v
+            if v != 0.0:
+                spectators.setdefault((i, j), {})[l] = v
         masks, coefs = {}, {}
         for (i, j), spec in spectators.items():
             qs = (i, j, *spec)

@@ -7,6 +7,7 @@ import pytest
 
 from spamcal.assembly import BLOCK
 from spamcal.backends import (
+    DEFAULT_SHOTS,
     Counts,
     Dataset,
     ExactBackend,
@@ -114,6 +115,19 @@ def test_binomial_band():
     p1 = c.histogram.get(1, 0) / shots
     sigma = math.sqrt(eps * (1 - eps) / shots)
     assert abs(p1 - eps) < 5 * sigma
+
+
+def test_exact_backend_counts_default_to_32768_shots():
+    m = melbourne_c4()
+    default = ExactBackend(m, seed=3).counts(0b0101)
+    assert default.shots == DEFAULT_SHOTS == 32768
+    # the same (seed, state, ordinal) draw whether the shots are named or not
+    named = ExactBackend(m, seed=3).counts(0b0101, DEFAULT_SHOTS)
+    assert named.histogram == default.histogram
+    explicit = ExactBackend(m, seed=3).counts(0b0101, shots=100)
+    assert explicit.shots == sum(explicit.histogram.values()) == 100
+    # the shots of a counts query are not part of what the backend is
+    assert ExactBackend(m).descriptor() == {"kind": "exact", "n": 4}
 
 
 def test_exact_backend_counts_work():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spamcal.backends import ExactBackend
+from spamcal import characterize
+from spamcal.backends import ExactBackend, SampledBackend, collect
+from spamcal.bits import qubit_mask
 from spamcal.characterize import (
     Average,
+    CorrelatorReport,
     Uniform,
     correlator_report,
     measure_single_qubit_T,
@@ -18,9 +21,11 @@ from spamcal.characterize import (
 from spamcal.errors import ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.norms import MatrixNorm
-from spamcal.model import melbourne_c4, melbourne_c4_product
+from spamcal.model import melbourne_c4, melbourne_c4_product, melbourne_c8
 
 C4 = melbourne_c4()
+REGISTERS = {"melbourne-c4": melbourne_c4, "melbourne-c8": melbourne_c8}
+BACKENDS = {"exact": ExactBackend, "sampled": lambda m: SampledBackend(m, 4096, seed=7)}
 
 
 def backend():
@@ -114,6 +119,27 @@ def test_tprod_of_product_model_is_exact():
     np.testing.assert_allclose(t.data, m.full_matrix().data, atol=1e-13)
 
 
+def kron_t_prod(singles) -> np.ndarray:
+    """T_prod as a Kronecker product of the per-qubit matrices, qubit 1
+    outermost: the reference the local-form assembly must match."""
+    t = np.ones((1, 1))
+    for s in singles:
+        t = np.kron(t, s.matrix)
+    return t
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize(
+    "family", [Uniform(0), Uniform(1), Average(2), Average(6)], ids=lambda f: f.label()
+)
+def test_tprod_bitwise_equals_the_kronecker_product(register, kind, family):
+    m = REGISTERS[register]()
+    b = BACKENDS[kind](m)
+    singles = [measure_single_qubit_T(b, i, family, m.geometry) for i in range(1, m.n + 1)]
+    assert np.array_equal(t_prod(singles).data, kron_t_prod(singles))
+
+
 def test_tprod_rejects_mixed_or_misordered():
     b = backend()
     s1 = measure_single_qubit_T(b, 1, Uniform(0))
@@ -191,6 +217,66 @@ def test_correlator_report_custom_prep_adds_circuit():
     rep = correlator_report(backend(), 0b1111)
     assert rep.circuits_used == 6
     assert rep.covariance[(2, 3, 0b1111)] == pytest.approx(2.0e-4, abs=1e-13)
+
+
+def loop_correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
+    """The correlators read marginal by marginal, in three loops: the
+    reference the one-read-per-state report must match byte for byte."""
+    n = backend.n
+    preps = [0, xprime] + [qubit_mask(j, n) for j in range(1, n + 1)]
+    dists = dict(collect(backend, preps))
+    base = dists[0]
+    a = np.zeros((n, n))
+    b = {}
+    for i in range(1, n + 1):
+        p0_base = prob_zero(base, i, n)
+        for j in range(1, n + 1):
+            if i != j:
+                a[i - 1, j - 1] = p0_base - prob_zero(dists[qubit_mask(j, n)], i, n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            joint_base = prob_joint_zero(base, i, j, n)
+            for l in range(1, n + 1):
+                if l not in (i, j):
+                    b[(i, j, l)] = joint_base - prob_joint_zero(
+                        dists[qubit_mask(l, n)], i, j, n
+                    )
+    c = {}
+    dist_x = dists[xprime]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            c[(i, j, xprime)] = prob_joint_zero(dist_x, i, j, n) - prob_zero(
+                dist_x, i, n
+            ) * prob_zero(dist_x, j, n)
+    return CorrelatorReport(n, a, b, c, circuits_used=len(dists))
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("xprime", [0b0000, 0b0101, 0b1111], ids=["0", "0101", "1111"])
+def test_correlator_report_is_byte_equal_to_the_loop_reference(register, kind, xprime):
+    m = REGISTERS[register]()
+    got = correlator_report(BACKENDS[kind](m), xprime)
+    want = loop_correlator_report(BACKENDS[kind](m), xprime)
+    assert got.to_json() == want.to_json()
+    assert got.single_shift_csv() == want.single_shift_csv()
+
+
+@pytest.mark.parametrize("xprime, states", [(0b0000, 5), (0b0101, 6)])
+def test_correlator_report_reads_each_prepared_state_once(monkeypatch, xprime, states):
+    calls = {"zero": 0, "joint": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(characterize, "prob_zero", counted("zero", prob_zero))
+    monkeypatch.setattr(characterize, "prob_joint_zero", counted("joint", prob_joint_zero))
+    assert correlator_report(backend(), xprime).circuits_used == states
+    # n read-0 values and n(n-1)/2 joint read-0 values per distinct state
+    assert calls == {"zero": 4 * states, "joint": 6 * states}
 
 
 def test_report_serialization(tmp_path):

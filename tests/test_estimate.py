@@ -190,6 +190,39 @@ def test_tables_json_rejects_single_masks_short_of_a_qubit(tmp_path, qubit):
         CalibrationTables.from_json(path)
 
 
+def traced_load_error(path) -> tuple:
+    """The ValidationError of loading a tables file and the traced peak
+    allocation of the load."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            CalibrationTables.from_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(err.value), peak
+
+
+def test_tables_json_rejects_masks_wider_than_the_entries_before_listing_them(tmp_path):
+    # every mask names the whole register, so each table asks for 2^16 rows
+    n = 16
+    obj = {
+        "n": n, "k": 0, "single_masks": {str(i): "1" * n for i in range(1, n + 1)},
+        "pair_masks": {}, "mean_fields": {"1|" + "0" * n: 0.9}, "pair_fluct": {},
+    }
+    message, peak = traced_load_error(write_tables(tmp_path, obj))
+    assert message == "qubit 1 needs 2^16 entries, the file holds 1"
+    assert peak < 1 << 20
+
+
+def test_tables_json_rejects_a_huge_register_without_masks_in_little_memory(tmp_path):
+    obj = {"n": 10**6, "k": 0, "single_masks": {}, "pair_masks": {},
+           "mean_fields": {}, "pair_fluct": {}}
+    message, peak = traced_load_error(write_tables(tmp_path, obj))
+    assert message == "single_masks must name each of the qubits 1..1000000"
+    assert peak < 1 << 20
+
+
 def test_tables_json_rejects_a_mask_without_its_qubit(tmp_path):
     path = edited_tables_file(tmp_path, "single_masks", "1", "0000")
     with pytest.raises(ValidationError, match=r"single_masks\['1'\] lacks qubit 1"):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -337,3 +338,39 @@ def test_tables_at_scale_hold_one_row_per_filtered_state(n, rows):
     # the masks name qubits beyond bit 63, and nothing of size 2^n is built
     assert tables.single_masks[1].bit_length() == n
     assert peak < 1 << 20
+
+
+def with_zero_entries(m: NoiseModel) -> NoiseModel:
+    """The model plus 0.0 entries: shifts of qubit 1 from every qubit, and
+    spectator covariances of (2, 3) from every other qubit and of (1, 3), a
+    pair with no other term, from qubit 2. Entries the model has win."""
+    n = m.n
+    shifts = {(1, j): 0.0 for j in range(2, n + 1)}
+    spectators = {(2, 3, l): 0.0 for l in range(1, n + 1) if l not in (2, 3)}
+    spectators[(1, 3, 2)] = 0.0
+    return dataclasses.replace(
+        m, shifts=shifts | m.shifts, spectator_cov=spectators | m.spectator_cov
+    )
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_zero_entries_leave_the_tables_and_t_unchanged(n):
+    m, z = chain_model(n), with_zero_entries(chain_model(n))
+    assert z.tables.single_masks == m.tables.single_masks
+    assert z.tables.pair_masks == m.tables.pair_masks
+    assert np.array_equal(z.full_matrix().data, m.full_matrix().data)
+
+
+def test_zero_entries_do_not_widen_the_tables_at_scale():
+    m = with_zero_entries(chain_model(40))
+    tracemalloc.start()
+    try:
+        tables = m.tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert tables.single_masks[1] == support_mask((1, 2), 40)
+    assert sum(map(len, tables.mean_fields.values())) + sum(
+        map(len, tables.pair_fluct.values())
+    ) == 472
