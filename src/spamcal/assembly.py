@@ -46,7 +46,8 @@ c, one float per filtered state; metadata records k, the backend
 descriptor, and the deduplicated circuit count. Loading checks that the
 single masks name the qubits 1..n, that each pair has 1 <= i < j <= n (a
 pair may be absent), that every mask holds its own qubits, and that every
-filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c.
+filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c
+(:func:`check_table`, which bounds a noise model's rows the same way).
 """
 
 from __future__ import annotations
@@ -162,9 +163,15 @@ class CalibrationTables:
     metadata: dict = field(default_factory=dict)
 
     def columns(self, cols) -> np.ndarray:
-        """T[:, cols] for an array of prepared-state indices, in one kernel
-        call: the mean product first, then every term."""
+        """T[:, cols] for an array of prepared-state indices in 0..2^n - 1,
+        in one kernel call: the mean product first, then every term."""
         cols = np.asarray(cols)
+        wrong = (cols < 0) | (cols >= 1 << self.n)
+        if wrong.any():
+            raise ValidationError(
+                f"prepared state {cols[wrong][0]} is out of range: "
+                f"the register has {self.n} qubits"
+            )
         terms = [((), np.ones(cols.size))] + _terms(self, cols)
         return kron_columns(_read0(self, cols), terms)
 
@@ -227,9 +234,7 @@ class CalibrationTables:
                         f"no table entry for {who}, filtered state {state}"
                     )
                 vals.append(number(entries[key], f"table entry {key!r}"))
-                if not low - RANGE_SLACK <= vals[-1] <= high + RANGE_SLACK:
-                    raise ValidationError(f"table entry {key!r} lies outside [{low}, {high}]")
-            return np.array(vals)
+            return check_table(vals, qubits, mask, n, low, high)
 
         tables = cls(
             n=n,
@@ -246,6 +251,21 @@ class CalibrationTables:
         for ij, mask in tables.pair_masks.items():
             tables.pair_fluct[ij] = table(obj["pair_fluct"], ij, mask, -0.25, 0.25)
         return tables
+
+
+def check_table(vals, qubits: tuple, mask: int, n: int, low: float, high: float,
+                what: str = "table entry") -> np.ndarray:
+    """vals, the rows of the table of the qubits over mask, as a float array
+    when each lies in [low, high] up to RANGE_SLACK, which NaN never does;
+    otherwise a ValidationError naming the first row outside by its key."""
+    vals = np.asarray(vals, dtype=float)
+    ok = (low - RANGE_SLACK <= vals) & (vals <= high + RANGE_SLACK)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        raise ValidationError(
+            f"{what} {_keys(qubits, mask, n)[r]!r} lies outside [{low}, {high}]: {vals[r]}"
+        )
+    return vals
 
 
 def _keys(qubits: tuple, mask: int, n: int) -> list:

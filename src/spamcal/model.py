@@ -15,12 +15,14 @@ bits of qubit i and its shift sources, and each c_ij(x') only those of i, j
 and their spectators, so the model is its own calibration tables
 (:attr:`NoiseModel.tables`, a :class:`spamcal.assembly.CalibrationTables`
 with one row per filtered state; each triple's rows are the constant
-g_ijk). Columns come from those tables through the lookup and the kernel
-the estimator assembles with, in one sweep over the qubits, so a column
-costs O(n * 2^n) whatever the number of pairs. Every batch is checked for
-negative entries and column sums, by full enumeration at construction when
-n <= ORACLE_LIMIT_DEFAULT and block by block as a backend draws them
-otherwise.
+g_ijk), built and checked at construction: each entry's indices and
+declared range, and each row within the bounds of a tables file, which it
+meets as a marginal of its column. Columns come from those tables through
+the lookup and the kernel the estimator assembles with, in one sweep over
+the qubits, so a column costs O(n * 2^n) whatever the number of pairs.
+:func:`spamcal.norms.check_column_stochastic` checks every batch of them:
+all at construction when n <= ORACLE_LIMIT_DEFAULT, otherwise block by
+block as a backend draws them.
 
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
 P(read 0) when prepared spectator j is flipped to 1, i.e. exactly the
@@ -29,13 +31,12 @@ spectator-shift correlator measured by :mod:`spamcal.characterize`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BLOCK, CalibrationTables
-from .bits import bitstring, support_mask
+from .assembly import BLOCK, CalibrationTables, check_table
+from .bits import support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry
 from .norms import check_column_stochastic
@@ -55,6 +56,7 @@ class NoiseModel:
     triples:        {(i, j, k): float} constant signed triple weight
     shift_range:    Chebyshev range bound declared for shifts
     cov_range:      Chebyshev range bound declared for spectator_cov
+    tables:         the model in local form, built and checked at construction
     """
 
     geometry: RegisterGeometry
@@ -79,8 +81,7 @@ class NoiseModel:
             k: np.asarray(v, dtype=float).reshape(2, 2)
             for k, v in self.pair_cov.items()
         }
-        self._check_indices()
-        self._check_ranges()
+        self.tables = self._tabulate()
         if n <= ORACLE_LIMIT_DEFAULT:
             cols = np.arange(1 << n)
             for start in range(0, cols.size, BLOCK):
@@ -90,60 +91,49 @@ class NoiseModel:
     def n(self) -> int:
         return self.geometry.n
 
-    def _check_indices(self):
-        n = self.n
-        for (i, j) in self.shifts:
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                raise ValidationError(f"bad shift index pair {(i, j)}")
-        for (i, j) in self.pair_cov:
-            if not (1 <= i < j <= n):
-                raise ValidationError(f"pair_cov keys need i < j, got {(i, j)}")
-        for (i, j, l) in self.spectator_cov:
-            if not (1 <= i < j <= n) or l in (i, j) or not 1 <= l <= n:
-                raise ValidationError(f"bad spectator_cov index {(i, j, l)}")
-        for (i, j, k) in self.triples:
-            if not (1 <= i < j < k <= n):
-                raise ValidationError(f"triple keys need i < j < k, got {(i, j, k)}")
-
-    def _check_ranges(self):
-        for (i, j), v in self.shifts.items():
-            if v != 0.0 and self.geometry.chebyshev(i, j) > self.shift_range:
-                raise ValidationError(
-                    f"shift[{i},{j}]={v} exceeds declared range {self.shift_range}"
-                )
-        for (i, j, l), v in self.spectator_cov.items():
-            d = min(self.geometry.chebyshev(i, l), self.geometry.chebyshev(j, l))
-            if v != 0.0 and d > self.cov_range:
-                raise ValidationError(
-                    f"spectator_cov[{i},{j},{l}]={v} exceeds declared "
-                    f"range {self.cov_range}"
-                )
-
-    @functools.cached_property
-    def tables(self) -> CalibrationTables:
-        """The model in local form, built on first use. Qubit i's mask is i
-        and its shift sources, a pair's mask is the pair and its
-        spectators, and a triple's mask is its qubits."""
-        n = self.n
+    def _tabulate(self) -> CalibrationTables:
+        """The model in local form, each entry checked as it is read: its
+        indices, then its range unless it is 0.0 and reads no bit, then the
+        rows it fills. Qubit i's mask is i and its shift sources, a pair's is
+        the pair and its spectators, and a triple's is its qubits."""
+        n, geometry = self.n, self.geometry
         shift = np.zeros((n, n))
         sources = {i: {i} for i in range(1, n + 1)}
         for (i, j), v in self.shifts.items():
+            if not (1 <= i <= n and 1 <= j <= n) or i == j:
+                raise ValidationError(f"bad shift index pair {(i, j)}")
+            if v == 0.0:
+                continue
+            if geometry.chebyshev(i, j) > self.shift_range:
+                raise ValidationError(
+                    f"shift[{i},{j}]={v} exceeds declared range {self.shift_range}"
+                )
             shift[i - 1, j - 1] = v
-            if v != 0.0:  # a zero entry reads no bit, as _check_ranges assumes
-                sources[i].add(j)
+            sources[i].add(j)
+        spectators = {ij: {} for ij in self.pair_cov}
+        for (i, j, l), v in self.spectator_cov.items():
+            if not (1 <= i < j <= n) or l in (i, j) or not 1 <= l <= n:
+                raise ValidationError(f"bad spectator_cov index {(i, j, l)}")
+            if v == 0.0:
+                continue
+            if min(geometry.chebyshev(i, l), geometry.chebyshev(j, l)) > self.cov_range:
+                raise ValidationError(
+                    f"spectator_cov[{i},{j},{l}]={v} exceeds declared range {self.cov_range}"
+                )
+            spectators.setdefault((i, j), {})[l] = v
+        what = "model gives negative probability: table entry"
         single, means = {}, {}
         for i, qs in sources.items():
             bits = _filtered_bits(qs, n)
             single[i] = support_mask(qs, n)
             # summed over all n qubits, as for a whole prepared state: the
             # order of the sum fixes the last bits of T
-            means[i] = self.base[i - 1, 0, bits[:, i - 1]] - (bits * shift[i - 1]).sum(-1)
-        spectators = {ij: {} for ij in self.pair_cov}
-        for (i, j, l), v in self.spectator_cov.items():
-            if v != 0.0:
-                spectators.setdefault((i, j), {})[l] = v
+            p0 = self.base[i - 1, 0, bits[:, i - 1]] - (bits * shift[i - 1]).sum(-1)
+            means[i] = check_table(p0, (i,), single[i], n, 0, 1, what)
         masks, coefs = {}, {}
         for (i, j), spec in spectators.items():
+            if not 1 <= i < j <= n:  # a spectator_cov key is checked above
+                raise ValidationError(f"pair_cov keys need i < j, got {(i, j)}")
             qs = (i, j, *spec)
             bits = _filtered_bits(qs, n)
             c = np.zeros(len(bits))
@@ -151,39 +141,19 @@ class NoiseModel:
                 c += self.pair_cov[(i, j)][bits[:, i - 1], bits[:, j - 1]]
             for l, v in spec.items():
                 c += v * bits[:, l - 1]
-            masks[(i, j)], coefs[(i, j)] = support_mask(qs, n), c
-        for q, g in self.triples.items():
-            masks[q], coefs[q] = support_mask(q, n), np.full(8, g)
+            masks[(i, j)] = support_mask(qs, n)
+            coefs[(i, j)] = check_table(c, (i, j), masks[(i, j)], n, -0.25, 0.25, what)
+        for (i, j, k), g in self.triples.items():
+            if not 1 <= i < j < k <= n:
+                raise ValidationError(f"triple keys need i < j < k, got {(i, j, k)}")
+            if not np.isfinite(g):
+                raise ValidationError(f"triples[{i},{j},{k}] has a non-finite value {g}")
+            masks[(i, j, k)], coefs[(i, j, k)] = support_mask((i, j, k), n), np.full(8, g)
         return CalibrationTables(n, None, single, masks, means, coefs)
 
     def _columns(self, cols) -> np.ndarray:
-        """T[:, cols] for a sequence of prepared-state indices, each index
-        checked to be in range and each column to be a probability
-        distribution."""
-        n = self.n
-        cols = np.asarray(cols)
-        wrong = (cols < 0) | (cols >= 1 << n)
-        if wrong.any():
-            raise ValidationError(
-                f"prepared state {cols[wrong][0]} is out of range: "
-                f"the register has {n} qubits"
-            )
-        t = self.tables.columns(cols)
-        if not t.min() >= -1e-12:
-            x, c = np.unravel_index(np.argmin(t), t.shape)
-            raise ValidationError(
-                f"model gives negative probability p({bitstring(x, n)}"
-                f"|{bitstring(cols[c], n)}) = {t[x, c]}"
-            )
-        sums = t.sum(axis=0)
-        bad = ~(np.abs(sums - 1.0) <= 1e-12)
-        if bad.any():
-            c = int(np.argmax(bad))
-            raise ValidationError(
-                f"column {bitstring(cols[c], n)} sums to {sums[c]}, "
-                f"expected 1"
-            )
-        return t
+        """T[:, cols], each column checked to be a probability distribution."""
+        return check_column_stochastic(self.tables.columns(cols), 1e-12, cols)
 
     def column(self, xprime: int) -> np.ndarray:
         """The exact outcome distribution for one prepared state."""

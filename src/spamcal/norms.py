@@ -2,7 +2,8 @@
 
 Two norms are used throughout: a Frobenius norm scaled by sqrt(dim), which
 makes errors comparable across register sizes, and the elementwise max norm,
-which exposes the single largest error.
+which exposes the single largest error. :func:`check_column_stochastic` is
+the one check that the columns of a matrix are probability distributions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from .bits import bitstring
 from .errors import ValidationError
 
 
@@ -52,17 +54,23 @@ def symmetric_single_qubit(eps: float) -> np.ndarray:
     return np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
 
 
-def check_column_stochastic(t, tol: float = 1e-6) -> np.ndarray:
+def check_column_stochastic(t, tol: float = 1e-6, cols=None) -> np.ndarray:
+    """t when no entry is below -tol and every column sums to 1 within tol;
+    otherwise a ValidationError naming the first failure by its outcome and
+    its prepared state, cols[c] for column c (c by default)."""
     t = np.asarray(t, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {t.shape}")
-    if not np.min(t) >= -tol:
-        raise ValidationError(f"negative entry {np.min(t)} in stochastic matrix")
-    sums = t.sum(axis=0)
-    if not np.max(np.abs(sums - 1.0)) <= tol:
+    cols = np.arange(t.shape[1]) if cols is None else np.asarray(cols)
+    n = (t.shape[0] - 1).bit_length()  # outcome bits
+    if not t.min() >= -tol:
+        x, c = np.unravel_index(np.argmin(t), t.shape)
         raise ValidationError(
-            f"columns must sum to 1; worst deviation {np.max(np.abs(sums - 1.0))}"
+            f"negative probability p({bitstring(x, n)}|{bitstring(cols[c], n)}) = {t[x, c]}"
         )
+    sums = t.sum(axis=0)
+    bad = ~(np.abs(sums - 1.0) <= tol)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise ValidationError(f"column {bitstring(cols[c], n)} sums to {sums[c]}, expected 1")
     return t
 
 

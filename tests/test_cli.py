@@ -201,6 +201,22 @@ def test_estimate_rejects_invalid_model_beyond_oracle_limit(tmp_path, capsys):
     assert "negative probability" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("gen-model", "--spec"), ("estimate", "--k", "0", "--model")],
+    ids=["gen-model", "estimate"],
+)
+def test_out_of_bounds_model_beyond_oracle_limit_exits_2(tmp_path, capsys, command):
+    # P(qubit 1 reads 0) = 0.99 - 0.995 once qubit 2 is prepared 1
+    obj = invalid_chain13().to_dict() | {"pair_cov": {}, "shifts": {"1,2": 0.995}, "shift_range": 1}
+    model = tmp_path / "m13.json"
+    model.write_text(json.dumps(obj))
+    assert run(*command, model, "--out", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert "negative probability: table entry '1|0100000000000' lies outside [0, 1]" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("field", ["shifts", "pair_cov", "spectator_cov", "triples"])
 def test_model_key_with_wrong_index_count_rejected(tmp_path, capsys, field):
     obj = melbourne_c4().to_dict()

@@ -551,3 +551,11 @@ def test_estimate_holds_one_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak - start < 2 * t_est.data.nbytes
+
+
+@pytest.mark.parametrize("state", [-1, 1 << 4])
+def test_loaded_tables_reject_a_prepared_state_out_of_range(state):
+    tables = CalibrationTables.from_json(GOLDEN_TABLES)
+    assert tables.n == 4
+    with pytest.raises(ValidationError, match=f"prepared state {state} is out of range"):
+        tables.columns([0, state])

@@ -148,19 +148,80 @@ def test_negative_probability_rejected():
 
 
 def invalid_chain13():
-    """Accepted at construction (n > 12 is not enumerated), but qubit 1
-    reads 0 with probability 0.99 - 0.995 < 0 once qubit 2 is prepared 1."""
+    """Within every table bound, so accepted at construction (n > 12 is not
+    enumerated), but P(qubits 1, 2 read 00) = 0.02 * 0.99 - 0.05 < 0 once
+    qubit 1 is prepared 1 and qubit 2 is prepared 0."""
     base = np.array([[[0.99, 0.02], [0.01, 0.98]]] * 13)
     return NoiseModel(
-        RegisterGeometry.chain(13), base, shifts={(1, 2): 0.995}, shift_range=1
+        RegisterGeometry.chain(13), base, pair_cov={(1, 2): [[0, 0], [-0.05, 0]]}
     )
 
 
 def test_invalid_model_rejected_when_drawn_beyond_oracle_limit():
     backend = ExactBackend(invalid_chain13())
     assert backend.distribution(0).min() >= 0.0
+    assert backend.distribution(1 << 11).min() >= 0.0
     with pytest.raises(ValidationError, match="negative probability"):
-        backend.distribution(1 << 11)
+        backend.distribution(1 << 12)
+
+
+def bounded_chain(n, **terms):
+    base = np.array([symmetric_single_qubit(0.05)] * n)
+    return NoiseModel(RegisterGeometry.chain(n), base, shift_range=1, cov_range=1, **terms)
+
+
+@pytest.mark.parametrize("n", [4, 13, 40])
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ({"shifts": {(2, 1): -0.06}}, r"'2\|10\d*' lies outside \[0, 1\]: 1.01"),
+        ({"shifts": {(2, 3): 2.0}}, r"'2\|001\d*' lies outside \[0, 1\]: -1.05"),
+        ({"pair_cov": {(1, 2): [[0.3, 0], [0, 0]]}}, r"'1,2\|00\d*' lies outside \[-0.25, 0.25\]"),
+        (
+            {"pair_cov": {(2, 3): np.zeros((2, 2))}, "spectator_cov": {(2, 3, 1): -0.26}},
+            r"'2,3\|100\d*' lies outside \[-0.25, 0.25\]: -0.26",
+        ),
+        ({"spectator_cov": {(2, 3, 4): np.nan}}, r"'2,3\|000\d*' lies outside .*: nan"),
+        ({"triples": {(1, 2, 3): np.nan}}, r"triples\[1,2,3\] has a non-finite value nan"),
+    ],
+    ids=["mean-above-1", "mean-below-0", "pair-above", "pair-below", "nan-spectator", "nan-triple"],
+)
+def test_table_bounds_rejected_at_construction_at_every_n(n, terms, error):
+    with pytest.raises(ValidationError, match=error):
+        bounded_chain(n, **terms)
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ({"shifts": {(1, 1): 0.01}}, r"bad shift index pair \(1, 1\)"),
+        ({"shifts": {(0, 2): 0.01}}, r"bad shift index pair \(0, 2\)"),
+        ({"shifts": {(4, 5): 0.01}}, r"bad shift index pair \(4, 5\)"),
+        ({"pair_cov": {(2, 1): np.zeros((2, 2))}}, r"pair_cov keys need i < j, got \(2, 1\)"),
+        ({"pair_cov": {(3, 5): np.zeros((2, 2))}}, r"pair_cov keys need i < j, got \(3, 5\)"),
+        ({"spectator_cov": {(1, 2, 2): 1e-5}}, r"bad spectator_cov index \(1, 2, 2\)"),
+        ({"spectator_cov": {(2, 1, 3): 1e-5}}, r"bad spectator_cov index \(2, 1, 3\)"),
+        ({"spectator_cov": {(1, 2, 5): 1e-5}}, r"bad spectator_cov index \(1, 2, 5\)"),
+        ({"triples": {(1, 3, 2): 1e-5}}, r"triple keys need i < j < k, got \(1, 3, 2\)"),
+        ({"triples": {(2, 3, 5): 1e-5}}, r"triple keys need i < j < k, got \(2, 3, 5\)"),
+        ({"shifts": {(1, 3): 1e-3}}, r"shift\[1,3\]=0.001 exceeds declared range 1"),
+        (
+            {"spectator_cov": {(1, 2, 4): 1e-5}},
+            r"spectator_cov\[1,2,4\]=1e-05 exceeds declared range 1",
+        ),
+        # the index rule holds for 0.0 entries too, the range rule does not
+        ({"shifts": {(4, 5): 0.0}}, r"bad shift index pair \(4, 5\)"),
+        ({"spectator_cov": {(1, 2, 2): 0.0}}, r"bad spectator_cov index \(1, 2, 2\)"),
+        ({"shifts": {(1, 4): 0.0}, "spectator_cov": {(1, 2, 4): 0.0}}, None),
+    ],
+)
+def test_each_entry_rule_names_the_entry(terms, error):
+    if error is None:
+        m = bounded_chain(4, **terms)
+        assert np.array_equal(m.full_matrix().data, bounded_chain(4).full_matrix().data)
+        return
+    with pytest.raises(ValidationError, match=error):
+        bounded_chain(4, **terms)
 
 
 def test_out_of_range_shift_rejected():
@@ -362,10 +423,10 @@ def test_zero_entries_leave_the_tables_and_t_unchanged(n):
 
 
 def test_zero_entries_do_not_widen_the_tables_at_scale():
-    m = with_zero_entries(chain_model(40))
+    m = chain_model(40)
     tracemalloc.start()
     try:
-        tables = m.tables
+        tables = with_zero_entries(m).tables  # built by the construction traced
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

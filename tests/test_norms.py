@@ -104,3 +104,20 @@ def test_column_stochastic_rejects_nan(entry):
     t[entry] = np.nan
     with pytest.raises(ValidationError):
         check_column_stochastic(t)
+
+
+@pytest.mark.parametrize(
+    "entry, value, cols, error",
+    [
+        ((1, 0), -0.2, None, r"negative probability p\(1\|0\) = -0.1"),
+        ((0, 1), 0.1, None, r"column 1 sums to 1.1"),
+        ((2, 1), -0.2, [4, 6], r"negative probability p\(010\|110\) = -0.075"),
+        ((5, 0), 1e-3, [4, 6], r"column 100 sums to 1.001"),
+    ],
+)
+def test_column_stochastic_names_the_first_failure(entry, value, cols, error):
+    # a whole matrix, or a block of columns of an 8 x 8 one
+    t = symmetric_single_qubit(0.1) if cols is None else np.full((8, 2), 0.125)
+    t[entry] += value
+    with pytest.raises(ValidationError, match=error):
+        check_column_stochastic(t, 1e-12, cols)
