@@ -164,8 +164,9 @@ class CalibrationTables:
 
     def columns(self, cols) -> np.ndarray:
         """T[:, cols] for an array of prepared-state indices in 0..2^n - 1,
-        in one kernel call: the mean product first, then every term."""
-        cols = np.asarray(cols)
+        in one kernel call: the mean product first, then every term. No
+        states give a (2^n, 0) block."""
+        cols = np.asarray(cols, dtype=None if len(cols) else int)  # [] reads as float64
         wrong = (cols < 0) | (cols >= 1 << self.n)
         if wrong.any():
             raise ValidationError(

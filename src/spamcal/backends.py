@@ -111,26 +111,26 @@ class _ModelBackend(_Backend):
         self.seed = seed
         self._ordinals: dict[int, int] = {}
 
-    def _draw(self, states, shots: int) -> list:
-        """One sampled histogram per state, each from its own (seed, state,
-        ordinal) generator."""
+    def _draw(self, states, shots: int) -> np.ndarray:
+        """(2^n, states) sampled histograms, one column per state, each from
+        its own (seed, state, ordinal) generator."""
         if shots <= 0:
             raise ValidationError(f"shots must be positive, got {shots}")
         # the whole block is checked before any ordinal moves
         columns = self.model._columns(states)
-        hists = []
-        for xprime, column in zip(states, columns.T):
+        hists = np.empty(columns.shape, dtype=np.int64)
+        for c, (xprime, column) in enumerate(zip(states, columns.T)):
             ordinal = self._ordinals.get(xprime, 0)
             self._ordinals[xprime] = ordinal + 1
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence([self.seed, xprime, ordinal]))
             )
-            hists.append(_sample_histogram(column, shots, rng))
+            hists[:, c] = _sample_histogram(column, shots, rng)
         return hists
 
     def counts(self, xprime: int, shots: int | None = None) -> Counts:
         shots = self.shots if shots is None else shots
-        hist = self._draw([xprime], shots)[0]
+        hist = self._draw([xprime], shots)[:, 0]
         histogram = {int(x): int(hist[x]) for x in np.flatnonzero(hist)}
         return Counts(self.n, xprime, histogram, shots)
 
@@ -164,7 +164,7 @@ class SampledBackend(_ModelBackend):
         self.shots = shots
 
     def distributions(self, states) -> np.ndarray:
-        return np.stack(self._draw(states, self.shots), axis=1) / self.shots
+        return self._draw(states, self.shots) / self.shots
 
     def descriptor(self) -> dict:
         return {
@@ -258,7 +258,7 @@ class ReplayBackend(_Backend):
                 missing.extend(exc.missing)
         if missing:
             raise MissingDataError(missing, self.n)
-        return np.stack(found, axis=1)
+        return np.stack(found, axis=1) if found else np.empty((1 << self.n, 0))
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind, "n": self.n, "states": len(self.dataset.records)}

@@ -97,8 +97,7 @@ class NoiseModel:
         rows it fills. Qubit i's mask is i and its shift sources, a pair's is
         the pair and its spectators, and a triple's is its qubits."""
         n, geometry = self.n, self.geometry
-        shift = np.zeros((n, n))
-        sources = {i: {i} for i in range(1, n + 1)}
+        sources = {i: {i: 0.0} for i in range(1, n + 1)}  # shift of i by each source
         for (i, j), v in self.shifts.items():
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValidationError(f"bad shift index pair {(i, j)}")
@@ -108,8 +107,7 @@ class NoiseModel:
                 raise ValidationError(
                     f"shift[{i},{j}]={v} exceeds declared range {self.shift_range}"
                 )
-            shift[i - 1, j - 1] = v
-            sources[i].add(j)
+            sources[i][j] = v
         spectators = {ij: {} for ij in self.pair_cov}
         for (i, j, l), v in self.spectator_cov.items():
             if not (1 <= i < j <= n) or l in (i, j) or not 1 <= l <= n:
@@ -126,9 +124,12 @@ class NoiseModel:
         for i, qs in sources.items():
             bits = _filtered_bits(qs, n)
             single[i] = support_mask(qs, n)
+            shift = np.zeros(n)
+            for j, v in qs.items():
+                shift[j - 1] = v
             # summed over all n qubits, as for a whole prepared state: the
             # order of the sum fixes the last bits of T
-            p0 = self.base[i - 1, 0, bits[:, i - 1]] - (bits * shift[i - 1]).sum(-1)
+            p0 = self.base[i - 1, 0, bits[:, i - 1]] - (bits * shift).sum(-1)
             means[i] = check_table(p0, (i,), single[i], n, 0, 1, what)
         masks, coefs = {}, {}
         for (i, j), spec in spectators.items():

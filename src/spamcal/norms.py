@@ -61,7 +61,7 @@ def check_column_stochastic(t, tol: float = 1e-6, cols=None) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     cols = np.arange(t.shape[1]) if cols is None else np.asarray(cols)
     n = (t.shape[0] - 1).bit_length()  # outcome bits
-    if not t.min() >= -tol:
+    if t.size and not t.min() >= -tol:
         x, c = np.unravel_index(np.argmin(t), t.shape)
         raise ValidationError(
             f"negative probability p({bitstring(x, n)}|{bitstring(cols[c], n)}) = {t[x, c]}"

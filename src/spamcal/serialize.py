@@ -26,9 +26,11 @@ The reader raises ValidationError (CLI exit 2) for each input rule:
 key, or an ``order`` tag other than "msb-first"; :func:`number` for a value
 that is not a finite JSON number (a bool is not one); :func:`integer` for a
 value that is not a JSON integer at or above its lower bound (``n >= 1``);
-:func:`array` for a numeric array with a non-finite entry, an integer
-beyond the float range, or of the wrong shape; and :func:`qubits` for an
-"i,j" key without the right count of qubit indices.
+:func:`array` for a numeric array with a non-finite entry, an entry that
+is not a JSON number (a string, bool or null, which ``np.asarray`` would
+read as a float), an integer beyond the float range, or of the wrong
+shape; and :func:`qubits` for an "i,j" key without the right count of
+qubit indices.
 
 Two parsers read input files and feed the same checks. A file smaller than
 :data:`LARGE_JSON_BYTES` goes through ``json.loads``. A larger one, in
@@ -39,6 +41,22 @@ where ``json.loads`` spends 0.6 s in its correctly rounded ``strtod``.
 LARGE_JSON_BYTES is the break-even: the import costs 65-95 ms and about
 10 MB (it pulls in asyncio, ssl and decimal), and jiter saves about 15 ms
 per MB.
+
+A whole-file parse holds the file's bytes, a Python float per entry and
+their list at once. So a matrix file of at least LARGE_JSON_BYTES in the
+layout :func:`dump_json` writes, which every matrix this package writes
+from n = 9 up has, is streamed instead (:func:`stream_matrix_json`, through
+``TransitionMatrix.from_json``): the same jiter parses it PIECE_BYTES at a
+time into one float64 array allocated from the n of its tail, which is
+then checked as any other. In a fresh process (2-vCPU x86-64, CPython
+3.11) a load at n = 10, 11 and 12 peaks 13, 38 and 146 MB above its start
+and takes 0.20, 0.80 and 3.1 s; the whole-file parse peaks 76, 302 and
+1210 MB and takes 0.27, 1.07 and 4.9 s. Any other layout, and a streamed
+file that breaks a rule (a piece that does not parse or holds a
+non-number, an entry count other than 4^n, or a tail whose n needs more
+entries than the file's size can hold, checked before allocating), goes
+down the whole-file parse, so every float is bitwise the same and every
+error keeps its message.
 
 Both parsers give equal values of equal types, floats bit for bit (NaN,
 -0.0, subnormals and 1e400 included), and both reject an integer of more
@@ -57,6 +75,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -150,6 +169,73 @@ def load_json(path):
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
+# the layout dump_json writes for a matrix, and the piece size in which
+# stream_matrix_json reads the entries between its head and its tail
+MATRIX_HEAD = b'{\n  "data": ['
+MATRIX_TAIL = re.compile(rb'\n  \],\n  "n": ([1-9][0-9]{0,2}),\n  "order": "msb-first"\n\}\n\Z')
+PIECE_BYTES = 1 << 20
+
+
+def stream_matrix_json(path) -> dict | None:
+    """The matrix JSON at path as {"n", "order", "data"}, its data one float
+    array, when the file has at least LARGE_JSON_BYTES in the layout
+    dump_json writes; None for any other file, which load_json then reads.
+
+    The entries are parsed PIECE_BYTES at a time, each piece cut after its
+    last comma, into one array allocated from the n of the tail, so neither
+    the whole file nor a list of all its entries exists. Every JSON value
+    but a number spells one of the bytes ``" [ { l r`` (NaN and Infinity
+    spell none), so a piece without them parses to numbers or not at all.
+    A piece that holds one or does not parse, an entry count other than
+    4^n, and a tail whose n needs more entries than the file can hold each
+    give None, so every error keeps the message of the whole-file parse.
+    """
+    try:
+        size = os.stat(path).st_size
+        if size < LARGE_JSON_BYTES:
+            return None
+        with open(path, "rb") as f:
+            if f.read(len(MATRIX_HEAD)) != MATRIX_HEAD:
+                return None
+            f.seek(max(size - 64, len(MATRIX_HEAD)))
+            tail = f.read()
+            match = MATRIX_TAIL.search(tail)
+            if match is None:
+                return None
+            n = int(match[1])
+            end = size - len(tail) + match.start()  # the entries' last byte + 1
+            # each entry takes a byte and each but the last its comma
+            if 2 * (1 << 2 * n) - 1 > end - len(MATRIX_HEAD):
+                return None
+            from pydantic_core import from_json
+
+            data = np.empty(1 << 2 * n)
+            done, buf = 0, bytearray(b"[")
+            f.seek(len(MATRIX_HEAD))
+            for start in range(len(MATRIX_HEAD), end, PIECE_BYTES):
+                buf += f.read(min(PIECE_BYTES, end - start))
+                if any(buf.find(c, 1) >= 0 for c in b'"[{lr'):
+                    return None
+                cut = buf.rfind(b",") if start + PIECE_BYTES < end else len(buf)
+                if cut < 0:  # no whole entry yet
+                    continue
+                rest = buf[cut + 1:]
+                buf[cut:] = b"]"
+                values = np.asarray(from_json(buf, allow_inf_nan=True), dtype=float)
+                buf[1:] = rest
+                if not values.size or done + values.size > data.size:
+                    return None
+                data[done:done + values.size] = values
+                done += values.size
+    except (OSError, ValueError, OverflowError):
+        # unreadable, malformed or out of the float range: the whole-file
+        # parse names it
+        return None
+    if done != data.size:
+        return None
+    return {"n": n, "order": "msb-first", "data": data}
+
+
 def as_object(value, name: str, required=()) -> dict:
     """value itself when it is a JSON object holding the required keys, else
     a ValidationError naming the field. A required "order" must be
@@ -182,19 +268,34 @@ def integer(value, name: str, low: int = 1) -> int:
 
 
 def array(value, name: str, shape=None) -> np.ndarray:
-    """value as a float array with finite entries, of the given shape if
-    one is given."""
+    """value as a float array with finite entries, each a JSON number
+    unless value is already an array, of the given shape if one is given."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} has a non-numeric value {value!r:.60}") from None
     except OverflowError:  # an integer literal beyond the float range
         raise ValidationError(f"{name} has a value too large for a float") from None
+    if not isinstance(value, np.ndarray):
+        # np.asarray reads "0.5" as 0.5 and true as 1.0; its success bounds
+        # the nesting this walks by numpy's dimension limit
+        _numbers_only(value, name)
     if shape is not None and a.shape != shape:
         raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} has a non-finite value")
     return a
+
+
+def _numbers_only(value, name: str):
+    """A ValidationError naming the first leaf of value, a list nested in
+    lists, that is not a JSON number: a string, bool or null."""
+    if type(value) is not list:
+        if type(value) not in (int, float):
+            raise ValidationError(f"{name} has a non-numeric value {value!r:.60}")
+    elif not set(map(type, value)) <= {int, float}:
+        for v in value:
+            _numbers_only(v, name)
 
 
 def qubits(key: str, parts: int, name: str) -> tuple:

@@ -308,3 +308,16 @@ def test_collect_names_missing_states_across_blocks():
     with pytest.raises(MissingDataError) as info:
         next(gen)
     assert info.value.missing == list(range(1, 1 << n, 2))
+
+
+@pytest.mark.parametrize("kind", ["exact", "sampled", "replay"])
+def test_an_empty_block_is_a_block_of_no_columns(kind):
+    m = melbourne_c4()
+    if kind == "replay":
+        b = ReplayBackend(record_dataset(ExactBackend(m), all_preps(4), 64))
+    else:
+        b = {"exact": ExactBackend, "sampled": SampledBackend}[kind](m, seed=1)
+    for states in ([], np.array([], dtype=int), range(0)):
+        assert b.distributions(states).shape == (16, 0)
+    assert m.tables.columns([]).shape == (16, 0)
+    assert getattr(b, "_ordinals", {}) == {}

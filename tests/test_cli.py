@@ -3,12 +3,13 @@ import csv
 import hashlib
 import json
 import resource
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spamcal import cli, serialize
+from spamcal import cli, serialize, tmatrix
 from spamcal.backends import (
     SampledBackend,
     load_distribution,
@@ -437,6 +438,13 @@ NAN = float("nan")
             ("model", ("base", 0, 0, 0), "base has a value too large for a float"),
             ("model", ("positions", 0, 0), "positions has a value too large for a float"),
         ]
+    ]
+    + [
+        # a JSON string, bool or null, which np.asarray would read as a float
+        pytest.param(kind, path, value, f"{path[0]} has a non-numeric value {value!r}",
+                     id=f"{kind}-{path[0]}-{json.dumps(value)}")
+        for kind, path in [("matrix", ("data", 5)), ("model", ("base", 0, 1, 0))]
+        for value in ["0.5", True, False, None]
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, kind, path, value, message):
@@ -712,4 +720,42 @@ def test_large_matrix_errors_exit_2(tmp_path, capsys, large_matrix, corrupt, mes
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_streamed_and_whole_file_loads_give_the_same_outputs(tmp_path, monkeypatch, large_matrix):
+    d, _text = large_matrix
+    # a second matrix, written in another layout, which the stream leaves
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(load_json(d / "matrix.json")))
+    outputs = []
+    for streamed in (True, False):
+        if not streamed:
+            monkeypatch.setattr(tmatrix, "stream_matrix_json", lambda path: None)
+        out = tmp_path / f"streamed-{streamed}"
+        out.mkdir()
+        assert run("correct", "--matrix", d / "matrix.json", "--input", d / "dist.json",
+                   "--out", out / "p.json") == 0
+        assert run("compare", "--reference", d / "matrix.json", "--candidate", f"b={other}",
+                   "--out", out / "cmp.csv") == 0
+        outputs.append([(out / name).read_bytes() for name in ("p.json", "cmp.csv")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n", [13, 60])
+def test_a_tail_claiming_more_entries_than_the_file_holds_exits_2(tmp_path, capsys,
+                                                                  large_matrix, n):
+    d, text = large_matrix
+    matrix, out = tmp_path / "matrix.json", tmp_path / "out.json"
+    matrix.write_text(text.replace('\n  "n": 9,', f'\n  "n": {n},'))
+    tracemalloc.start()
+    try:
+        code = run("correct", "--matrix", matrix, "--input", d / "dist.json", "--out", out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"matrix JSON has 262144 entries, expected 4^{n}" in capsys.readouterr().err
+    # the whole-file parse of a 6 MB file, not an array of 4^13 doubles (512 MiB)
+    assert peak < 64 << 20
     assert not out.exists()

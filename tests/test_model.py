@@ -435,3 +435,15 @@ def test_zero_entries_do_not_widen_the_tables_at_scale():
     assert sum(map(len, tables.mean_fields.values())) + sum(
         map(len, tables.pair_fluct.values())
     ) == 472
+
+
+def test_construction_at_scale_holds_no_n_by_n_array():
+    identity_model(3000)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        identity_model(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x n float array alone is 68.7 MiB
+    assert peak < 16 << 20

@@ -1,6 +1,7 @@
 """The two JSON parsers behind ``serialize.load_json`` read the same values:
 ``json.loads`` for small files, ``pydantic_core.from_json`` (jiter) for
-files of at least ``LARGE_JSON_BYTES``. The two writers behind
+files of at least ``LARGE_JSON_BYTES``, and ``serialize.stream_matrix_json``
+reads the same matrix entries piece by piece. The two writers behind
 ``serialize.float_list_json`` write the same text: ``json.dumps`` for small
 arrays, pydantic-core for those whose text can reach that size."""
 
@@ -12,9 +13,11 @@ import json
 import math
 import operator
 import os
+import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -168,17 +171,22 @@ def assert_same_lines(got: str, expected: str):
     assert len(got) == len(expected)
 
 
-@pytest.fixture(scope="module", params=[3, 9], ids=["small", "large"])
-def awkward_matrix(request):
-    """A matrix, not a stochastic one, holding every spelling float_list_json
-    rewrites, NaN and both infinities: at n = 3 below the writers' size
-    gate, at n = 9 above it."""
-    dim = 1 << request.param
-    rng = np.random.default_rng(17)
+def awkward_data(n: int, seed: int = 17) -> np.ndarray:
+    """A 2^n x 2^n matrix, not a stochastic one, holding every spelling
+    float_list_json rewrites, NaN and both infinities."""
+    dim = 1 << n
+    rng = np.random.default_rng(seed)
     data = 10.0 ** rng.uniform(-12, 0, (dim, dim)) * rng.choice([-1.0, 1.0], (dim, dim))
     data.ravel()[: 3 * len(WRITER_SPECIAL) : 3] = WRITER_SPECIAL
     data[-1, 1], data[-2, 0], data[-1, -1] = math.nan, math.inf, -math.inf
-    return TransitionMatrix(request.param, data)
+    return data
+
+
+@pytest.fixture(scope="module", params=[3, 9], ids=["small", "large"])
+def awkward_matrix(request):
+    """The awkward matrix at n = 3, below the writers' size gate, and at
+    n = 9, above it."""
+    return TransitionMatrix(request.param, awkward_data(request.param))
 
 
 def written_by_pydantic_core(write, *args):
@@ -302,3 +310,119 @@ def test_small_files_do_not_import_the_writer(tmp_path):
         "assert 'pydantic_core' in sys.modules, 'an n = 9 T did not use the writer'\n",
         tmp_path,
     )
+
+
+def whole_file_data(path) -> np.ndarray:
+    """The entries of a matrix file as the whole-file parse reads them."""
+    return np.asarray(serialize.load_json(path)["data"], dtype=float)
+
+
+def test_streamed_matrix_is_bitwise_the_whole_file_parse(awkward_matrix, tmp_path):
+    path = tmp_path / "T.json"
+    awkward_matrix.to_json(path)
+    obj = serialize.stream_matrix_json(path)
+    if awkward_matrix.n == 3:  # below the size gate: the whole-file parse
+        assert obj is None
+        return
+    assert obj["n"] == 9 and obj["order"] == "msb-first"
+    assert obj["data"].tobytes() == whole_file_data(path).tobytes()
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 5, 8, 13, 21, 65537])
+def test_streamed_matrix_stays_bitwise_for_any_piece_size(tmp_path, monkeypatch, piece):
+    # the n = 3 awkward matrix, streamed by lowering the size gate, so that
+    # pieces of 1 to 21 bytes cut every entry at every byte
+    n = 3 if piece < 100 else 9
+    data = awkward_data(n, seed=piece)
+    path = tmp_path / "T.json"
+    TransitionMatrix(n, data).to_json(path)
+    monkeypatch.setattr(serialize, "LARGE_JSON_BYTES", 0)
+    monkeypatch.setattr(serialize, "PIECE_BYTES", piece)
+    obj = serialize.stream_matrix_json(path)
+    assert obj["data"].tobytes() == whole_file_data(path).tobytes() == data.tobytes()
+
+
+@pytest.fixture(scope="module")
+def finite_matrix():
+    """The n = 9 awkward matrix with its non-finite entries replaced, so
+    that TransitionMatrix.from_json accepts it."""
+    data = awkward_data(9)
+    data[~np.isfinite(data)] = 0.5
+    return TransitionMatrix(9, data)
+
+
+def obj_of(t):
+    return {"n": t.n, "order": "msb-first", "data": t.data.ravel().tolist()}
+
+
+# the same matrix in layouts other than dump_json's, each of which a
+# stream that trusted the head or the tail alone would misread
+OTHER_LAYOUTS = {
+    "compact": lambda obj: json.dumps(obj),
+    "key-order": lambda obj: json.dumps(obj, indent=2),
+    "extra-key-last": lambda obj: json.dumps({**obj, "zz": 1}, indent=2, sort_keys=True),
+    # "m" holds a list, whose "]" the tail pattern reads as data's
+    "extra-list-key": lambda obj: json.dumps({**obj, "m": [1]}, indent=2, sort_keys=True),
+    "data-string-first": lambda obj: json.dumps(
+        {"a": '"data": [', **obj}, indent=2, sort_keys=True
+    ),
+    "crlf": lambda obj: json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+def test_other_layouts_take_the_whole_file_parse(finite_matrix, tmp_path, layout):
+    path = tmp_path / "T.json"
+    path.write_text(OTHER_LAYOUTS[layout](obj_of(finite_matrix)))
+    assert path.stat().st_size >= serialize.LARGE_JSON_BYTES
+    assert serialize.stream_matrix_json(path) is None
+    got = TransitionMatrix.from_json(path).data
+    assert got.tobytes() == finite_matrix.data.tobytes()
+
+
+def with_first_entry(text: str, token: str) -> str:
+    """text with the first entry of its data replaced by token."""
+    head, first, rest = text.split("\n    ", 2)
+    return "\n    ".join([head, token + first[first.index(","):], rest])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda text: with_first_entry(text, ""), "malformed JSON"),
+        (lambda text: text.replace("\n  ],", ",\n  ],", 1), "malformed JSON"),
+        (lambda text: with_first_entry(text, "[0.5]"), "data has a non-numeric value"),
+        (lambda text: with_first_entry(text, '"0.5"'), "data has a non-numeric value '0.5'"),
+        (lambda text: with_first_entry(text, "true"), "data has a non-numeric value True"),
+        (lambda text: with_first_entry(text, "false"), "data has a non-numeric value False"),
+        (lambda text: with_first_entry(text, "null"), "data has a non-numeric value None"),
+        (lambda text: with_first_entry(text, "{}"), "data has a non-numeric value"),
+        (lambda text: with_first_entry(text, "0.5}"), "malformed JSON"),
+        (lambda text: with_first_entry(text, "1" + "0" * 4300), "malformed JSON"),
+        (lambda text: with_first_entry(text, "0.5,\n    0.5"), "262145 entries, expected 4^9"),
+    ],
+    ids=["empty", "trailing-comma", "list", "string", "true", "false", "null", "object",
+         "brace", "long-integer", "extra-entry"],
+)
+def test_a_piece_that_is_not_numbers_takes_the_whole_file_parse(
+    finite_matrix, tmp_path, corrupt, message
+):
+    path = tmp_path / "T.json"
+    path.write_text(corrupt(finite_matrix.to_json()))
+    assert serialize.stream_matrix_json(path) is None
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TransitionMatrix.from_json(path)
+
+
+def test_streamed_load_peaks_at_the_array_size(tmp_path):
+    rng = np.random.default_rng(10)
+    t = rng.random((1 << 10, 1 << 10))
+    path = tmp_path / "T.json"
+    TransitionMatrix(10, t / t.sum(axis=0)).to_json(path)
+    tracemalloc.start()
+    try:
+        loaded = TransitionMatrix.from_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < loaded.data.nbytes + (4 << 20)
