@@ -70,22 +70,18 @@ def _load_model(args) -> NoiseModel:
 
 
 def _make_backend(args):
-    inputs = []
+    """The backend, its register geometry and the input files it read."""
     if args.backend == "replay":
         if not args.dataset:
             raise ValidationError("replay backend needs --dataset")
-        inputs.append(args.dataset)
         backend = ingest_dataset(args.dataset)
-        geometry = RegisterGeometry.chain(backend.n)
-        return backend, geometry, inputs
+        return backend, RegisterGeometry.chain(backend.n), [args.dataset]
     model = _load_model(args)
-    if args.model:
-        inputs.append(args.model)
     if args.backend == "sampled":
         backend = SampledBackend(model, shots=args.shots, seed=args.seed)
     else:
         backend = ExactBackend(model, seed=args.seed)
-    return backend, model.geometry, inputs
+    return backend, model.geometry, [args.model] if args.model else []
 
 
 def _config_dict(args):
@@ -99,18 +95,17 @@ def _emit(args, files, inputs, **config):
     ``files`` holds (path, writer) pairs; a None path is an optional output
     that was not asked for. Two outputs at one path, the manifest's
     included, are a ValidationError before anything is written. The
-    manifest's config is ``_config_dict(args)`` plus ``config``. If a write
-    fails, the files this call wrote or created are removed, a file cut
-    short included, except one that replaced an input, and the error is
-    re-raised."""
+    manifest's config is ``_config_dict(args)`` plus ``config``. A write
+    cut short leaves its file as it was (``serialize.write_text``); if one
+    fails, the files this call wrote before it are removed, except one that
+    replaced an input, and the error is re-raised."""
     files = [(str(path), write) for path, write in files if path is not None]
     manifest_path = f"{args.out}.manifest.json"
     paths = [p for p, _ in files] + [manifest_path]
-    seen = set()
-    for path in paths:
-        if os.path.realpath(path) in seen:
+    real = [os.path.realpath(p) for p in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
             raise ValidationError(f"two outputs at one path: {path}")
-        seen.add(os.path.realpath(path))
     manifest = {
         "command": args.command,
         "config": {**_config_dict(args), **config},
@@ -119,8 +114,6 @@ def _emit(args, files, inputs, **config):
         "input_hashes": {str(p): sha256_file(p) for p in inputs},
     }
     kept = {os.path.realpath(p) for p in inputs}
-    # a write cut short leaves part of a file that did not exist before
-    created = [p for p in paths if not os.path.exists(p)]
     written = []
     try:
         for path, write in files:
@@ -129,8 +122,8 @@ def _emit(args, files, inputs, **config):
         manifest["output_hashes"] = {p: sha256_file(p) for p in written}
         dump_json(manifest, manifest_path)
     except BaseException:
-        for path in {*written, *created}:
-            if os.path.exists(path) and os.path.realpath(path) not in kept:
+        for path in written:
+            if os.path.realpath(path) not in kept:
                 os.remove(path)
         raise
 

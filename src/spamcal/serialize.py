@@ -5,20 +5,23 @@ All JSON written by this package is deterministic: sorted keys, fixed
 indentation, and floats emitted by Python's shortest round-trip repr (the
 serialized value re-reads to the identical double).
 
-Two writers give one text, as two parsers (below) give one value.
-:func:`float_list_json` is the one writer of float arrays and holds the
-size gate: below :data:`LARGE_JSON_BYTES` of possible text it returns
-``json.dumps``, whose C encoder runs when no indent is set; above it, in
-practice a dense matrix from n = 9 up, it takes the digits from
-``pydantic_core.to_json``, which formats the million floats of an n = 10
-matrix in 0.11 s. pydantic-core writes the shortest round-trip digits, as
-repr does, and spells them the same way but in two cases, both rewritten:
-values in [1e-5, 1e-4) come out positional (``0.000025614156986229296``
-for ``2.5614156986229296e-05``), and a one-digit negative exponent comes
-out unpadded (``e-6`` for ``e-06``). :func:`dump_json` fills its text in
-for each float array among an object's values, and the matrix CSV cuts its
-rows from it. Smaller outputs never import pydantic-core. :func:`write_text`
-writes every output file, and an unwritable path is a ValidationError.
+Two writers give one text. :func:`float_list_json` is the one writer of
+float arrays and holds the size gate: below :data:`LARGE_JSON_BYTES` of
+possible text it returns ``json.dumps``, whose C encoder runs when no
+indent is set; above it, in practice a dense matrix from n = 9 up, it
+takes the digits from ``pydantic_core.to_json``, which formats the million
+floats of an n = 10 matrix in 0.11 s. pydantic-core writes the shortest
+round-trip digits, as repr does, and spells them the same way but in two
+cases, both rewritten: values in [1e-5, 1e-4) come out positional
+(``0.000025614156986229296`` for ``2.5614156986229296e-05``), and a
+one-digit negative exponent comes out unpadded (``e-6`` for ``e-06``).
+:func:`dump_matrix_json` joins its text between the head and the tail of
+the dense matrix layout, and the matrix CSV cuts its rows from it; every
+other object goes through :func:`dump_json`. Smaller outputs never import
+pydantic-core. :func:`write_text` writes every output file: a regular file
+through a temporary file beside it, renamed into place, so a write cut
+short leaves the previous file as it was. An unwritable path is a
+ValidationError.
 
 The reader raises ValidationError (CLI exit 2) for each input rule:
 :func:`load_json` for a missing, unreadable or malformed file;
@@ -32,40 +35,30 @@ read as a float), an integer beyond the float range, or of the wrong
 shape; and :func:`qubits` for an "i,j" key without the right count of
 qubit indices.
 
-Two parsers read input files and feed the same checks. A file smaller than
-:data:`LARGE_JSON_BYTES` goes through ``json.loads``. A larger one, in
-practice a dense matrix JSON from n = 9 up (``correct --matrix``,
-``compare``), goes through ``pydantic_core.from_json``, the jiter parser,
-imported on first use: it reads the 28.6 MB n = 10 matrix in about 0.25 s,
-where ``json.loads`` spends 0.6 s in its correctly rounded ``strtod``.
-LARGE_JSON_BYTES is the break-even: the import costs 65-95 ms and about
-10 MB (it pulls in asyncio, ssl and decimal), and jiter saves about 15 ms
-per MB.
+:func:`load_json` parses every input file whole with ``json.loads``. A
+whole-file parse holds the file's text, a Python float per entry and their
+list at once. So a matrix file of at least LARGE_JSON_BYTES in the layout
+:func:`dump_matrix_json` writes, which every matrix this package writes
+from n = 9 up has, is streamed instead (:func:`stream_matrix_json`,
+through ``TransitionMatrix.from_json``): ``pydantic_core.from_json``, the
+jiter parser, imported on first use, parses it PIECE_BYTES at a time into
+one float64 array allocated from the n of its tail, which is then checked
+as any other. In a fresh process (2-vCPU x86-64, CPython 3.11) a load at
+n = 10, 11 and 12 peaks 13, 38 and 146 MB above its start and takes 0.20,
+0.80 and 3.1 s. Read whole by ``json.loads``, the n = 10 file takes
+0.5-0.8 s, and the resident set peaks 67 MB above its start against 19 MB
+streamed. Any other layout, and a streamed file that breaks a rule (a
+piece that does not parse or holds a non-number, an entry count other than
+4^n, or a tail whose n needs more entries than the file's size can hold,
+checked before allocating), goes down the whole-file parse, so every float
+is bitwise the same and every error keeps its message.
 
-A whole-file parse holds the file's bytes, a Python float per entry and
-their list at once. So a matrix file of at least LARGE_JSON_BYTES in the
-layout :func:`dump_json` writes, which every matrix this package writes
-from n = 9 up has, is streamed instead (:func:`stream_matrix_json`, through
-``TransitionMatrix.from_json``): the same jiter parses it PIECE_BYTES at a
-time into one float64 array allocated from the n of its tail, which is
-then checked as any other. In a fresh process (2-vCPU x86-64, CPython
-3.11) a load at n = 10, 11 and 12 peaks 13, 38 and 146 MB above its start
-and takes 0.20, 0.80 and 3.1 s; the whole-file parse peaks 76, 302 and
-1210 MB and takes 0.27, 1.07 and 4.9 s. Any other layout, and a streamed
-file that breaks a rule (a piece that does not parse or holds a
-non-number, an entry count other than 4^n, or a tail whose n needs more
-entries than the file's size can hold, checked before allocating), goes
-down the whole-file parse, so every float is bitwise the same and every
-error keeps its message.
-
-Both parsers give equal values of equal types, floats bit for bit (NaN,
--0.0, subnormals and 1e400 included), and both reject an integer of more
-than 4300 digits. They differ on two inputs that no file written by this
-package holds: jiter rejects an unpaired surrogate escape such as
-``"\\ud800"``, and a number whose integer part, sign included, has more than
-4300 characters (``json.loads`` reads a negative 4300-digit integer, or
-such a float). In a large file either is malformed JSON (exit 2), as is
-nesting deeper than 200 levels (jiter) or about 1000 (``json.loads``).
+That fallback needs the two parsers to agree on numbers, the only values a
+piece holds: both read every JSON number to the same float, bit for bit
+(NaN, -0.0, subnormals and 1e400 included), and both reject an integer of
+more than 4300 digits. jiter alone rejects a number whose integer part,
+sign included, has more than 4300 characters; the whole-file parse then
+reads it.
 """
 
 from __future__ import annotations
@@ -86,27 +79,34 @@ from .errors import ValidationError
 
 def write_text(text: str, path) -> str:
     """text, also written to path when one is given: an output path that
-    cannot be written is a ValidationError."""
+    cannot be written is a ValidationError. A new or regular file, a
+    symlink's target included, is written whole beside itself and renamed
+    into place, so a write cut short leaves it as it was; a new file gets
+    the umask's permission bits and a replaced one keeps its own. Anything
+    else, such as ``/dev/null``, is written in place."""
     if path is not None:
+        target = os.path.realpath(path)
+        regular = os.path.isfile(target) or not os.path.exists(target)
+        tmp = f"{target}.{os.urandom(8).hex()}.tmp" if regular else None
         try:
-            Path(path).write_text(text)
+            with open(tmp or target, "x" if tmp else "w") as f:
+                f.write(text)
+            if tmp and os.path.exists(target):
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            if tmp:
+                os.replace(tmp, target)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+        finally:
+            if tmp and os.path.lexists(tmp):
+                os.remove(tmp)
     return text
 
 
 def dump_json(obj, path=None) -> str:
-    """obj, a dict, as JSON text with sorted keys, two-space indents and a
-    final newline. A non-empty float array among its values is written as a
-    flat list of its entries."""
-    arrays = {key: a for key, a in obj.items() if isinstance(a, np.ndarray)}
-    text = json.dumps({**obj, **dict.fromkeys(arrays, [])}, indent=2, sort_keys=True)
-    for key, a in arrays.items():
-        # fill the empty list json.dumps wrote in its place, at its indent
-        slot = f"\n  {json.dumps(key)}: ["
-        items = float_list_json(a.ravel(), ",\n    ")[1:-1]
-        text = text.replace(slot + "]", f"{slot}\n    {items}\n  ]", 1)
-    return write_text(text + "\n", path)
+    """obj as JSON text with sorted keys, two-space indents and a final
+    newline."""
+    return write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def dump_csv(rows, path=None) -> str:
@@ -115,9 +115,11 @@ def dump_csv(rows, path=None) -> str:
     return write_text(buf.getvalue(), path)
 
 
-# Measured break-even of the two parsers (2-vCPU x86-64, CPython 3.11,
-# pydantic-core 2.46): importing pydantic_core costs 65-95 ms, and jiter
-# parses about 15 ms per MB faster than json.loads, so it pays from 4-6 MB.
+# The size from which float_list_json takes its digits from pydantic-core
+# and stream_matrix_json streams a dense matrix file: importing
+# pydantic_core costs 65-95 ms and about 10 MB (2-vCPU x86-64, CPython
+# 3.11, pydantic-core 2.46), which the parse of a dense matrix repays from
+# n = 9 up.
 LARGE_JSON_BYTES = 4 << 20
 
 
@@ -154,32 +156,41 @@ def float_list_json(values: np.ndarray, sep: str = ", ") -> str:
 
 def load_json(path):
     try:
-        if os.stat(path).st_size < LARGE_JSON_BYTES:
-            # text: json.loads of bytes holds them and their decoded copy
-            return json.loads(Path(path).read_text(encoding="utf-8"))
-        from pydantic_core import from_json
-
-        # bytes: jiter checks the UTF-8 as it parses, with no decoded copy
-        return from_json(Path(path).read_bytes(), allow_inf_nan=True)
+        # text: json.loads of bytes holds them and their decoded copy
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     # ValueError: bad UTF-8, bad syntax or an over-long integer;
-    # RecursionError: json.loads on a file nested about 1000 levels deep
+    # RecursionError: a file nested about 1000 levels deep
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from None
 
 
-# the layout dump_json writes for a matrix, and the piece size in which
-# stream_matrix_json reads the entries between its head and its tail
-MATRIX_HEAD = b'{\n  "data": ['
-MATRIX_TAIL = re.compile(rb'\n  \],\n  "n": ([1-9][0-9]{0,2}),\n  "order": "msb-first"\n\}\n\Z')
+# The dense matrix layout, the text json.dumps(..., indent=2,
+# sort_keys=True) gives {"n", "order", "data"} plus a final newline:
+# dump_matrix_json writes it, and stream_matrix_json matches the same head
+# and tail, the tail's n a register size of up to three digits.
+MATRIX_HEAD = '{\n  "data": [\n    '
+MATRIX_SEP = ",\n    "
+MATRIX_TAIL = '\n  ],\n  "n": %d,\n  "order": "msb-first"\n}\n'
+TAIL_PATTERN = re.compile(re.escape(MATRIX_TAIL).replace("%d", r"([1-9]\d{0,2})").encode() + rb"\Z")
+# the piece size in which stream_matrix_json reads the entries
 PIECE_BYTES = 1 << 20
+
+
+def dump_matrix_json(n: int, data: np.ndarray, path=None) -> str:
+    """The dense matrix JSON of n and its data, read row-major: the text
+    dump_json writes for {"n": n, "order": "msb-first", "data": its
+    entries}."""
+    items = float_list_json(data.ravel(), MATRIX_SEP)[1:-1]
+    return write_text("".join([MATRIX_HEAD, items, MATRIX_TAIL % n]), path)
 
 
 def stream_matrix_json(path) -> dict | None:
     """The matrix JSON at path as {"n", "order", "data"}, its data one float
     array, when the file has at least LARGE_JSON_BYTES in the layout
-    dump_json writes; None for any other file, which load_json then reads.
+    dump_matrix_json writes; None for any other file, which load_json then
+    reads.
 
     The entries are parsed PIECE_BYTES at a time, each piece cut after its
     last comma, into one array allocated from the n of the tail, so neither
@@ -195,11 +206,11 @@ def stream_matrix_json(path) -> dict | None:
         if size < LARGE_JSON_BYTES:
             return None
         with open(path, "rb") as f:
-            if f.read(len(MATRIX_HEAD)) != MATRIX_HEAD:
+            if f.read(len(MATRIX_HEAD)) != MATRIX_HEAD.encode():
                 return None
             f.seek(max(size - 64, len(MATRIX_HEAD)))
             tail = f.read()
-            match = MATRIX_TAIL.search(tail)
+            match = TAIL_PATTERN.search(tail)
             if match is None:
                 return None
             n = int(match[1])
@@ -282,7 +293,9 @@ def array(value, name: str, shape=None) -> np.ndarray:
         _numbers_only(value, name)
     if shape is not None and a.shape != shape:
         raise ValidationError(f"{name} has shape {a.shape}, expected {shape}")
-    if not np.isfinite(a).all():
+    # NaN carries through min and max, and an infinity is one of them, so
+    # no bool array of a's size is made
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValidationError(f"{name} has a non-finite value")
     return a
 

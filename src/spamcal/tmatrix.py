@@ -5,9 +5,11 @@ the MSB-first basis-state index of :mod:`spamcal.bits`.
 
 JSON schema: {"n": int, "order": "msb-first", "data": row-major list}.
 CSV: a header row of prepared-state labels, then one row per outcome.
-Both write each float in Python's repr, the CSV cutting its rows from the
-JSON text of :func:`spamcal.serialize.float_list_json`, with no
-``csv.writer``. From n = 9 up, where the text can reach
+Both write each float in Python's repr, from the text of
+:func:`spamcal.serialize.float_list_json`: the JSON through
+:func:`spamcal.serialize.dump_matrix_json`, whose layout is the one the
+streamed reader matches, and the CSV cutting its rows from that text, with
+no ``csv.writer``. From n = 9 up, where the text can reach
 ``serialize.LARGE_JSON_BYTES``, that text comes from pydantic-core, byte
 for byte the same. At n = 10 (2-vCPU x86-64, CPython 3.11) that writes the
 28.6 MB JSON in 0.6-1.0 s instead of 2.4-3.3 s, and the CSV in 0.7-1.0 s
@@ -17,9 +19,10 @@ instead of 2.3-3.1 s (1.6-1.8 s through ``csv.writer``).
 ``compare``, streams a JSON in that layout from
 ``serialize.LARGE_JSON_BYTES`` up into one preallocated array
 (:func:`spamcal.serialize.stream_matrix_json`), and reads any other file
-whole; either way :meth:`TransitionMatrix.from_dict` checks the result. A
-load at n = 12 (a 460 MB file) peaks 146 MB above its start, for a
-128 MB array, instead of 1.2 GB.
+whole with ``json.loads``; either way :meth:`TransitionMatrix.from_dict`
+checks the result. A load at n = 12 (a 460 MB file) peaks 146 MB above its
+start, for a 128 MB array; a whole-file parse would hold the 460 MB of text
+and a Python float per entry besides.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 from .bits import bitstring
 from .errors import ValidationError
 from .serialize import (
-    array, as_object, dump_json, float_list_json, integer, load_json, stream_matrix_json, write_text,
+    array, as_object, dump_matrix_json, float_list_json, integer, load_json, stream_matrix_json,
+    write_text,
 )
 
 
@@ -57,7 +61,7 @@ class TransitionMatrix:
         return 1 << self.n
 
     def to_json(self, path=None) -> str:
-        return dump_json({"n": self.n, "order": "msb-first", "data": self.data}, path)
+        return dump_matrix_json(self.n, self.data, path)
 
     @classmethod
     def from_json(cls, path) -> "TransitionMatrix":
@@ -77,8 +81,6 @@ class TransitionMatrix:
     def to_csv(self, path=None) -> str:
         labels = [bitstring(c, self.n) for c in range(self.dim)]
         # the JSON rows, their floats respelled as repr's nan and inf
-        text = float_list_json(self.data, ",")
-        if not np.isfinite(self.data).all():
-            text = text.replace("NaN", "nan").replace("Infinity", "inf")
+        text = float_list_json(self.data, ",").replace("NaN", "nan").replace("Infinity", "inf")
         lines = zip(["outcome", *labels], [",".join(labels), *text[2:-2].split("],[")])
         return write_text("".join(f"{label},{row}\n" for label, row in lines), path)

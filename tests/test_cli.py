@@ -537,6 +537,21 @@ def test_a_write_cut_short_leaves_no_output(tmp_path, capsys, limit, cut):
     assert sorted(tmp_path.iterdir()) == [raw, mat]
 
 
+def test_a_rerun_cut_short_keeps_the_previous_output(tmp_path, capsys):
+    m = melbourne_c4()
+    mat, raw, out = tmp_path / "t.json", tmp_path / "raw.json", tmp_path / "out.json"
+    m.full_matrix().to_json(mat)
+    save_distribution(m.column(0b0101), 4, raw)
+    argv = ["correct", "--matrix", mat, "--input", raw, "--out", out]
+    assert run(*argv) == 0
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    # the output (168 bytes) does not fit
+    with file_size_limit(100):
+        assert run(*argv) == 2
+    assert f"cannot write {out}: File too large" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("second", ["t.json", "./t.json", "t.json.manifest.json"])
 def test_two_outputs_at_one_path_exit_2_before_any_write(tmp_path, capsys, monkeypatch, second):
     monkeypatch.chdir(tmp_path)
@@ -640,18 +655,30 @@ def test_correlators_csv_holds_plain_numbers(tmp_path):
 DEEP = "[" * 1000 + "]" * 1000
 
 
-@pytest.mark.parametrize("flag", ["--matrix", "--input", "--model", "--dataset"])
-def test_deeply_nested_input_exits_2(tmp_path, capsys, flag):
+def assert_malformed_input_exits_2(tmp_path, capsys, flag, text):
     files = write_valid_inputs(tmp_path)
     kind = {"--matrix": "matrix", "--input": "distribution"}.get(flag, flag[2:])
     files[kind] = None
-    (tmp_path / f"{kind}.json").write_text(DEEP)
+    (tmp_path / f"{kind}.json").write_text(text)
     code, out = run_on_inputs(tmp_path, kind, files)
     assert code == 2
     err = capsys.readouterr().err
     assert f"malformed JSON in {tmp_path / kind}.json" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--input", "--model", "--dataset"])
+def test_deeply_nested_input_exits_2(tmp_path, capsys, flag):
+    assert_malformed_input_exits_2(tmp_path, capsys, flag, DEEP)
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--dataset"])
+def test_large_deeply_nested_input_exits_2(tmp_path, capsys, flag):
+    # past the size from which a dense matrix layout is streamed: a file in
+    # any other layout still takes the whole-file parse
+    text = DEEP + " " * serialize.LARGE_JSON_BYTES
+    assert_malformed_input_exits_2(tmp_path, capsys, flag, text)
 
 
 def test_deeply_nested_tables_file_is_a_validation_error(tmp_path):
@@ -664,7 +691,8 @@ def test_deeply_nested_tables_file_is_a_validation_error(tmp_path):
 @pytest.fixture(scope="module")
 def large_matrix(tmp_path_factory):
     """A dense n = 9 matrix JSON of random doubles, above the size from
-    which load_json parses with jiter, its text, and a distribution."""
+    which TransitionMatrix.from_json streams it, its text, and a
+    distribution."""
     d = tmp_path_factory.mktemp("large")
     rng = np.random.default_rng(9)
     t = rng.random((512, 512))
@@ -683,7 +711,7 @@ def test_large_matrix_loads_bitwise_equal_to_json_loads(tmp_path, monkeypatch, l
         m.setattr(serialize, "json", SimpleNamespace(dumps=json.dumps))
         got = TransitionMatrix.from_json(d / "matrix.json").data
     assert got.tobytes() == expected.tobytes()
-    # the corrected output is the same whichever parser read T
+    # the corrected output is the same whether T was streamed or read whole
     outputs = []
     for limit in (serialize.LARGE_JSON_BYTES, 1 << 40):
         monkeypatch.setattr(serialize, "LARGE_JSON_BYTES", limit)
@@ -706,8 +734,9 @@ def nan_entry(text):
         (lambda text: text.encode()[:-100], "malformed JSON"),
         (lambda text: text.replace('"msb-first"', '"msb-first\xff"').encode("latin-1"),
          "malformed JSON"),
-        # the one string json.loads reads and jiter rejects
-        (lambda text: text.replace('"msb-first"', '"\\ud800"').encode(), "malformed JSON"),
+        # json.loads reads a lone surrogate escape into the string
+        (lambda text: text.replace('"msb-first"', '"\\ud800"').encode(),
+         "unsupported bit order '\\ud800'"),
     ],
     ids=["nan", "truncated", "invalid-utf8", "unpaired-surrogate"],
 )

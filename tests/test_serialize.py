@@ -1,9 +1,10 @@
-"""The two JSON parsers behind ``serialize.load_json`` read the same values:
-``json.loads`` for small files, ``pydantic_core.from_json`` (jiter) for
-files of at least ``LARGE_JSON_BYTES``, and ``serialize.stream_matrix_json``
-reads the same matrix entries piece by piece. The two writers behind
+"""``serialize.load_json`` parses every file whole with ``json.loads``;
+``serialize.stream_matrix_json`` reads a dense matrix file piece by piece
+with ``pydantic_core.from_json`` (jiter) to the same entries, bit for bit,
+so the two parsers must agree on every number. The two writers behind
 ``serialize.float_list_json`` write the same text: ``json.dumps`` for small
-arrays, pydantic-core for those whose text can reach that size."""
+arrays, pydantic-core for those whose text can reach ``LARGE_JSON_BYTES``.
+``serialize.write_text`` replaces a file whole or leaves it as it was."""
 
 import csv
 import decimal
@@ -230,14 +231,6 @@ def test_same_compares_types_and_bits():
     assert not same({"a": 1, "b": 2}, {"b": 2, "a": 1})
 
 
-def test_unpaired_surrogate_is_malformed_only_to_jiter():
-    # json.loads reads a lone surrogate into the string; jiter calls the
-    # escape malformed, so a large file holding one exits 2 (test_cli)
-    assert json.loads('"\\ud800"') == "\ud800"
-    with pytest.raises(ValueError):
-        from_json(b'"\\ud800"')
-
-
 @pytest.mark.parametrize(
     "token, value",
     [("-" + "1" * 4300, -int("1" * 4300)), ("1" * 4301 + "e-4300", 1.1111111111111112)],
@@ -246,18 +239,17 @@ def test_unpaired_surrogate_is_malformed_only_to_jiter():
 def test_long_integer_part_is_malformed_only_to_jiter(token, value):
     # jiter caps a number's integer part at 4300 characters, sign included;
     # json.loads caps only an integer's digits. No numeric field accepts
-    # the first value, but the second is an ordinary float.
+    # the first value, but the second is an ordinary float, which a matrix
+    # piece holding it leaves to the whole-file parse.
     assert same(json.loads(token), value)
     with pytest.raises(ValueError, match="number out of range"):
         from_json(token.encode())
 
 
 @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
-def test_integer_over_the_digit_limit_is_malformed_on_both_paths(tmp_path, monkeypatch, large):
-    if large:
-        monkeypatch.setattr(serialize, "LARGE_JSON_BYTES", 0)
+def test_integer_over_the_digit_limit_is_malformed_on_both_paths(tmp_path, large):
     path = tmp_path / "long.json"
-    path.write_text("[" + "1" * 4301 + "]")
+    path.write_text("[" + "1" * 4301 + "]" + " " * (serialize.LARGE_JSON_BYTES if large else 0))
     with pytest.raises(ValidationError, match="malformed JSON"):
         serialize.load_json(path)
 
@@ -277,18 +269,22 @@ def test_small_files_do_not_import_the_parser(tmp_path):
     save_distribution(m.column(0b0101), 4, tmp_path / "dist.json")
     large = tmp_path / "large.json"
     large.write_text("[" + " " * serialize.LARGE_JSON_BYTES + "1]")
+    t = np.random.default_rng(9).random((512, 512))
+    TransitionMatrix(9, t).to_json(tmp_path / "T9.json")
     run_python(
         "import sys\n"
         "from spamcal.backends import load_distribution\n"
         "from spamcal.model import NoiseModel\n"
+        "from spamcal.serialize import load_json\n"
+        "from spamcal.tmatrix import TransitionMatrix\n"
         "import spamcal.cli\n"
         "load_distribution(sys.argv[1])\n"
         "NoiseModel.from_json(sys.argv[2])\n"
-        "assert 'pydantic_core' not in sys.modules, 'small files imported the parser'\n"
-        "from spamcal.serialize import load_json\n"
         "assert load_json(sys.argv[3]) == [1]\n"
-        "assert 'pydantic_core' in sys.modules, 'a large file did not use the parser'\n",
-        tmp_path / "dist.json", tmp_path / "model.json", large,
+        "assert 'pydantic_core' not in sys.modules, 'a whole-file parse imported the parser'\n"
+        "TransitionMatrix.from_json(sys.argv[4])\n"
+        "assert 'pydantic_core' in sys.modules, 'an n = 9 T was not streamed'\n",
+        tmp_path / "dist.json", tmp_path / "model.json", large, tmp_path / "T9.json",
     )
 
 
@@ -355,7 +351,7 @@ def obj_of(t):
     return {"n": t.n, "order": "msb-first", "data": t.data.ravel().tolist()}
 
 
-# the same matrix in layouts other than dump_json's, each of which a
+# the same matrix in layouts other than dump_matrix_json's, each of which a
 # stream that trusted the head or the tail alone would misread
 OTHER_LAYOUTS = {
     "compact": lambda obj: json.dumps(obj),
@@ -426,3 +422,67 @@ def test_streamed_load_peaks_at_the_array_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < loaded.data.nbytes + (4 << 20)
+
+
+def test_finiteness_check_allocates_no_array_of_the_entries():
+    a = np.ones(1 << 20)
+    tracemalloc.start()
+    try:
+        serialize.array(a, "data")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_is_rejected(bad):
+    a = np.ones(64)
+    a[17] = bad
+    with pytest.raises(ValidationError, match="data has a non-finite value"):
+        serialize.array(a, "data")
+    assert serialize.array(np.ones((0, 3)), "data").shape == (0, 3)
+
+
+def test_write_text_replaces_a_file_and_keeps_its_permission_bits(tmp_path):
+    target, link = tmp_path / "out.json", tmp_path / "link.json"
+    target.write_text("old")
+    target.chmod(0o600)
+    link.symlink_to(target)
+    serialize.write_text("new", link)
+    assert link.is_symlink() and target.read_text() == "new"
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_write_text_gives_a_new_file_the_umask_bits(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        serialize.write_text("new", tmp_path / "new.json")
+        (tmp_path / "open.json").write_text("new")
+    finally:
+        os.umask(umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"new.json": 0o640, "open.json": 0o640}
+
+
+def test_write_text_writes_a_device_in_place(monkeypatch):
+    # os.replace is stubbed, so that a fault cannot rename over the device
+    replaced = []
+    monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst))
+    assert serialize.write_text("text", os.devnull) == "text"
+    assert replaced == []
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old")
+
+    def fail(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(ValidationError, match="cannot write .*: Permission denied"):
+        serialize.write_text("new", target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old"
