@@ -19,23 +19,38 @@ index convention; the tables name qubits 1..n.
 
 The kernel works on BLOCK columns at a time, with the column axis last and
 every array contiguous, and builds every term in one left-to-right sweep
-over the qubit axes. After qubit l it holds three kinds of partial product
-over the qubits 0..l:
+over the qubit axes. The sweep keys each open partial product by the term
+qubits still ahead of it, not by those behind it: an elimination order, as
+in bucket elimination (Dechter, Artificial Intelligence 113, 41, 1999).
+After qubit l it holds three kinds of partial product over the qubits
+0..l:
 
 - the free product of the means, the prefix every term starts from;
-- one open partial per distinct prefix q_t & {0..l} of a term still to
-  close, for example one for all pairs (i, .) between i and their second
-  qubit: the product of the means off that prefix, with a size-1 axis at
-  each of its qubits, so that reaching a term qubit costs nothing;
-- the closed accumulator: at a term's last qubit its open partial times its
-  signed coefficient is added into it, and every later mean multiplies it.
+- one shared partial per remaining qubit set that two or more terms reach,
+  for example one per qubit j for all the pairs (i, j), and one for the
+  empty set, the accumulator that ends as the block of T. A term joins a
+  shared partial at the qubit after which that set is what the term has
+  left, times its coefficient signed over the term qubits read so far. At
+  the set's first qubit the partial is signed and added into the shared
+  partial of the rest of the set; every other mean multiplies it;
+- one lazy partial per prefix q_t & {0..l} of the terms whose remaining
+  set no other term reaches: the product of the means off that prefix,
+  with a size-1 axis at each of its qubits, so that reaching a term qubit
+  costs nothing. The term's signed coefficient multiplies it only when the
+  term joins a shared partial, the accumulator at its last qubit at the
+  latest.
 
-Each partial is multiplied by one mean per qubit, so pair terms cost
-O(n * 2^n) per column, not the O(n^2 * 2^n) of a product per term. The plan
-of which partials each qubit continues, extends or closes is built once per
-call from the terms' qubits. Every operation is elementwise along the column
-axis and no operation sums along it, so a column does not depend on the
-columns computed with it.
+A shared partial open after qubit l holds 2^(l+1) entries per column. With
+all n(n-1)/2 pairs the sweep holds n - l - 1 of them there besides the
+accumulator, so a column costs O(2^n) entry updates, not the O(n * 2^n) of
+one partial per prefix or the O(n^2 * 2^n) of a product per term. Terms
+that share no remaining set, such as nearest-neighbour pairs on a chain,
+keep lazy partials only, each a product in the order of the qubits; a
+shared partial adds its terms in another order, which moves only the last
+bits. The plan of what each qubit does to which partial is built once per
+term structure, the qubit count and the terms' qubit tuples, and cached.
+Every operation is elementwise along the column axis and no operation sums
+along it, so a column does not depend on the columns computed with it.
 
 Each table is an array whose row r belongs to the r-th filtered state of
 its mask in :func:`spamcal.bits.submasks` order, so a column c reads row
@@ -53,7 +68,9 @@ filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,36 +84,63 @@ BLOCK = 64  # columns per pass; temporaries hold O(2^n * BLOCK) entries
 RANGE_SLACK = 1e-12
 
 
-def _plan(n: int, qubit_sets) -> list:
-    """Per qubit l: the open prefixes that means[l] multiplies, the prefixes
-    that l extends and leaves open, and the terms that close at l, each term
-    with the prefix it reads and the shapes that prefix's partial and the
-    term's signed coefficient take over the axes 0..l."""
-    plan = []
+class _Step(NamedTuple):
+    """What the sweep does at one qubit l to the lazy partials, keyed by the
+    prefix read, and to the shared ones, keyed by the remaining qubit set."""
+
+    cont: tuple  # lazy prefixes that means[l] multiplies
+    extend: tuple  # lazy prefixes that l extends and leaves open
+    grow: tuple  # shared keys that means[l] multiplies, () among them
+    fresh: tuple  # shared keys that open at l
+    fold: tuple  # (key, rest): shared keys signed at l and added into rest
+    land: tuple  # (t, prefix, pshape, wshape, sel, key): lazy terms added into key
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(n: int, qubit_sets: tuple) -> tuple:
+    """One _Step per qubit for terms on these qubit sets. A lazy term's
+    prefix partial and its signed coefficient take the shapes pshape and
+    wshape over the axes 0..l; sel takes the coefficient at outcome 0 of the
+    term qubits after l, which leaves the signs of those read."""
+    # a remaining set that two terms reach, a repeated term counting twice,
+    # gets one shared partial, and so does the empty set: the accumulator.
+    # A term's own set is not a remaining one.
+    reach = Counter(q[i:] for q in qubit_sets for i in range(1, len(q)))
+    shared = {key for key, count in reach.items() if count > 1} | {()}
+    plan, open_ = [], ((),)
     for l in range(n):
-        cont, extend, close = {}, {}, []
+        cont, extend, land = {}, {}, []
         for t, q in enumerate(qubit_sets):
             if not q or l > q[-1]:
                 continue
+            if q[0] < l and tuple(x for x in q if x >= l) in shared:
+                continue  # in a shared partial since an earlier qubit
             prefix = tuple(x for x in q if x < l)
+            ahead = tuple(x for x in q if x > l)
             if l not in q:
                 cont[prefix] = None
-            elif l < q[-1]:
+            elif ahead not in shared:
                 extend[prefix] = None
             else:
                 axes = [x in q for x in range(l + 1)]
                 pshape = tuple(1 if a else 2 for a in axes)
                 wshape = tuple(2 if a else 1 for a in axes)
-                close.append((t, prefix, pshape, wshape))
-        plan.append((list(cont), list(extend), close))
-    return plan
+                sel = (slice(None),) * (len(q) - len(ahead)) + (0,) * len(ahead)
+                land.append((t, prefix, pshape, wshape, sel, ahead))
+        grow = tuple(key for key in open_ if not key or key[0] > l)
+        fold = tuple((key, key[1:]) for key in open_ if key and key[0] == l)
+        joined = [rest for _key, rest in fold] + [lazy[-1] for lazy in land]
+        fresh = tuple(dict.fromkeys(key for key in joined if key not in grow))
+        plan.append(_Step(tuple(cont), tuple(extend), grow, fresh, fold, tuple(land)))
+        open_ = grow + fresh
+    return tuple(plan)
 
 
 def kron_columns(read0: np.ndarray, terms) -> np.ndarray:
     """(2^n, cols) block of T from read0 (cols, n), P(qubit reads 0), and a
     list of (qubits, coefficient) terms, each coefficient of shape (cols,)."""
     cols, n = read0.shape
-    qubit_sets = [tuple(q) for q, _a in terms]
+    qubit_sets = tuple(tuple(q) for q, _a in terms)
     plan = _plan(n, qubit_sets)
     # (-1)^(sum of the outcome bits), one (2,) * k array per term order k
     signs = {k: 1.0 - 2.0 * (np.indices((2,) * k).sum(0) % 2)
@@ -108,30 +152,39 @@ def kron_columns(read0: np.ndarray, terms) -> np.ndarray:
         m = np.stack([p, 1.0 - p], axis=1)  # (n, 2, block)
         block = m.shape[-1]
         w = [signs[len(q)][..., None] * a[blk] for q, a in terms]
-        # partials by prefix, flat (entries, block); () is the free product
+        # lazy partials by prefix, flat (entries, block); () is the free product
         parts = {(): np.ones((1, block))}
-        acc = np.zeros((1, block))
+        # shared partials by remaining qubits, flat (2^l, block); () is the sum
+        shared = {(): np.zeros((1, block))}
         for t, q in enumerate(qubit_sets):
             if not q:
-                acc = acc + w[t]
+                shared[()] = shared[()] + w[t]
         tmp = np.empty((1 << n, block))
-        for l, (cont, extend, close) in enumerate(plan):
-            acc = (acc[:, None, :] * m[l]).reshape(-1, block)
-            # a term closing at l reads its prefix's partial as it stands:
-            # axis l has size 1 there, so the entries are the same
-            for t, prefix, pshape, wshape in close:
-                term = tmp[: 2 << l].reshape((2,) * (l + 1) + (block,))
+        for l, step in enumerate(plan):
+            grown = {key: (shared[key][:, None, :] * m[l]).reshape(-1, block)
+                     for key in step.grow}
+            for key in step.fresh:
+                grown[key] = np.zeros((2 << l, block))
+            for key, rest in step.fold:
+                into = grown[rest].reshape(-1, 2, block)
+                into[:, 0] += shared[key]
+                into[:, 1] -= shared[key]
+            # a lazy term reads its prefix's partial as it stands: axis l
+            # has size 1 there, so the entries are the same
+            term = tmp[: 2 << l].reshape((2,) * (l + 1) + (block,))
+            for t, prefix, pshape, wshape, sel, key in step.land:
                 np.multiply(
                     parts[prefix].reshape(pshape + (block,)),
-                    w[t].reshape(wshape + (block,)),
+                    w[t][sel].reshape(wshape + (block,)),
                     out=term,
                 )
-                acc += term.reshape(-1, block)
-            new = {prefix + (l,): parts[prefix] for prefix in extend}
-            for prefix in cont:
+                grown[key] += term.reshape(-1, block)
+            shared = grown
+            new = {prefix + (l,): parts[prefix] for prefix in step.extend}
+            for prefix in step.cont:
                 new[prefix] = (parts.pop(prefix)[:, None, :] * m[l]).reshape(-1, block)
             parts = new
-        out[:, blk] = acc
+        out[:, blk] = shared[()]
     return out
 
 

@@ -7,8 +7,9 @@ configuration produces byte-identical primary outputs.
 
 Each command computes its result and hands its files to :func:`_emit`,
 the one output step: it hashes the inputs as they were read, before
-anything is written (so an output may rewrite an input in place), writes
-the outputs all or none, and writes the manifest last. Two outputs at one
+anything is written (so an output may rewrite an input in place), then
+writes the outputs and the manifest all or none: each beside its path
+first, renamed into place once every one is written. Two outputs at one
 path, the manifest's included, are a validation error before any write.
 
 Exit codes, carried by the error classes as ``exit_code``: 0 success,
@@ -46,7 +47,7 @@ from .estimate import circuit_budget, estimate_transition_matrix
 from .geometry import RegisterGeometry
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel, PRESETS, identity_model
 from .norms import MatrixNorm
-from .serialize import dump_json, sha256_file
+from .serialize import commit, discard, dump_json, sha256_file, stage
 from .tmatrix import TransitionMatrix
 
 
@@ -89,16 +90,18 @@ def _config_dict(args):
 
 
 def _emit(args, files, inputs, **config):
-    """Write a command's files: hash the inputs, write each output, then
-    ``<args.out>.manifest.json``, all or none.
+    """Write a command's files: hash the inputs, then ``<args.out>`` and its
+    other outputs and ``<args.out>.manifest.json``, all or none.
 
     ``files`` holds (path, writer) pairs; a None path is an optional output
-    that was not asked for. Two outputs at one path, the manifest's
-    included, are a ValidationError before anything is written. The
-    manifest's config is ``_config_dict(args)`` plus ``config``. A write
-    cut short leaves its file as it was (``serialize.write_text``); if one
-    fails, the files this call wrote before it are removed, except one that
-    replaced an input, and the error is re-raised."""
+    that was not asked for, and a writer given no path returns its text. Two
+    outputs at one path, the manifest's included, are a ValidationError
+    before anything is written. The manifest's config is
+    ``_config_dict(args)`` plus ``config``. Every file, the manifest last,
+    is staged beside its path (``serialize.stage``), and only when all are
+    written are they renamed into place; if a write fails, the staged files
+    are removed and the error is re-raised, so the files of an earlier run
+    stay as they were."""
     files = [(str(path), write) for path, write in files if path is not None]
     manifest_path = f"{args.out}.manifest.json"
     paths = [p for p, _ in files] + [manifest_path]
@@ -113,19 +116,15 @@ def _emit(args, files, inputs, **config):
         "seed_derivation": f"{SAMPLER_ID}; per-query seed = (seed, prepared index, ordinal)",
         "input_hashes": {str(p): sha256_file(p) for p in inputs},
     }
-    kept = {os.path.realpath(p) for p in inputs}
-    written = []
+    staged = []
     try:
         for path, write in files:
-            write(path)
-            written.append(path)
-        manifest["output_hashes"] = {p: sha256_file(p) for p in written}
-        dump_json(manifest, manifest_path)
-    except BaseException:
-        for path in written:
-            if os.path.realpath(path) not in kept:
-                os.remove(path)
-        raise
+            staged.append(stage(write(None), path))
+        manifest["output_hashes"] = {p: sha256_file(tmp or p) for tmp, p in staged}
+        staged.append(stage(dump_json(manifest), manifest_path))
+        commit(staged)
+    finally:
+        discard(staged)
 
 
 # -- commands --------------------------------------------------------------

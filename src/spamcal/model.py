@@ -19,7 +19,8 @@ g_ijk), built and checked at construction: each entry's indices and
 declared range, and each row within the bounds of a tables file, which it
 meets as a marginal of its column. Columns come from those tables through
 the lookup and the kernel the estimator assembles with, in one sweep over
-the qubits, so a column costs O(n * 2^n) whatever the number of pairs.
+the qubits, so a column costs O(2^n) entry updates with nearest-neighbour
+pairs and also with all n(n-1)/2 of them.
 :func:`spamcal.norms.check_column_stochastic` checks every batch of them:
 all at construction when n <= ORACLE_LIMIT_DEFAULT, otherwise block by
 block as a backend draws them.

@@ -18,10 +18,11 @@ one-digit negative exponent comes out unpadded (``e-6`` for ``e-06``).
 :func:`dump_matrix_json` joins its text between the head and the tail of
 the dense matrix layout, and the matrix CSV cuts its rows from it; every
 other object goes through :func:`dump_json`. Smaller outputs never import
-pydantic-core. :func:`write_text` writes every output file: a regular file
-through a temporary file beside it, renamed into place, so a write cut
-short leaves the previous file as it was. An unwritable path is a
-ValidationError.
+pydantic-core. Every output file is staged (:func:`stage`): a regular file
+is written to a temporary file beside it, and :func:`commit` renames it
+into place, so a write cut short leaves the previous file as it was;
+:func:`write_text` does both for one file, and the CLI stages a command's
+files before it commits any. An unwritable path is a ValidationError.
 
 The reader raises ValidationError (CLI exit 2) for each input rule:
 :func:`load_json` for a missing, unreadable or malformed file;
@@ -78,29 +79,55 @@ from .errors import ValidationError
 
 
 def write_text(text: str, path) -> str:
-    """text, also written to path when one is given: an output path that
-    cannot be written is a ValidationError. A new or regular file, a
-    symlink's target included, is written whole beside itself and renamed
-    into place, so a write cut short leaves it as it was; a new file gets
-    the umask's permission bits and a replaced one keeps its own. Anything
-    else, such as ``/dev/null``, is written in place."""
+    """text, also written to path when one is given (:func:`stage`, then
+    :func:`commit`)."""
     if path is not None:
-        target = os.path.realpath(path)
-        regular = os.path.isfile(target) or not os.path.exists(target)
-        tmp = f"{target}.{os.urandom(8).hex()}.tmp" if regular else None
+        commit([stage(text, path)])
+    return text
+
+
+def stage(text: str, path) -> tuple:
+    """Write text for path without touching it yet. A new or regular file, a
+    symlink's target included, is written whole to a temporary file beside
+    it, with the permission bits of the file it will replace or, if new, the
+    umask's; anything else, such as ``/dev/null``, is written in place.
+    Returns (temporary file or None, path) for :func:`commit`. A path that
+    cannot be written is a ValidationError and leaves no temporary file."""
+    target = os.path.realpath(path)
+    regular = os.path.isfile(target) or not os.path.exists(target)
+    tmp = f"{target}.{os.urandom(8).hex()}.tmp" if regular else None
+    try:
         try:
             with open(tmp or target, "x" if tmp else "w") as f:
                 f.write(text)
             if tmp and os.path.exists(target):
                 os.chmod(tmp, os.stat(target).st_mode & 0o7777)
-            if tmp:
-                os.replace(tmp, target)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
-        finally:
-            if tmp and os.path.lexists(tmp):
-                os.remove(tmp)
-    return text
+    except BaseException:
+        discard([(tmp, path)])
+        raise
+    return tmp, path
+
+
+def commit(staged) -> None:
+    """Rename each staged temporary file into place, in order; a rename that
+    fails is a ValidationError, and the files not yet renamed are removed."""
+    try:
+        for tmp, path in staged:
+            if tmp:
+                os.replace(tmp, os.path.realpath(path))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        discard(staged)
+
+
+def discard(staged) -> None:
+    """Remove the staged temporary files that are still there."""
+    for tmp, _path in staged:
+        if tmp and os.path.lexists(tmp):
+            os.remove(tmp)
 
 
 def dump_json(obj, path=None) -> str:

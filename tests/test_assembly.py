@@ -1,13 +1,21 @@
+import hashlib
+import importlib.util
 import itertools
+import json
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spamcal import assembly
-from spamcal.assembly import BLOCK, kron_columns
-from spamcal.bits import submasks
-from spamcal.model import melbourne_c8
+from spamcal.assembly import BLOCK, CalibrationTables, kron_columns
+from spamcal.bits import qubit_mask, submasks
+from spamcal.model import NoiseModel, melbourne_c8
+
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
 
 def per_term_kron_columns(read0, terms):
@@ -128,19 +136,36 @@ def test_pair_column_sums_to_zero():
 
 @st.composite
 def kernel_inputs(draw, low=-1e-3, high=1e-3):
-    """read0 in [0, 1], with exact 0s and 1s among it, and terms on 0 to 3
-    qubits of n <= 6 with coefficients in [low, high], some constant over
-    the columns as the model's triples are, for column counts on both sides
-    of BLOCK."""
-    n = draw(st.integers(1, 6))
+    """read0 in [0, 1], with exact 0s and 1s among it, and terms on n <= 9
+    qubits with coefficients in [low, high], some constant over the columns
+    as the model's triples are, for column counts on both sides of BLOCK.
+    The terms, in a drawn order: any of the n(n-1)/2 pairs, often all of
+    them; triples of an earlier qubit and a drawn pair, which share their
+    remaining qubits with that pair's other triples and with every pair on
+    their last qubit; terms on 0 to 3 drawn qubits, with the first and the
+    last qubit on their own or together among them; and repeats."""
+    n = draw(st.integers(1, 9))
     cols = draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     read0 = rng.uniform(0.0, 1.0, (cols, n))
     read0[rng.random((cols, n)) < 0.1] = rng.integers(0, 2)
-    terms = []
-    for _ in range(draw(st.integers(1, 6))):
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs and not draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    tails = [p for p in pairs if p[0] > 0]
+    triples = []
+    for _ in range(draw(st.integers(0, 3)) if tails else 0):
+        tail = draw(st.sampled_from(tails))
+        triples.append((draw(st.integers(0, tail[0] - 1)),) + tail)
+    edges = [(0,), (n - 1,), (0, n - 1)] if n > 1 else [(0,)]
+    others = draw(st.lists(st.sampled_from(edges), max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
         size = draw(st.integers(0, min(3, n)))
-        qubits = tuple(sorted(draw(st.permutations(range(n)))[:size]))
+        others.append(tuple(sorted(draw(st.permutations(range(n)))[:size])))
+    qubit_sets = pairs + triples + others
+    qubit_sets += draw(st.lists(st.sampled_from(qubit_sets), max_size=3)) if qubit_sets else []
+    terms = []
+    for qubits in draw(st.permutations(qubit_sets)):
         if draw(st.booleans()):
             coefficient = np.full(cols, rng.uniform(low, high))
         else:
@@ -199,3 +224,69 @@ def test_table_lookup_lists_each_mask_once(monkeypatch):
     assert len(calls) == listed
     # the shared row order is read-only
     assert not assembly._states(tables.single_masks[1]).flags.writeable
+
+
+def all_pairs_tables(n):
+    """Tables with every pair, each qubit's and pair's mask its own bits."""
+    rng = np.random.default_rng(n)
+    single = {i: qubit_mask(i, n) for i in range(1, n + 1)}
+    pairs = {q: single[q[0]] | single[q[1]] for q in itertools.combinations(single, 2)}
+    return CalibrationTables(
+        n, 0, single, pairs,
+        {i: rng.uniform(0.9, 1.0, 2) for i in single},
+        {q: rng.uniform(-1e-4, 1e-4, 4) for q in pairs},
+    )
+
+
+def test_an_all_pairs_block_peaks_below_four_dense_blocks():
+    # the partials open at once stay within a few dense temporaries: 3.6
+    # blocks here, where one partial per term prefix would take 5.3
+    n = 10
+    tables, cols = all_pairs_tables(n), np.arange(BLOCK)
+    tables.columns(cols)  # the plan and the row orders are cached from here on
+    tracemalloc.start()
+    try:
+        out = tables.columns(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * (1 << n) * BLOCK * out.itemsize
+
+
+def test_the_plan_is_built_once_per_term_structure():
+    tables = all_pairs_tables(6)
+    assembly._plan.cache_clear()
+    for start in range(0, 1 << 6, 16):
+        tables.columns(np.arange(start, start + 16))
+    info = assembly._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def benchmark_chain_model():
+    """The chain10-exact workload's model at the benchmark's default seed."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # where its dataclass looks itself up
+    spec.loader.exec_module(inputs)
+    obj = inputs.make_model(inputs.WORKLOADS["chain10-exact"], np.random.default_rng([1, 0x5EED]))
+    return NoiseModel.from_dict(json.loads(json.dumps(obj)))
+
+
+# SHA-256 of T's float64 bytes for models in which no two terms reach the
+# same remaining qubit set: every term keeps a lazy prefix partial, so each
+# entry is its products taken in qubit order and added in term order
+UNSHARED_MODEL_T = {
+    "melbourne_c8": (melbourne_c8, "49c746c4c82f15154a4106c253b84dce77f7f952bd1280d5f039dc4735ce33f4"),
+    "chain10-exact": (
+        benchmark_chain_model, "206932e806cc1e1d382686d22b62d3950a1578ce6fb4082226b4f17e6c058b6b"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNSHARED_MODEL_T)
+def test_models_without_shared_partials_keep_their_bits(name):
+    make, pinned = UNSHARED_MODEL_T[name]
+    m = make()
+    plan = assembly._plan(m.n, tuple(q for q, _a in assembly._terms(m.tables, np.arange(1))))
+    assert not any(step.fresh for step in plan)
+    assert hashlib.sha256(m.full_matrix().data.tobytes()).hexdigest() == pinned

@@ -537,7 +537,9 @@ def test_a_write_cut_short_leaves_no_output(tmp_path, capsys, limit, cut):
     assert sorted(tmp_path.iterdir()) == [raw, mat]
 
 
-def test_a_rerun_cut_short_keeps_the_previous_output(tmp_path, capsys):
+# cut at the output or, with the output written, at its manifest
+@pytest.mark.parametrize("limit, cut", [(100, "out.json"), (400, "out.json.manifest.json")])
+def test_a_rerun_cut_short_keeps_the_previous_output(tmp_path, capsys, limit, cut):
     m = melbourne_c4()
     mat, raw, out = tmp_path / "t.json", tmp_path / "raw.json", tmp_path / "out.json"
     m.full_matrix().to_json(mat)
@@ -545,10 +547,9 @@ def test_a_rerun_cut_short_keeps_the_previous_output(tmp_path, capsys):
     argv = ["correct", "--matrix", mat, "--input", raw, "--out", out]
     assert run(*argv) == 0
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
-    # the output (168 bytes) does not fit
-    with file_size_limit(100):
+    with file_size_limit(limit):
         assert run(*argv) == 2
-    assert f"cannot write {out}: File too large" in capsys.readouterr().err
+    assert f"cannot write {tmp_path / cut}: File too large" in capsys.readouterr().err
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
