@@ -20,10 +20,9 @@ from .bits import bitstring, parse_bitstring
 from .characterize import (
     Average,
     CorrelatorReport,
-    SingleQubitT,
     Uniform,
     correlator_report,
-    measure_single_qubit_T,
+    single_qubit_matrices,
     t_prod,
     total_spam_error,
 )

@@ -331,8 +331,9 @@ def _keys(qubits: tuple, mask: int, n: int) -> list:
 @functools.lru_cache(maxsize=1024)
 def _states(mask: int) -> np.ndarray:
     """The filtered states of a mask in row order; built once per mask and
-    read-only, since every caller shares it."""
-    states = np.array(submasks(mask))
+    read-only, since every caller shares it. A mask past int64 keeps its
+    states as Python ints, since numpy would turn their mix into float64."""
+    states = np.array(submasks(mask), dtype=int if mask >> 63 == 0 else object)
     states.flags.writeable = False
     return states
 

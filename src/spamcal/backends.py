@@ -12,8 +12,8 @@ backends evaluate the whole block with one checked model call before any
 draw, and replay, which looks states up one by one, names every state of
 the block it lacks in one MissingDataError. :func:`collect` is the one loop
 that queries a backend for distributions: it asks once per distinct state,
-through the block query only, and reports every state a replay dataset
-lacks in one MissingDataError.
+through the block query only, never asks a block again, and reports every
+state a replay dataset lacks in one MissingDataError after the last block.
 
 Sampling is reproducible across platforms: each query draws from a PCG64
 generator seeded by (seed, prepared-state index, query ordinal) and converts
@@ -274,10 +274,10 @@ def ingest_dataset(path) -> ReplayBackend:
 
 def collect(backend, preps):
     """Yield (state, distribution) for each distinct prepared state, in
-    increasing order, asking the backend's block query for BLOCK states at a
-    time. A state the backend lacks is skipped: the block it was in is asked
-    again without the states its MissingDataError named, and after the last
-    state one MissingDataError names every skipped state."""
+    increasing order, asking the backend's block query once for BLOCK
+    states at a time. A block whose query raises MissingDataError yields
+    nothing and is not asked again; after the last block one
+    MissingDataError names every state the backend lacked."""
     states = sorted(set(preps))
     missing = []
     for start in range(0, len(states), BLOCK):
@@ -286,11 +286,7 @@ def collect(backend, preps):
             block = backend.distributions(chunk)
         except MissingDataError as exc:
             missing.extend(exc.missing)
-            named = set(exc.missing)
-            chunk = [x for x in chunk if x not in named]
-            if not chunk:
-                continue
-            block = backend.distributions(chunk)
+            continue
         # one contiguous row per distribution
         yield from zip(chunk, np.ascontiguousarray(block.T))
     if missing:

@@ -1,14 +1,15 @@
 """Register characterization from measured distributions.
 
 Covers single-qubit transition matrices (uniform- and neighborhood-averaged
-spectator families), the tensor-product approximation, the total SPAM error
-of a measured matrix, and the three pairwise correlators: spectator shift
-A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x'). T_prod
-is assembled by :meth:`CalibrationTables.columns`, as every dense T is. The
-correlators are measured only by :func:`correlator_report`, which shares
-one set of preparations among all of them and reads each one's marginals
-once; read single values from its ``single_shift``, ``joint_shift`` and
-``covariance`` fields.
+spectator families), the tensor-product approximation, the total SPAM
+error of a measured matrix, and the three pairwise correlators: spectator
+shift A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x').
+Each measuring function makes one collection and asks for each distinct
+preparation once: :func:`single_qubit_matrices` measures every qubit's
+matrix at once, and :func:`correlator_report` measures every correlator,
+reading each preparation's marginals once; read single values from its
+``single_shift``, ``joint_shift`` and ``covariance`` fields. T_prod is
+assembled by :meth:`CalibrationTables.columns`, as every dense T is.
 
 Every marginal is one sum over the outcomes that a mask selects: the
 outcomes x with ``x & mask == 0`` are those in which every qubit of the
@@ -68,9 +69,6 @@ class Uniform:
         if self.b not in (0, 1):
             raise ValidationError(f"uniform spectator value must be 0/1, got {self.b}")
 
-    def label(self) -> str:
-        return f"uniform({self.b})"
-
 
 @dataclass(frozen=True)
 class Average:
@@ -78,61 +76,62 @@ class Average:
 
     k: int
 
-    def label(self) -> str:
-        return f"average(k={self.k})"
 
+def single_qubit_matrices(backend, family,
+                          geometry: RegisterGeometry | None = None) -> np.ndarray:
+    """The (n, 2, 2) transition matrices of qubits 1..n, from one collection.
 
-@dataclass
-class SingleQubitT:
-    qubit: int
-    family: object
-    matrix: np.ndarray
-
-
-def measure_single_qubit_T(backend, i: int, family,
-                           geometry: RegisterGeometry | None = None) -> SingleQubitT:
-    """Measure the 2x2 transition matrix of qubit i.
-
-    Uniform family: spectators all prepared in b; two circuits. Average
-    family: the marginal is averaged over every preparation of the other
-    qubits of ``chebyshev_mask(geometry, i, k)``, far spectators prepared
-    in 0; the geometry must have the backend's register size.
+    Uniform family: qubit i's spectators all prepared in b, so the n + 1
+    distinct states are the all-b state and its n single flips. Average
+    family: qubit i's marginal is averaged over every preparation of the
+    other qubits of ``chebyshev_mask(geometry, i, k)``, far spectators
+    prepared in 0; the geometry must have the backend's register size.
+    Every distinct prepared state is asked for once, and only the read-0
+    marginals of the qubits that use it are kept.
     """
     n = backend.n
-    qubit = qubit_mask(i, n)
+    flips = {i: qubit_mask(i, n) for i in range(1, n + 1)}
     if isinstance(family, Uniform):
-        spectators = [((1 << n) - 1 if family.b else 0) & ~qubit]
+        ones = (1 << n) - 1 if family.b else 0
+        spectators = {i: [ones & ~q] for i, q in flips.items()}
     elif isinstance(family, Average):
         if geometry is None:
             raise ValidationError("the average family needs the register geometry")
         check_register(backend, geometry)
-        spectators = submasks(chebyshev_mask(geometry, i, family.k) & ~qubit)
+        spectators = {
+            i: submasks(chebyshev_mask(geometry, i, family.k) & ~q) for i, q in flips.items()
+        }
     else:
         raise ValidationError(f"unknown single-qubit family {family!r}")
-    dists = dict(collect(backend, [s | bit for bit in (0, qubit) for s in spectators]))
-    mat = np.empty((2, 2))
-    for prep_bit, bit in enumerate((0, qubit)):
-        p0 = 0.0
-        for s in spectators:
-            p0 += prob_zero(dists[s | bit], i, n)
-        p0 /= len(spectators)
-        mat[:, prep_bit] = (p0, 1.0 - p0)
-    return SingleQubitT(qubit=i, family=family, matrix=mat)
+    readers = {}  # prepared state -> the qubits whose marginal reads it
+    for i, specs in spectators.items():
+        for s in specs:
+            for x in (s, s | flips[i]):
+                readers.setdefault(x, []).append(i)
+    zero = {(x, i): prob_zero(d, i, n) for x, d in collect(backend, readers) for i in readers[x]}
+    mats = np.empty((n, 2, 2))
+    for i, specs in spectators.items():
+        for prep_bit, bit in enumerate((0, flips[i])):
+            p0 = 0.0
+            for s in specs:
+                p0 += zero[s | bit, i]
+            p0 /= len(specs)
+            mats[i - 1, :, prep_bit] = (p0, 1.0 - p0)
+    return mats
 
 
-def t_prod(singles: list[SingleQubitT]) -> TransitionMatrix:
-    """Tensor product of per-qubit matrices, in qubit order 1..n: the local
-    form in which qubit i's read-0 row reads only its own prepared bit."""
-    if not singles:
-        raise ValidationError("need at least one single-qubit matrix")
-    families = {s.family.label() for s in singles}
-    if len(families) != 1:
-        raise ValidationError(f"mixed single-qubit families: {sorted(families)}")
-    n = len(singles)
-    if [s.qubit for s in singles] != list(range(1, n + 1)):
-        raise ValidationError("need one matrix per qubit, ordered 1..n")
-    masks = {s.qubit: qubit_mask(s.qubit, n) for s in singles}
-    tables = CalibrationTables(n, None, masks, {}, {s.qubit: s.matrix[0] for s in singles})
+def t_prod(matrices) -> TransitionMatrix:
+    """Tensor product of the (n, 2, 2) single-qubit matrices of qubits
+    1..n: the local form in which qubit i's read-0 row reads only its own
+    prepared bit."""
+    matrices = np.asarray(matrices, dtype=float)
+    if matrices.ndim != 3 or matrices.shape[1:] != (2, 2) or not len(matrices):
+        raise ValidationError(
+            f"need an (n, 2, 2) array of single-qubit matrices, got shape {matrices.shape}"
+        )
+    n = len(matrices)
+    masks = {i: qubit_mask(i, n) for i in range(1, n + 1)}
+    tables = CalibrationTables(n, None, masks, {}, {i: matrices[i - 1, 0] for i in masks})
     return TransitionMatrix(n, tables.columns(np.arange(1 << n)))
 
 

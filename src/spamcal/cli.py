@@ -35,7 +35,7 @@ from .backends import (
     save_distribution,
 )
 from .bits import parse_bitstring
-from .characterize import Uniform, correlator_report, measure_single_qubit_T, t_prod
+from .characterize import Uniform, correlator_report, single_qubit_matrices, t_prod
 from .correct import (
     KKT_TOL_DEFAULT,
     compare_matrices,
@@ -46,7 +46,6 @@ from .errors import SpamcalError, ValidationError
 from .estimate import circuit_budget, estimate_transition_matrix
 from .geometry import RegisterGeometry
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel, PRESETS, identity_model
-from .norms import MatrixNorm
 from .serialize import commit, discard, dump_json, sha256_file, stage
 from .tmatrix import TransitionMatrix
 
@@ -222,12 +221,9 @@ def cmd_budget(args):
 
 
 def cmd_tprod(args):
-    backend, geometry, inputs = _make_backend(args)
-    singles = [
-        measure_single_qubit_T(backend, i, Uniform(args.spectators), geometry)
-        for i in range(1, geometry.n + 1)
-    ]
-    _emit(args, [(args.out, t_prod(singles).to_json)], inputs)
+    backend, _geometry, inputs = _make_backend(args)
+    matrices = single_qubit_matrices(backend, Uniform(args.spectators))
+    _emit(args, [(args.out, t_prod(matrices).to_json)], inputs)
     print(f"wrote {args.out}")
     return 0
 

@@ -7,11 +7,12 @@ c = P(i, j read 00) - P(i reads 0) P(j reads 0) at every preparation
 supported on the union of the two masks; the other three indicator
 covariances are -c, -c and +c. Identical prepared states are measured once
 and shared; :func:`estimate_transition_matrix` is the one entry point that
-measures, through :func:`spamcal.backends.collect`. It collects the first
-step's preparations before it builds the n(n-1)/2 pair masks, so a replay
-dataset that lacks them fails at once, naming only those states. Each
-read-0 marginal of a (filtered state, qubit) is summed once and shared by
-the qubit's mean field and every pair table that reads it.
+measures, through one :func:`spamcal.backends.collect` call over both
+steps' preparations, so a replay dataset that lacks any of them fails once,
+naming every missing state. It checks ``k`` against :func:`circuit_budget`
+before it builds any mask. Each read-0 marginal of a (filtered state,
+qubit) is summed once and shared by the qubit's mean field and every pair
+table that reads it.
 
 The full matrix is then assembled classically, in one call that the noise
 model also makes for its own columns: :meth:`CalibrationTables.columns`,
@@ -45,11 +46,21 @@ mean_column = pair_column = kron_columns
 
 
 def circuit_budget(n: int, k: int) -> tuple[int, int]:
-    """Upper bounds on distinct circuits for the two measurement steps."""
+    """Upper bounds on distinct circuits for the two measurement steps.
+
+    k is admissible only while the second bound 2n^2 4^k = n^2 2^(2k+1)
+    stays below 2^63, which is checked from bit lengths before the bound is
+    built: k <= 28 at n = 4 and k <= 24 at n = 100."""
     if n < 1:
         raise ValidationError(f"register size must be positive, got {n}")
     if k < 0:
         raise ValidationError(f"neighborhood size must be nonnegative, got {k}")
+    if (n * n).bit_length() + 2 * k + 1 > 63:
+        most = (62 - (n * n).bit_length()) // 2
+        raise ValidationError(
+            f"neighborhood size k is too large for n={n}: the budget 2n^2 4^k must "
+            f"stay below 2^63, " + (f"so k <= {most}" if most >= 0 else "which no k allows")
+        )
     return 2 * n * 2**k, 2 * n**2 * 4**k
 
 
@@ -79,15 +90,15 @@ def estimate_transition_matrix(
     and assemble the estimated matrix from them in one kernel call."""
     check_register(backend, geometry)
     n = geometry.n
+    bound1, bound2 = circuit_budget(n, k)
     single = {i: chebyshev_mask(geometry, i, k) for i in range(1, n + 1)}
-    step1 = _preps(single)
-    dists = dict(collect(backend, step1))
     pair = {
         (i, j): single[i] | single[j]
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }
-    dists.update(collect(backend, _preps(pair) - step1))
+    step1 = _preps(single)
+    dists = dict(collect(backend, step1 | _preps(pair)))
     tables = CalibrationTables(n, k, single, pair)
     # one 1-D marginal sum per (filtered state, qubit), shared by the qubit's
     # table and every pair table that reads it: a row sum over stacked
@@ -102,7 +113,6 @@ def estimate_transition_matrix(
         joint = np.array([prob_joint_zero(dists[s], i, j, n) for s in states])
         tables.pair_fluct[(i, j)] = joint - pi * pj
     tables.circuits_used = len(dists)
-    bound1, bound2 = circuit_budget(n, k)
     tables.metadata = {
         "backend": backend.descriptor(),
         "step1_preparations": len(step1),

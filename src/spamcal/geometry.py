@@ -11,6 +11,7 @@ ball is truncated and may hold fewer than k qubits besides the center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bits import support_mask
@@ -73,16 +74,14 @@ def check_register(backend, geometry: RegisterGeometry):
 
 def layers_for_size(k: int, dimension: int) -> int:
     """Layer count l with k = (2*l + 1)**D - 1, or raise for inadmissible k."""
-    l = 0
-    while (2 * l + 1) ** dimension - 1 < k:
-        l += 1
-    if (2 * l + 1) ** dimension - 1 != k:
-        admissible = [(2 * m + 1) ** dimension - 1 for m in range(max(l, 4) + 1)]
+    side = 0 if k < 0 else k + 1 if dimension == 1 else math.isqrt(k + 1)
+    if side % 2 == 0 or side**dimension != k + 1:
+        admissible = [(2 * m + 1) ** dimension - 1 for m in range(5)]
         raise ValidationError(
             f"neighborhood size k={k} is not admissible in {dimension}D; "
             f"allowed sizes are {{(2l+1)^{dimension} - 1}} = {admissible}..."
         )
-    return l
+    return side // 2
 
 
 def chebyshev_mask(geometry: RegisterGeometry, i: int, k: int) -> int:

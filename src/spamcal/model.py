@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BLOCK, CalibrationTables, check_table
+from .assembly import BLOCK, CalibrationTables, _states, check_table
 from .bits import support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry
@@ -227,11 +227,12 @@ class NoiseModel:
 
 
 def _filtered_bits(qs, n: int) -> np.ndarray:
-    """(rows, n) prepared bits of every filtered state of the qubits qs,
-    in submasks order; 0 off qs."""
-    qs = sorted(qs)
-    bits = np.zeros((1 << len(qs), n), dtype=int)
-    bits[:, [q - 1 for q in qs]] = np.indices((2,) * len(qs)).reshape(len(qs), -1).T
+    """(rows, n) prepared bits of every filtered state of the qubits qs, in
+    the tables' row order (:func:`~spamcal.assembly._states`); 0 off qs."""
+    states = _states(support_mask(qs, n))
+    bits = np.zeros((states.size, n), dtype=int)
+    for q in qs:
+        bits[:, q - 1] = states >> (n - q) & 1
     return bits
 
 

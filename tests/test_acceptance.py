@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spamcal.backends import ExactBackend, SampledBackend, record_dataset
-from spamcal.characterize import Uniform, measure_single_qubit_T, t_prod, total_spam_error
+from spamcal.characterize import Uniform, single_qubit_matrices, t_prod, total_spam_error
 from spamcal.cli import main as cli_main
 from spamcal.correct import correct_constrained, correct_direct_inverse, project_simplex
 from spamcal.estimate import circuit_budget, estimate_transition_matrix
@@ -245,8 +245,7 @@ def test_criterion_9_synthetic_hardware_scale(tmp_path):
     total_d = total_spam_error(t_meas, MatrixNorm.SCALED_FROBENIUS)
     total_m = total_spam_error(t_meas, MatrixNorm.MAX)
     rb = ExactBackend(m)
-    singles = [measure_single_qubit_T(rb, i, Uniform(0)) for i in range(1, 5)]
-    tp = t_prod(singles)
+    tp = t_prod(single_qubit_matrices(rb, Uniform(0)))
     prod_d = norm_distance(tp.data, t_meas.data, MatrixNorm.SCALED_FROBENIUS)
     prod_m = norm_distance(tp.data, t_meas.data, MatrixNorm.MAX)
     bands = (

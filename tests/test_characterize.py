@@ -12,9 +12,9 @@ from spamcal.characterize import (
     CorrelatorReport,
     Uniform,
     correlator_report,
-    measure_single_qubit_T,
     prob_joint_zero,
     prob_zero,
+    single_qubit_matrices,
     t_prod,
     total_spam_error,
 )
@@ -61,32 +61,26 @@ def test_marginals_are_sums_over_bitstring_selected_outcomes(n, seed, data):
 
 
 def test_uniform0_matches_base_matrices():
-    b = backend()
-    for i in range(1, 5):
-        got = measure_single_qubit_T(b, i, Uniform(0)).matrix
-        expected = C4.base[i - 1].copy()
-        if i == 4:
-            # qubit 1 stays 0 in this family, so no shift applies
-            pass
-        np.testing.assert_allclose(got, expected, atol=1e-14)
+    # qubit 1 stays 0 in this family, so no shift applies
+    got = single_qubit_matrices(backend(), Uniform(0))
+    np.testing.assert_allclose(got, C4.base, atol=1e-14)
 
 
 def test_uniform1_picks_up_spectator_shift():
     b = backend()
-    got = measure_single_qubit_T(b, 4, Uniform(1)).matrix
+    got = single_qubit_matrices(b, Uniform(1))[3]
     expected = C4.base[3].copy()
     expected[0] -= 0.047
     expected[1] += 0.047
     np.testing.assert_allclose(got, expected, atol=1e-14)
     # the row-0 difference between the two uniform families is the shift sum
-    u0 = measure_single_qubit_T(b, 4, Uniform(0)).matrix
+    u0 = single_qubit_matrices(b, Uniform(0))[3]
     np.testing.assert_allclose(u0[0] - got[0], 0.047, atol=1e-14)
 
 
 def test_average_family_halves_the_shift():
     # averaging over all spectator preparations sees qubit 1 up half the time
-    b = backend()
-    got = measure_single_qubit_T(b, 4, Average(6), geometry=C4.geometry).matrix
+    got = single_qubit_matrices(backend(), Average(6), geometry=C4.geometry)[3]
     expected = C4.base[3].copy()
     expected[0] -= 0.047 / 2
     expected[1] += 0.047 / 2
@@ -95,60 +89,87 @@ def test_average_family_halves_the_shift():
 
 def test_average_k0_equals_uniform0():
     b = backend()
-    a = measure_single_qubit_T(b, 2, Average(0), geometry=C4.geometry).matrix
-    u = measure_single_qubit_T(b, 2, Uniform(0)).matrix
+    a = single_qubit_matrices(b, Average(0), geometry=C4.geometry)
+    u = single_qubit_matrices(b, Uniform(0))
     np.testing.assert_allclose(a, u, atol=1e-14)
 
 
 def test_average_needs_geometry():
     with pytest.raises(ValidationError, match="geometry"):
-        measure_single_qubit_T(backend(), 2, Average(0))
+        single_qubit_matrices(backend(), Average(0))
 
 
 @pytest.mark.parametrize("size", [3, 6])
 def test_average_rejects_geometry_of_another_size(size):
     with pytest.raises(ValidationError, match=f"geometry has {size} qubits, backend has 4"):
-        measure_single_qubit_T(backend(), 2, Average(2), RegisterGeometry.chain(size))
+        single_qubit_matrices(backend(), Average(2), RegisterGeometry.chain(size))
+
+
+class Counting(ExactBackend):
+    """An exact backend that records every state its block query is asked for."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.asked = []
+
+    def distributions(self, states):
+        self.asked.extend(states)
+        return super().distributions(states)
+
+
+@pytest.mark.parametrize("b", [0, 1])
+@pytest.mark.parametrize("register", REGISTERS)
+def test_uniform_family_asks_for_n_plus_one_states_once(register, b):
+    m = REGISTERS[register]()
+    counting = Counting(m)
+    single_qubit_matrices(counting, Uniform(b))
+    ones = (1 << m.n) - 1 if b else 0
+    # the all-b state and its n single flips, each asked for once
+    assert counting.asked == sorted({ones} | {ones ^ qubit_mask(i, m.n) for i in range(1, m.n + 1)})
+
+
+def test_average_family_asks_for_each_distinct_state_once():
+    # melbourne-c8 at k = 6: every filtered state of qubit 4's window 1..7
+    # or qubit 5's window 2..8, 128 + 128 - 64 = 192 (a collection per
+    # qubit asked for 480)
+    m = melbourne_c8()
+    counting = Counting(m)
+    single_qubit_matrices(counting, Average(6), m.geometry)
+    assert len(counting.asked) == len(set(counting.asked)) == 192
 
 
 def test_tprod_of_product_model_is_exact():
     m = melbourne_c4_product()
-    b = ExactBackend(m)
-    singles = [measure_single_qubit_T(b, i, Uniform(0)) for i in range(1, 5)]
-    t = t_prod(singles)
+    t = t_prod(single_qubit_matrices(ExactBackend(m), Uniform(0)))
     np.testing.assert_allclose(t.data, m.full_matrix().data, atol=1e-13)
 
 
-def kron_t_prod(singles) -> np.ndarray:
+def kron_t_prod(matrices) -> np.ndarray:
     """T_prod as a Kronecker product of the per-qubit matrices, qubit 1
     outermost: the reference the local-form assembly must match."""
     t = np.ones((1, 1))
-    for s in singles:
-        t = np.kron(t, s.matrix)
+    for mat in matrices:
+        t = np.kron(t, mat)
     return t
 
 
 @pytest.mark.parametrize("register", REGISTERS)
 @pytest.mark.parametrize("kind", BACKENDS)
 @pytest.mark.parametrize(
-    "family", [Uniform(0), Uniform(1), Average(2), Average(6)], ids=lambda f: f.label()
+    "family",
+    [Uniform(0), Uniform(1), Average(2), Average(6)],
+    ids=["uniform(0)", "uniform(1)", "average(k=2)", "average(k=6)"],
 )
 def test_tprod_bitwise_equals_the_kronecker_product(register, kind, family):
     m = REGISTERS[register]()
-    b = BACKENDS[kind](m)
-    singles = [measure_single_qubit_T(b, i, family, m.geometry) for i in range(1, m.n + 1)]
-    assert np.array_equal(t_prod(singles).data, kron_t_prod(singles))
+    matrices = single_qubit_matrices(BACKENDS[kind](m), family, m.geometry)
+    assert np.array_equal(t_prod(matrices).data, kron_t_prod(matrices))
 
 
-def test_tprod_rejects_mixed_or_misordered():
-    b = backend()
-    s1 = measure_single_qubit_T(b, 1, Uniform(0))
-    s2u1 = measure_single_qubit_T(b, 2, Uniform(1))
-    with pytest.raises(ValidationError, match="famil"):
-        t_prod([s1, s2u1])
-    s2 = measure_single_qubit_T(b, 2, Uniform(0))
-    with pytest.raises(ValidationError, match="ordered"):
-        t_prod([s2, s1])
+@pytest.mark.parametrize("shape", [(0, 2, 2), (4, 2), (4, 2, 3), (4, 3, 2), (1, 4, 2, 2)])
+def test_tprod_rejects_an_array_that_is_not_n_by_2_by_2(shape):
+    with pytest.raises(ValidationError, match=r"\(n, 2, 2\)"):
+        t_prod(np.full(shape, 0.5))
 
 
 def test_total_spam_error_identity_zero():

@@ -40,6 +40,22 @@ def test_budget_prints_bounds(capsys):
     assert capsys.readouterr().out.strip() == "1024, 524288"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("budget", "4", "10000"), ("estimate", "--preset", "melbourne-c4", "--k", "10000")],
+    ids=["budget", "estimate"],
+)
+def test_a_huge_k_is_a_validation_error_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "t.json"
+    if argv[0] == "estimate":
+        argv += ("--out", out)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: neighborhood size k is too large for n=4")
+    assert "k <= 28" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_model_and_calibrate_full(tmp_path, capsys):
     model = tmp_path / "model.json"
     assert run("gen-model", "--preset", "melbourne-c4", "--out", model) == 0

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spamcal.assembly import _rows
-from spamcal.backends import Dataset, ExactBackend, ReplayBackend, SampledBackend
+from spamcal.backends import ExactBackend, ReplayBackend, SampledBackend, record_dataset
 from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Uniform,
     correlator_report,
-    measure_single_qubit_T,
+    single_qubit_matrices,
     t_prod,
 )
 from spamcal.errors import MissingDataError, ValidationError
@@ -53,6 +53,33 @@ def test_circuit_budget_values():
         circuit_budget(0, 2)
     with pytest.raises(ValidationError):
         circuit_budget(4, -1)
+
+
+@pytest.mark.parametrize("n, most", [(1, 30), (4, 28), (100, 24), (2**31 - 1, 0)])
+def test_circuit_budget_admits_k_while_the_bound_stays_below_2_to_63(n, most):
+    assert circuit_budget(n, most)[1] == 2 * n**2 * 4**most < 2**63
+    with pytest.raises(ValidationError, match=f"too large for n={n}: .* so k <= {most}$"):
+        circuit_budget(n, most + 1)
+
+
+def test_circuit_budget_rejects_a_huge_k():
+    # 4^k alone passes the 4300-digit limit on int-to-str
+    with pytest.raises(ValidationError, match="k <= 28"):
+        circuit_budget(4, 10**5)
+    with pytest.raises(ValidationError, match="which no k allows"):
+        circuit_budget(2**40, 0)
+
+
+def test_estimate_checks_k_before_building_any_mask(monkeypatch):
+    import spamcal.estimate as est
+
+    def no_masks(*args):
+        raise AssertionError("a mask was built")
+
+    monkeypatch.setattr(est, "chebyshev_mask", no_masks)
+    m = melbourne_c4()
+    with pytest.raises(ValidationError, match="too large"):
+        estimate_transition_matrix(ExactBackend(m), m.geometry, 30)
 
 
 def test_mean_field_preparations_k0():
@@ -126,8 +153,8 @@ def test_k0_reduces_to_tensor_product():
     m = melbourne_c4_product()
     b = ExactBackend(m)
     t_est, _ = estimate_transition_matrix(b, m.geometry, 0)
-    singles = [measure_single_qubit_T(b, i, Uniform(0)) for i in range(1, 5)]
-    np.testing.assert_allclose(t_est.data, t_prod(singles).data, atol=1e-12)
+    t = t_prod(single_qubit_matrices(b, Uniform(0)))
+    np.testing.assert_allclose(t_est.data, t.data, atol=1e-12)
 
 
 def c4_tables_json():
@@ -469,13 +496,18 @@ def test_tables_json_rejects_non_finite_entry(tmp_path):
         CalibrationTables.from_json(path)
 
 
-def test_replay_without_records_names_only_step_one_states():
-    # the first step's preparations are collected before any pair mask is
-    # built: at k = 0 they are all-zeros and the six single flips
-    backend = ReplayBackend(Dataset(n=6))
+def test_replay_missing_states_of_both_steps_fail_once_naming_all():
+    # at k = 0 the first step prepares all-zeros and the six single flips,
+    # the second every state with two bits set; the dataset lacks one
+    # single flip and two pair states, and one collection names all three
+    n, lacking = 6, [0b000100, 0b000011, 0b100001]
+    g = RegisterGeometry.chain(n)
+    model = NoiseModel(g, np.array([symmetric_single_qubit(0.05)] * n))
+    needed = [x for x in range(1 << n) if bin(x).count("1") <= 2]
+    ds = record_dataset(ExactBackend(model), [x for x in needed if x not in lacking], 64)
     with pytest.raises(MissingDataError) as info:
-        estimate_transition_matrix(backend, RegisterGeometry.chain(6), 0)
-    assert info.value.missing == [0] + [1 << b for b in range(6)]
+        estimate_transition_matrix(ReplayBackend(ds), g, 0)
+    assert info.value.missing == sorted(lacking)
 
 
 def nests(inner: int, outer: int) -> bool:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,20 @@ def test_layers_for_size():
     assert layers_for_size(6, 1) == 3
     assert layers_for_size(8, 2) == 1
     assert layers_for_size(24, 2) == 2
+    # a closed form, so a size far past any register costs nothing
+    assert layers_for_size(10**18, 1) == 5 * 10**17
+    assert layers_for_size((2 * 10**9 + 1) ** 2 - 1, 2) == 10**9
+
+
+@pytest.mark.parametrize(
+    "k, dimension, first",
+    [(10**18 + 1, 1, "[0, 2, 4, 6, 8]"), ((2 * 10**9 + 1) ** 2, 2, "[0, 8, 24, 48, 80]"),
+     (-2, 1, "[0, 2, 4, 6, 8]"), (3, 2, "[0, 8, 24, 48, 80]"), (15, 2, "[0, 8, 24, 48, 80]")],
+)
+def test_inadmissible_size_lists_the_first_five_sizes(k, dimension, first):
+    message = rf"admissible in {dimension}D; .* = {re.escape(first)}\.\.\.$"
+    with pytest.raises(ValidationError, match=message):
+        layers_for_size(k, dimension)
 
 
 GEOMETRIES = st.one_of(

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from spamcal.backends import ExactBackend, SampledBackend
-from spamcal.characterize import Average, measure_single_qubit_T
+from spamcal.characterize import Average, single_qubit_matrices
 from spamcal.estimate import estimate_transition_matrix
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, melbourne_c8
@@ -59,10 +59,7 @@ def outputs() -> dict:
                 got[f"{name}-{kind}-k{k}-tables"] = sha(tables.to_json())
     backend = ExactBackend(grid)
     for k in (0, 8):
-        mats = [
-            measure_single_qubit_T(backend, i, Average(k), grid.geometry).matrix.tolist()
-            for i in range(1, grid.n + 1)
-        ]
+        mats = single_qubit_matrices(backend, Average(k), grid.geometry).tolist()
         got[f"grid3x3-average-k{k}"] = sha(json.dumps(mats))
     return got
 

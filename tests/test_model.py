@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spamcal.assembly import BLOCK, kron_columns
+from spamcal.assembly import BLOCK, _states, kron_columns
 from spamcal.backends import ExactBackend
-from spamcal.bits import support_mask
+from spamcal.bits import submasks, support_mask
 from spamcal.errors import ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import (
     PRESETS,
     NoiseModel,
+    _filtered_bits,
     identity_model,
     melbourne_c4,
     melbourne_c4_product,
@@ -399,6 +400,16 @@ def test_tables_at_scale_hold_one_row_per_filtered_state(n, rows):
     # the masks name qubits beyond bit 63, and nothing of size 2^n is built
     assert tables.single_masks[1].bit_length() == n
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [8, 64, 100])
+def test_filtered_bits_read_back_the_tables_row_states(n):
+    # a model reads each table row's prepared bits from the row's state, so
+    # they spell that state, exactly also for states past int64
+    for qs in [(1, 2, 3), (2, 5), (n - 2, n), (1, n)]:
+        mask = support_mask(qs, n)
+        spelled = [int("".join(map(str, row)), 2) for row in _filtered_bits(qs, n)]
+        assert spelled == list(_states(mask)) == submasks(mask)
 
 
 def with_zero_entries(m: NoiseModel) -> NoiseModel:
