@@ -17,13 +17,15 @@ the same lookup (:func:`_read0`, :func:`_terms`) and :func:`kron_columns`.
 Qubit axes are 0-based in the kernel, MSB first, matching the bitstring
 index convention; the tables name qubits 1..n.
 
-The kernel works on BLOCK columns at a time, with the column axis last and
-every array contiguous, and builds every term in one left-to-right sweep
-over the qubit axes. The sweep keys each open partial product by the term
-qubits still ahead of it, not by those behind it: an elimination order, as
-in bucket elimination (Dechter, Artificial Intelligence 113, 41, 1999).
-After qubit l it holds three kinds of partial product over the qubits
-0..l:
+The kernel works on :func:`sweep_width` columns at a time (256 up to
+n = 11, fewer above, so that a partial over every qubit stays within 2^19
+entries), with the column axis last and every array contiguous, and builds
+every term in one left-to-right sweep over the qubit axes; a column is the
+same arithmetic in the same order at every width. The sweep keys each open
+partial product by the term qubits still ahead of it, not by those behind
+it: an elimination order, as in bucket elimination (Dechter, Artificial
+Intelligence 113, 41, 1999). After qubit l it holds three kinds of partial
+product over the qubits 0..l:
 
 - the free product of the means, the prefix every term starts from;
 - one shared partial per remaining qubit set that two or more terms reach,
@@ -78,10 +80,19 @@ from .bits import bitstring, parse_bitstring, qubit_mask, submasks
 from .errors import ValidationError
 from .serialize import as_object, dump_json, integer, load_json, number, qubits
 
-BLOCK = 64  # columns per pass; temporaries hold O(2^n * BLOCK) entries
+SWEEP_MAX = 256  # columns per kernel pass, at most
+SWEEP_ENTRIES = 1 << 19  # entries of a 2^n x columns partial, at most
 
 # a read-0 probability summed from an exact distribution can round past 1
 RANGE_SLACK = 1e-12
+
+
+def sweep_width(n: int) -> int:
+    """Columns per kernel pass, and states per block of a collection, on n
+    qubits: 256 up to n = 11, then halving with each qubit (128 at n = 12,
+    64 at n = 13), so that one 2^n x width partial stays within 2^19
+    entries (4 MiB), and at least 1."""
+    return max(1, min(SWEEP_MAX, SWEEP_ENTRIES >> n))
 
 
 class _Step(NamedTuple):
@@ -146,8 +157,9 @@ def kron_columns(read0: np.ndarray, terms) -> np.ndarray:
     signs = {k: 1.0 - 2.0 * (np.indices((2,) * k).sum(0) % 2)
              for k in set(map(len, qubit_sets))}
     out = np.empty((1 << n, cols))
-    for start in range(0, cols, BLOCK):
-        blk = slice(start, start + BLOCK)
+    width = sweep_width(n)
+    for start in range(0, cols, width):
+        blk = slice(start, start + width)
         p = np.ascontiguousarray(read0[blk].T)  # np.stack keeps a view's strides
         m = np.stack([p, 1.0 - p], axis=1)  # (n, 2, block)
         block = m.shape[-1]

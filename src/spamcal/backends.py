@@ -12,8 +12,11 @@ backends evaluate the whole block with one checked model call before any
 draw, and replay, which looks states up one by one, names every state of
 the block it lacks in one MissingDataError. :func:`collect` is the one loop
 that queries a backend for distributions: it asks once per distinct state,
-through the block query only, never asks a block again, and reports every
-state a replay dataset lacks in one MissingDataError after the last block.
+through the block query only, ``assembly.sweep_width(n)`` states at a time,
+never asks a block again, and reports every state a replay dataset lacks in
+one MissingDataError after the last block. It yields each block with one
+distribution per row, so that a consumer reads the block's marginals in
+one gather and row sum per qubit set and keeps no distribution past it.
 
 Sampling is reproducible across platforms: each query draws from a PCG64
 generator seeded by (seed, prepared-state index, query ordinal) and converts
@@ -27,11 +30,12 @@ Counts-dataset JSON schema:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BLOCK
+from .assembly import sweep_width
 from .bits import bitstring, parse_bitstring
 from .errors import MissingDataError, ValidationError
 from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
@@ -60,10 +64,11 @@ class Counts:
             raise ValidationError(
                 f"histogram sums to {total}, declared shots {self.shots}"
             )
-        if any(v < 0 for v in self.histogram.values()):
+        if min(self.histogram.values(), default=0) < 0:
             raise ValidationError("negative count in histogram")
-        wrong = [x for x in (self.prepared, *self.histogram) if not 0 <= x < 1 << self.n]
-        if wrong:
+        states = (self.prepared, *self.histogram)
+        if not 0 <= min(states) <= max(states) < 1 << self.n:
+            wrong = [x for x in states if not 0 <= x < 1 << self.n]
             raise ValidationError(
                 f"state {wrong[0]} is out of range: the register has {self.n} qubits"
             )
@@ -214,10 +219,7 @@ class Dataset:
             try:
                 rec = as_object(rec, "record", ("prepared", "shots", "counts"))
                 prepared = parse_bitstring(rec["prepared"], n)
-                histogram = {
-                    parse_bitstring(s, n): integer(v, f"count of {s}", 0)
-                    for s, v in as_object(rec["counts"], "counts").items()
-                }
+                histogram = _histogram(as_object(rec["counts"], "counts"), n)
                 ds.add(Counts(n, prepared, histogram, integer(rec["shots"], "shots")))
             except ValidationError as exc:
                 raise ValidationError(f"bad dataset record {r}: {exc}") from None
@@ -226,6 +228,32 @@ class Dataset:
     @classmethod
     def from_json(cls, path) -> "Dataset":
         return cls.from_dict(load_json(path))
+
+
+def _histogram(counts: dict, n: int) -> dict:
+    """A record's counts object as {outcome index: count}. The keys are
+    checked to be n-bit bitstrings and the counts integers of at least 0 a
+    record at a time, and the keys read as indices in one array operation;
+    only a record that fails is read again entry by entry, so that the error
+    names its first bad entry."""
+    keys, values = counts.keys(), counts.values()
+    if (
+        set(map(type, keys)) <= {str}
+        and set(map(len, keys)) <= {n}
+        and set(map(type, values)) <= {int}
+        and 0 <= min(values, default=0)
+        and max(values, default=0) <= sys.float_info.max
+    ):
+        # a character outside ASCII reads as "?", which fails the digit check
+        digits = np.frombuffer("".join(keys).encode("ascii", "replace"), dtype=np.uint8)
+        if ((digits | 1) == ord("1")).all():  # only "0" | 1 and "1" | 1 are "1"
+            if n < 63:
+                bits = digits.reshape(-1, n) - np.int64(ord("0"))
+                index = (bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))).tolist()
+            else:
+                index = [int(s, 2) for s in keys]
+            return dict(zip(index, values))
+    return {parse_bitstring(s, n): integer(v, f"count of {s}", 0) for s, v in counts.items()}
 
 
 class ReplayBackend(_Backend):
@@ -273,22 +301,23 @@ def ingest_dataset(path) -> ReplayBackend:
 
 
 def collect(backend, preps):
-    """Yield (state, distribution) for each distinct prepared state, in
-    increasing order, asking the backend's block query once for BLOCK
-    states at a time. A block whose query raises MissingDataError yields
-    nothing and is not asked again; after the last block one
-    MissingDataError names every state the backend lacked."""
+    """Yield (states, rows) blocks over the distinct prepared states in
+    increasing order: states a list of at most ``sweep_width(n)`` of them,
+    rows the C-contiguous (len(states), 2^n) array of their distributions,
+    one per row, from one block query. A block whose query raises
+    MissingDataError yields nothing and is not asked again; after the last
+    block one MissingDataError names every state the backend lacked."""
     states = sorted(set(preps))
+    width = sweep_width(backend.n)
     missing = []
-    for start in range(0, len(states), BLOCK):
-        chunk = states[start:start + BLOCK]
+    for start in range(0, len(states), width):
+        chunk = states[start:start + width]
         try:
-            block = backend.distributions(chunk)
+            rows = np.ascontiguousarray(backend.distributions(chunk).T)
         except MissingDataError as exc:
             missing.extend(exc.missing)
             continue
-        # one contiguous row per distribution
-        yield from zip(chunk, np.ascontiguousarray(block.T))
+        yield chunk, rows
     if missing:
         raise MissingDataError(missing, backend.n)
 
@@ -331,6 +360,6 @@ def measure_full_matrix(backend, limit: int = ORACLE_LIMIT_DEFAULT) -> Transitio
             f"the oracle limit is {limit}"
         )
     t = np.empty((1 << n, 1 << n))
-    for c, dist in collect(backend, range(1 << n)):
-        t[:, c] = dist
+    for states, rows in collect(backend, range(1 << n)):
+        t[:, states] = rows.T
     return TransitionMatrix(n, t)

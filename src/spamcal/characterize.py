@@ -8,12 +8,16 @@ Each measuring function makes one collection and asks for each distinct
 preparation once: :func:`single_qubit_matrices` measures every qubit's
 matrix at once, and :func:`correlator_report` measures every correlator,
 reading each preparation's marginals once; read single values from its
-``single_shift``, ``joint_shift`` and ``covariance`` fields. T_prod is
-assembled by :meth:`CalibrationTables.columns`, as every dense T is.
+``single_shift``, ``joint_shift`` and ``covariance`` fields. Both read a
+collected block's marginals as it arrives and keep only those values.
+T_prod is assembled by :meth:`CalibrationTables.columns`, as every dense
+T is.
 
 Every marginal is one sum over the outcomes that a mask selects: the
 outcomes x with ``x & mask == 0`` are those in which every qubit of the
-mask reads 0 (:func:`prob_zero`, :func:`prob_joint_zero`). The averaged
+mask reads 0 (:func:`prob_zero`, :func:`prob_joint_zero` for one
+distribution; :func:`block_zero` for a block of them, one gather and one
+row sum per mask, which gives bitwise the same sums). The averaged
 family's spectators are the submasks of the qubit's
 :func:`spamcal.geometry.chebyshev_mask` without the qubit itself.
 """
@@ -54,6 +58,21 @@ def prob_zero(dist: np.ndarray, i: int, n: int) -> float:
 def prob_joint_zero(dist: np.ndarray, i: int, j: int, n: int) -> float:
     """P(qubits i and j both read 0)."""
     return float(dist[_zero_outcomes(n, qubit_mask(i, n) | qubit_mask(j, n))].sum())
+
+
+def block_zero(rows: np.ndarray, mask: int, n: int, sel=None) -> np.ndarray:
+    """P(every qubit of the mask reads 0) under each distribution of a
+    C-contiguous (states, 2^n) block of rows, or of the rows ``sel`` only
+    (an index array): one gather into a C-contiguous array and one sum
+    along its rows, each bitwise the 1-D sum of :func:`prob_zero`.
+    A row sum over ``rows[:, idx]``, which numpy lays out column by column,
+    adds in another order. Reading every row costs less than indexing the
+    selected ones while they are more than half of the block."""
+    idx = _zero_outcomes(n, mask)
+    if sel is None or 2 * len(sel) > len(rows):
+        zero = np.take(rows, idx, axis=1).sum(axis=1)
+        return zero if sel is None else zero[sel]
+    return np.take(rows, (sel * rows.shape[1])[:, None] + idx).sum(axis=1)
 
 
 # -- single-qubit transition matrices --------------------------------------
@@ -108,7 +127,15 @@ def single_qubit_matrices(backend, family,
         for s in specs:
             for x in (s, s | flips[i]):
                 readers.setdefault(x, []).append(i)
-    zero = {(x, i): prob_zero(d, i, n) for x, d in collect(backend, readers) for i in readers[x]}
+    zero = {}  # (prepared state, qubit) -> P(qubit reads 0)
+    for states, rows in collect(backend, readers):
+        sel = {}  # qubit -> the rows of the block it reads
+        for r, x in enumerate(states):
+            for i in readers[x]:
+                sel.setdefault(i, []).append(r)
+        for i, rs in sel.items():
+            p0 = block_zero(rows, flips[i], n, np.array(rs)).tolist()
+            zero.update(zip([(states[r], i) for r in rs], p0))
     mats = np.empty((n, 2, 2))
     for i, specs in spectators.items():
         for prep_bit, bit in enumerate((0, flips[i])):
@@ -184,25 +211,25 @@ class CorrelatorReport:
         return dump_csv([["i\\j"] + [str(j) for j in range(1, self.n + 1)]] + rows, path)
 
 
-def _reads(dist: np.ndarray, n: int) -> tuple:
-    """P(i reads 0) of every qubit and P(i, j read 00) of every pair i < j."""
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    return (
-        {i: prob_zero(dist, i, n) for i in range(1, n + 1)},
-        {(i, j): prob_joint_zero(dist, i, j, n) for i, j in pairs},
-    )
-
-
 def correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
     """Measure every pairwise correlator.
 
     The shift correlators share the n+1 preparations {0..0} plus the n
     single-flips; covariances are measured at one prepared state (all-zeros
-    by default). Each distinct preparation is fetched and its marginals read once.
+    by default). Each distinct preparation is fetched once, and each of its
+    n read-0 and n(n-1)/2 joint read-0 marginals is read once, a block of
+    preparations at a time.
     """
     n = backend.n
     flip = {l: qubit_mask(l, n) for l in range(1, n + 1)}
-    reads = {x: _reads(d, n) for x, d in collect(backend, [0, xprime, *flip.values()])}
+    pairs = list(itertools.combinations(flip, 2))
+    reads = {}  # prepared state -> ({i: P(i reads 0)}, {(i, j): P(i, j read 00)})
+    for states, rows in collect(backend, [0, xprime, *flip.values()]):
+        zero = {i: block_zero(rows, q, n).tolist() for i, q in flip.items()}
+        joint = {(i, j): block_zero(rows, flip[i] | flip[j], n).tolist() for i, j in pairs}
+        for r, x in enumerate(states):
+            reads[x] = ({i: v[r] for i, v in zero.items()},
+                        {ij: v[r] for ij, v in joint.items()})
     zero, joint = reads[0]
     a = np.zeros((n, n))
     for i, l in itertools.permutations(range(1, n + 1), 2):

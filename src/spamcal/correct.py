@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import BLOCK
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .norms import MatrixNorm, norm_distance
 from .serialize import dump_csv
@@ -25,6 +24,7 @@ from .tmatrix import TransitionMatrix
 RCOND_THRESHOLD = 1e-12
 KKT_TOL_DEFAULT = 1e-9
 MAX_ITER_DEFAULT = 100_000
+BLOCK = 64  # rows of |T| per pass of _norm_bound_and_product
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -10,9 +10,14 @@ and shared; :func:`estimate_transition_matrix` is the one entry point that
 measures, through one :func:`spamcal.backends.collect` call over both
 steps' preparations, so a replay dataset that lacks any of them fails once,
 naming every missing state. It checks ``k`` against :func:`circuit_budget`
-before it builds any mask. Each read-0 marginal of a (filtered state,
-qubit) is summed once and shared by the qubit's mean field and every pair
-table that reads it.
+before it builds any mask. The tables fill block by block as the
+collection yields them, and no distribution outlives its block: per block,
+each qubit's read-0 marginal is summed once over every row that one of the
+qubit's tables reads (its mean field, or a pair table that holds it) and
+shared by them, and each pair's joint read-0 marginal once over the rows
+of its table, each in one gather and row sum
+(:func:`spamcal.characterize.block_zero`, bitwise the one-state sums of
+``prob_zero`` and ``prob_joint_zero``).
 
 The full matrix is then assembled classically, in one call that the noise
 model also makes for its own columns: :meth:`CalibrationTables.columns`,
@@ -28,14 +33,15 @@ estimate up to rounding.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .assembly import CalibrationTables, _read0, _terms, kron_columns
+from .assembly import CalibrationTables, _read0, _states, _terms, kron_columns
 from .backends import collect
-from .bits import submasks
-from .characterize import correlator_report, prob_joint_zero, prob_zero
+from .bits import qubit_mask, submasks
+from .characterize import block_zero, correlator_report
+# the one-state marginals, importable here under the names a profile wraps;
+# the estimator reads its marginals a block at a time with block_zero
+from .characterize import prob_joint_zero, prob_zero  # noqa: F401
 from .errors import ValidationError
 from .geometry import RegisterGeometry, chebyshev_mask, check_register
 from .tmatrix import TransitionMatrix
@@ -83,6 +89,44 @@ def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
     return TransitionMatrix(tables.n, t)
 
 
+def _fill(tables: CalibrationTables, backend, preps) -> int:
+    """Fill the mean-field and pair tables from one collection of the
+    preparations, a block at a time, and return how many distinct states it
+    measured. Per block, P(i reads 0) is summed once for every row that some
+    table of qubit i reads, and P(i, j read 00) for every row of the pair's
+    table; no block outlives its turn."""
+    n = tables.n
+    single, pair = tables.single_masks, tables.pair_masks
+    flips = {i: qubit_mask(i, n) for i in single}
+    masks = {i: [m] for i, m in single.items()}  # every mask whose table reads qubit i
+    for (i, j), m in pair.items():
+        masks[i].append(m)
+        masks[j].append(m)
+    mean = {i: np.empty(1 << m.bit_count()) for i, m in single.items()}
+    fluct = {ij: np.empty(1 << m.bit_count()) for ij, m in pair.items()}
+    measured = 0
+    for states, rows in collect(backend, preps):
+        measured += len(states)
+        states = np.array(states)
+        # the rows of the block that each mask's table reads
+        inside = {m: (states & ~m) == 0 for m in {*single.values(), *pair.values()}}
+        zero = np.empty((n + 1, len(states)))  # [i, r] = P(i reads 0), where read
+        for i, ms in masks.items():
+            sel = np.flatnonzero(np.logical_or.reduce([inside[m] for m in ms]))
+            zero[i, sel] = block_zero(rows, flips[i], n, sel)
+        for i, m in single.items():
+            sel = np.flatnonzero(inside[m])
+            mean[i][np.searchsorted(_states(m), states[sel])] = zero[i, sel]
+        for (i, j), m in pair.items():
+            sel = np.flatnonzero(inside[m])
+            joint = block_zero(rows, flips[i] | flips[j], n, sel)
+            fluct[i, j][np.searchsorted(_states(m), states[sel])] = (
+                joint - zero[i, sel] * zero[j, sel]
+            )
+    tables.mean_fields, tables.pair_fluct = mean, fluct
+    return measured
+
+
 def estimate_transition_matrix(
     backend, geometry: RegisterGeometry, k: int
 ) -> tuple[TransitionMatrix, CalibrationTables]:
@@ -98,21 +142,8 @@ def estimate_transition_matrix(
         for j in range(i + 1, n + 1)
     }
     step1 = _preps(single)
-    dists = dict(collect(backend, step1 | _preps(pair)))
     tables = CalibrationTables(n, k, single, pair)
-    # one 1-D marginal sum per (filtered state, qubit), shared by the qubit's
-    # table and every pair table that reads it: a row sum over stacked
-    # distributions adds in another order and moves the last bits
-    zero = functools.cache(lambda s, i: prob_zero(dists[s], i, n))
-    for i, mask in single.items():
-        tables.mean_fields[i] = np.array([zero(s, i) for s in submasks(mask)])
-    for (i, j), mask in pair.items():
-        states = submasks(mask)
-        pi = np.array([zero(s, i) for s in states])
-        pj = np.array([zero(s, j) for s in states])
-        joint = np.array([prob_joint_zero(dists[s], i, j, n) for s in states])
-        tables.pair_fluct[(i, j)] = joint - pi * pj
-    tables.circuits_used = len(dists)
+    tables.circuits_used = _fill(tables, backend, step1 | _preps(pair))
     tables.metadata = {
         "backend": backend.descriptor(),
         "step1_preparations": len(step1),

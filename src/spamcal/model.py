@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import BLOCK, CalibrationTables, _states, check_table
+from .assembly import CalibrationTables, _states, check_table, sweep_width
 from .bits import support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry
@@ -84,9 +84,9 @@ class NoiseModel:
         }
         self.tables = self._tabulate()
         if n <= ORACLE_LIMIT_DEFAULT:
-            cols = np.arange(1 << n)
-            for start in range(0, cols.size, BLOCK):
-                self._columns(cols[start:start + BLOCK])
+            cols, width = np.arange(1 << n), sweep_width(n)
+            for start in range(0, cols.size, width):
+                self._columns(cols[start:start + width])
 
     @property
     def n(self) -> int:

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spamcal import assembly
-from spamcal.assembly import BLOCK, CalibrationTables, kron_columns
+from spamcal.assembly import CalibrationTables, kron_columns, sweep_width
+from spamcal.backends import ExactBackend
 from spamcal.bits import qubit_mask, submasks
+from spamcal.estimate import estimate_transition_matrix
 from spamcal.model import NoiseModel, melbourne_c8
+from test_model import chain_model, grid3x3_spectator_model, random_model
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
 
@@ -22,28 +25,23 @@ def per_term_kron_columns(read0, terms):
     """Reference kernel: builds each term's product of means from scratch and
     adds it, times the term's coefficient and (-1)^(sum of the outcome bits),
     into one slice of a zeroed block accumulator per outcome of the term's
-    qubits, term by term."""
+    qubits, term by term, all columns at once."""
     cols, n = read0.shape
-    out = np.empty((1 << n, cols))
-    for start in range(0, cols, BLOCK):
-        blk = slice(start, start + BLOCK)
-        p = read0[blk].T
-        m = np.stack([p, 1.0 - p], axis=1)  # (n, 2, block)
-        block = m.shape[-1]
-        acc = np.zeros((2,) * n + (block,))
-        for qubits, coefficient in terms:
-            v = np.ones((1, block))
-            for l in range(n):
-                if l not in qubits:
-                    v = (v[:, None, :] * m[l]).reshape(-1, block)
-            v = v.reshape((2,) * (n - len(qubits)) + (block,)) * coefficient[blk]
-            for bits in itertools.product((0, 1), repeat=len(qubits)):
-                slot = [slice(None)] * n
-                for q, b in zip(qubits, bits):
-                    slot[q] = b
-                acc[tuple(slot)] += v if sum(bits) % 2 == 0 else -v
-        out[:, blk] = acc.reshape(-1, block)
-    return out
+    p = read0.T
+    m = np.stack([p, 1.0 - p], axis=1)  # (n, 2, cols)
+    acc = np.zeros((2,) * n + (cols,))
+    for qubits, coefficient in terms:
+        v = np.ones((1, cols))
+        for l in range(n):
+            if l not in qubits:
+                v = (v[:, None, :] * m[l]).reshape(-1, cols)
+        v = v.reshape((2,) * (n - len(qubits)) + (cols,)) * coefficient
+        for bits in itertools.product((0, 1), repeat=len(qubits)):
+            slot = [slice(None)] * n
+            for q, b in zip(qubits, bits):
+                slot[q] = b
+            acc[tuple(slot)] += v if sum(bits) % 2 == 0 else -v
+    return acc.reshape(-1, cols)
 
 
 def random_inputs(rng, n, cols=1):
@@ -111,13 +109,14 @@ def test_triple_term_matches_bruteforce(triple):
 
 
 def test_blocks_do_not_change_columns():
-    # more columns than one block: each column equals its own one-column call
+    # more columns than one sweep: each column equals its own one-column call
     rng = np.random.default_rng(3)
-    cols = BLOCK + 5
+    width = sweep_width(4)
+    cols = width + 5
     read0, pairs, covs = random_inputs(rng, 4, cols)
     terms = mean_term(cols) + pair_terms(pairs, covs)
     t = kron_columns(read0, terms)
-    for c in itertools.chain(range(3), range(BLOCK - 1, cols)):
+    for c in itertools.chain(range(3), range(width - 1, cols)):
         one = [(q, a[c:c + 1]) for q, a in terms]
         np.testing.assert_array_equal(t[:, c], kron_columns(read0[c:c + 1], one)[:, 0])
 
@@ -138,14 +137,16 @@ def test_pair_column_sums_to_zero():
 def kernel_inputs(draw, low=-1e-3, high=1e-3):
     """read0 in [0, 1], with exact 0s and 1s among it, and terms on n <= 9
     qubits with coefficients in [low, high], some constant over the columns
-    as the model's triples are, for column counts on both sides of BLOCK.
+    as the model's triples are, for column counts on both sides of the
+    sweep width.
     The terms, in a drawn order: any of the n(n-1)/2 pairs, often all of
     them; triples of an earlier qubit and a drawn pair, which share their
     remaining qubits with that pair's other triples and with every pair on
     their last qubit; terms on 0 to 3 drawn qubits, with the first and the
     last qubit on their own or together among them; and repeats."""
     n = draw(st.integers(1, 9))
-    cols = draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    w = sweep_width(n)
+    cols = draw(st.sampled_from([1, 2, w - 1, w, w + 1, 2 * w + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     read0 = rng.uniform(0.0, 1.0, (cols, n))
     read0[rng.random((cols, n)) < 0.1] = rng.integers(0, 2)
@@ -239,10 +240,12 @@ def all_pairs_tables(n):
 
 
 def test_an_all_pairs_block_peaks_below_four_dense_blocks():
-    # the partials open at once stay within a few dense temporaries: 3.6
-    # blocks here, where one partial per term prefix would take 5.3
+    # the partials open at once stay within a few dense temporaries of one
+    # sweep's width: 3.3 blocks of 256 columns here, where one partial per
+    # term prefix would take about 5.3
     n = 10
-    tables, cols = all_pairs_tables(n), np.arange(BLOCK)
+    width = sweep_width(n)
+    tables, cols = all_pairs_tables(n), np.arange(width)
     tables.columns(cols)  # the plan and the row orders are cached from here on
     tracemalloc.start()
     try:
@@ -250,7 +253,38 @@ def test_an_all_pairs_block_peaks_below_four_dense_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 4 * (1 << n) * BLOCK * out.itemsize
+    assert peak - out.nbytes <= 4 * (1 << n) * width * out.itemsize
+
+
+def chain_estimate_tables():
+    """The estimator's tables on an 8-qubit chain at k = 2: all 28 pairs."""
+    m = chain_model(8)
+    return estimate_transition_matrix(ExactBackend(m), m.geometry, 2)[1]
+
+
+# the estimator's all-pairs tables, and model tables with triples (grid3x3,
+# random-n6) and without (melbourne_c8)
+SWEEP_TABLES = {
+    "chain8-k2-estimate": chain_estimate_tables,
+    "grid3x3-spectators": lambda: grid3x3_spectator_model().tables,
+    "melbourne_c8": lambda: melbourne_c8().tables,
+    "random-n6-triples": lambda: random_model(0, 6, with_triples=True).tables,
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_TABLES)
+def test_columns_are_bitwise_equal_at_every_sweep_width(monkeypatch, name):
+    tables = SWEEP_TABLES[name]()
+    cols = np.arange(1 << tables.n)
+    want = tables.columns(cols)
+    for width in (1, 3, 64, 256, sweep_width(tables.n)):
+        monkeypatch.setattr(assembly, "sweep_width", lambda n, width=width: width)
+        assert np.array_equal(tables.columns(cols), want), width
+
+
+def test_the_sweep_width_keeps_a_partial_within_2_to_the_19_entries():
+    assert [sweep_width(n) for n in range(1, 17)] == [256] * 11 + [128, 64, 32, 16, 8]
+    assert sweep_width(19) == 1 and sweep_width(40) == 1
 
 
 def test_the_plan_is_built_once_per_term_structure():

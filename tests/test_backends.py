@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from spamcal.assembly import BLOCK
+from spamcal.assembly import sweep_width
 from spamcal.backends import (
     DEFAULT_SHOTS,
     Counts,
+    Dataset,
     ExactBackend,
     ReplayBackend,
     SampledBackend,
@@ -18,16 +19,31 @@ from spamcal.backends import (
     record_dataset,
     save_distribution,
 )
-from spamcal.bits import bitstring
+from spamcal.bits import bitstring, parse_bitstring
 from spamcal.errors import MissingDataError, ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, identity_model, melbourne_c4, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
+from spamcal.serialize import integer
 from test_model import invalid_chain13
 
 
 def all_preps(n):
     return list(range(1 << n))
+
+
+def per_state(blocks):
+    """(state, distribution) for each state of collect's blocks, in order."""
+    for states, rows in blocks:
+        yield from zip(states, rows)
+
+
+def delta_dataset(n, states):
+    """A one-shot replay dataset in which each prepared state reads itself."""
+    ds = Dataset(n)
+    for x in states:
+        ds.add(Counts(n, x, {x: 1}, 1))
+    return ds
 
 
 def test_counts_invariants():
@@ -231,7 +247,7 @@ def test_collect_asks_once_per_distinct_state_in_increasing_order():
             asked.extend(states)
             return super().distributions(states)
 
-    got = [x for x, _dist in collect(Recording(melbourne_c4()), [5, 3, 5, 0, 3])]
+    got = [x for x, _dist in per_state(collect(Recording(melbourne_c4()), [5, 3, 5, 0, 3]))]
     assert got == asked == [0, 3, 5]
 
 
@@ -239,7 +255,7 @@ def test_collect_names_every_missing_state_after_the_last():
     ds = record_dataset(ExactBackend(melbourne_c4()), [1, 3], 64)
     got = []
     with pytest.raises(MissingDataError) as info:
-        got.extend(x for x, _dist in collect(ReplayBackend(ds), [0, 1, 2, 3]))
+        got.extend(x for x, _dist in per_state(collect(ReplayBackend(ds), [0, 1, 2, 3])))
     # the one block lacks two states, so it yields nothing
     assert got == []
     assert info.value.missing == [0b0000, 0b0010]
@@ -255,13 +271,16 @@ def test_collect_asks_a_block_with_missing_states_once():
 
     # the first block lacks its first half; its second half is not asked
     # for again, and the other blocks yield as usual
-    n, half = 8, BLOCK // 2
-    ds = record_dataset(ExactBackend(melbourne_c8()), range(half, 1 << n), 64)
+    n = 10
+    width = sweep_width(n)
+    half = width // 2
+    assert (1 << n) >= 3 * width
+    ds = delta_dataset(n, range(half, 1 << n))
     got = []
     with pytest.raises(MissingDataError) as info:
-        got.extend(x for x, _dist in collect(Recording(ds), range(1 << n)))
-    assert asked == [list(range(s, s + BLOCK)) for s in range(0, 1 << n, BLOCK)]
-    assert got == list(range(BLOCK, 1 << n))
+        got.extend(x for x, _dist in per_state(collect(Recording(ds), range(1 << n))))
+    assert asked == [list(range(s, s + width)) for s in range(0, 1 << n, width)]
+    assert got == list(range(width, 1 << n))
     assert info.value.missing == list(range(half))
 
 
@@ -277,11 +296,15 @@ def test_missing_data_message_stays_short_for_wide_registers():
 
 @pytest.mark.parametrize("kind", [ExactBackend, SampledBackend])
 def test_collect_blocks_equal_per_state_distributions(kind):
-    # 256 states: four full blocks; every backend is fresh, so each state
-    # is drawn at ordinal 0 on both sides
+    # 256 states: one full block of sweep_width(8) rows, each C-contiguous;
+    # every backend is fresh, so each state is drawn at ordinal 0 on both sides
     m = melbourne_c8()
     states = range(1 << m.n)
-    got = dict(collect(kind(m, seed=4), states))
+    blocks = list(collect(kind(m, seed=4), states))
+    assert [len(s) for s, _rows in blocks] == [sweep_width(m.n)]
+    assert all(rows.flags.c_contiguous and rows.shape == (len(s), 1 << m.n)
+               for s, rows in blocks)
+    got = dict(per_state(blocks))
     assert list(got) == list(states)
     for x in states:
         assert np.array_equal(got[x], kind(m, seed=4).distribution(x))
@@ -319,12 +342,12 @@ def test_bad_state_in_a_block_raises_and_moves_no_ordinal(kind, model, preps, er
 
 
 def test_collect_names_missing_states_across_blocks():
-    n = 8
-    ds = record_dataset(ExactBackend(melbourne_c8()), range(0, 1 << n, 2), 64)
-    assert (1 << n) > 3 * BLOCK
+    n = 10
+    ds = delta_dataset(n, range(0, 1 << n, 2))
+    assert (1 << n) > 3 * sweep_width(n)
     got = []
     with pytest.raises(MissingDataError) as info:
-        got.extend(x for x, _dist in collect(ReplayBackend(ds), range(1 << n)))
+        got.extend(x for x, _dist in per_state(collect(ReplayBackend(ds), range(1 << n))))
     # every block lacks its odd states, so none yields
     assert got == []
     assert info.value.missing == list(range(1, 1 << n, 2))
@@ -341,3 +364,64 @@ def test_an_empty_block_is_a_block_of_no_columns(kind):
         assert b.distributions(states).shape == (16, 0)
     assert m.tables.columns([]).shape == (16, 0)
     assert getattr(b, "_ordinals", {}) == {}
+
+
+def per_entry_histogram(counts, n):
+    """A record's counts read entry by entry: the checks the dataset loader
+    reports its errors from."""
+    return {parse_bitstring(s, n): integer(v, f"count of {s}", 0) for s, v in counts.items()}
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {"0101": 3, "1111": 1},
+        {},
+        {"0101": 3, "011": 1},
+        {"0101": 3, "01011": 1},
+        {"0101": 3, "0121": 1},
+        {"0101": 3, "01١": 1, "0x01": 1},
+        {"0101": 3, "010\ud800": 1},
+        {"0101": 3, "0 01": 1, "0_01": 1},
+        {"0101": 3, 5: 1},
+        {"0101": 1.0, "0111": 3},
+        {"0101": 3, "0111": True},
+        {"0101": -1, "0111": 5},
+        {"0101": 10**400, "0111": 1},
+        {"0101": "3", "0111": 1},
+        {"0101": 3, "0111": None, "01": 1},
+        {"0101": 3, "2222": 1.5},
+    ],
+)
+def test_a_record_reads_as_its_per_entry_checks_do(counts):
+    # a record that passes is read in one step, one that fails entry by
+    # entry, so a bad record fails with the message of its first bad entry
+    shots = sum(v for v in counts.values() if type(v) is int) or 1
+    obj = {"n": 4, "order": "msb-first", "records": [
+        {"prepared": "0000", "shots": 4, "counts": {"0000": 4}},
+        {"prepared": "0001", "shots": shots, "counts": counts},
+    ]}
+    try:
+        want = per_entry_histogram(counts, 4)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            Dataset.from_dict(obj)
+        assert str(info.value) == f"bad dataset record 1: {exc}"
+    else:
+        if not want:
+            with pytest.raises(ValidationError, match="histogram sums to 0"):
+                Dataset.from_dict(obj)
+            return
+        got = Dataset.from_dict(obj).records[1].histogram
+        assert got == want and list(got) == list(want)
+        assert all(type(x) is int and type(v) is int for x, v in got.items())
+
+
+def test_a_wide_register_record_reads_its_keys_in_full():
+    # 70-bit outcomes are past the 64-bit integers an array holds
+    n = 70
+    counts = {"1" * n: 2, "0" * (n - 1) + "1": 3}
+    obj = {"n": n, "order": "msb-first",
+           "records": [{"prepared": "1" * n, "shots": 5, "counts": counts}]}
+    got = Dataset.from_dict(obj).records[(1 << n) - 1].histogram
+    assert got == {(1 << n) - 1: 2, 1: 3}

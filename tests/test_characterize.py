@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from spamcal import characterize
 from spamcal.backends import ExactBackend, SampledBackend, collect
-from spamcal.bits import qubit_mask
+from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Average,
     CorrelatorReport,
     Uniform,
+    block_zero,
     correlator_report,
     prob_joint_zero,
     prob_zero,
@@ -19,7 +20,7 @@ from spamcal.characterize import (
     total_spam_error,
 )
 from spamcal.errors import ValidationError
-from spamcal.geometry import RegisterGeometry
+from spamcal.geometry import RegisterGeometry, chebyshev_mask
 from spamcal.norms import MatrixNorm
 from spamcal.model import melbourne_c4, melbourne_c4_product, melbourne_c8
 
@@ -138,6 +139,44 @@ def test_average_family_asks_for_each_distinct_state_once():
     assert len(counting.asked) == len(set(counting.asked)) == 192
 
 
+def per_state_single_qubit_matrices(backend, family, geometry=None) -> np.ndarray:
+    """Every qubit's matrix from prob_zero over one one-state query per
+    distinct prepared state, qubit by qubit and spectator by spectator: the
+    reference the block-by-block collection must match bit for bit."""
+    n = backend.n
+    dists = {}
+    mats = np.empty((n, 2, 2))
+    for i in range(1, n + 1):
+        q = qubit_mask(i, n)
+        if isinstance(family, Uniform):
+            specs = [((1 << n) - 1 if family.b else 0) & ~q]
+        else:
+            specs = submasks(chebyshev_mask(geometry, i, family.k) & ~q)
+        for prep_bit, bit in enumerate((0, q)):
+            p0 = 0.0
+            for s in specs:
+                if s | bit not in dists:
+                    dists[s | bit] = backend.distribution(s | bit)
+                p0 += prob_zero(dists[s | bit], i, n)
+            p0 /= len(specs)
+            mats[i - 1, :, prep_bit] = (p0, 1.0 - p0)
+    return mats
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize(
+    "family",
+    [Uniform(0), Uniform(1), Average(2), Average(6)],
+    ids=["uniform(0)", "uniform(1)", "average(k=2)", "average(k=6)"],
+)
+def test_single_qubit_matrices_equal_the_per_state_sums(register, kind, family):
+    m = REGISTERS[register]()
+    got = single_qubit_matrices(BACKENDS[kind](m), family, m.geometry)
+    want = per_state_single_qubit_matrices(BACKENDS[kind](m), family, m.geometry)
+    assert np.array_equal(got, want)
+
+
 def test_tprod_of_product_model_is_exact():
     m = melbourne_c4_product()
     t = t_prod(single_qubit_matrices(ExactBackend(m), Uniform(0)))
@@ -245,7 +284,7 @@ def loop_correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
     reference the one-read-per-state report must match byte for byte."""
     n = backend.n
     preps = [0, xprime] + [qubit_mask(j, n) for j in range(1, n + 1)]
-    dists = dict(collect(backend, preps))
+    dists = {x: d for states, rows in collect(backend, preps) for x, d in zip(states, rows)}
     base = dists[0]
     a = np.zeros((n, n))
     b = {}
@@ -285,19 +324,16 @@ def test_correlator_report_is_byte_equal_to_the_loop_reference(register, kind, x
 
 @pytest.mark.parametrize("xprime, states", [(0b0000, 5), (0b0101, 6)])
 def test_correlator_report_reads_each_prepared_state_once(monkeypatch, xprime, states):
-    calls = {"zero": 0, "joint": 0}
+    rows_read = {"zero": 0, "joint": 0}
 
-    def counted(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
+    def counted(rows, mask, n, sel=None):
+        rows_read["zero" if mask.bit_count() == 1 else "joint"] += len(rows)
+        return block_zero(rows, mask, n, sel)
 
-    monkeypatch.setattr(characterize, "prob_zero", counted("zero", prob_zero))
-    monkeypatch.setattr(characterize, "prob_joint_zero", counted("joint", prob_joint_zero))
+    monkeypatch.setattr(characterize, "block_zero", counted)
     assert correlator_report(backend(), xprime).circuits_used == states
     # n read-0 values and n(n-1)/2 joint read-0 values per distinct state
-    assert calls == {"zero": 4 * states, "joint": 6 * states}
+    assert rows_read == {"zero": 4 * states, "joint": 6 * states}
 
 
 def test_report_serialization(tmp_path):

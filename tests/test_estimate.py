@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spamcal.assembly import _rows
+from spamcal import assembly
+from spamcal.assembly import _rows, kron_columns, sweep_width
 from spamcal.backends import ExactBackend, ReplayBackend, SampledBackend, record_dataset
 from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Uniform,
     correlator_report,
+    prob_joint_zero,
+    prob_zero,
     single_qubit_matrices,
     t_prod,
 )
@@ -591,3 +594,97 @@ def test_loaded_tables_reject_a_prepared_state_out_of_range(state):
     assert tables.n == 4
     with pytest.raises(ValidationError, match=f"prepared state {state} is out of range"):
         tables.columns([0, state])
+
+
+def estimate_masks(geometry, k) -> tuple:
+    """The estimator's single masks and the pair masks made from them."""
+    single = {i: chebyshev_mask(geometry, i, k) for i in range(1, geometry.n + 1)}
+    pair = {(i, j): single[i] | single[j] for i in single for j in single if i < j}
+    return single, pair
+
+
+def estimate_preps(geometry, k) -> list:
+    single, pair = estimate_masks(geometry, k)
+    return sorted({s for m in [*single.values(), *pair.values()] for s in submasks(m)})
+
+
+def per_state_tables(backend, geometry, k) -> tuple:
+    """The estimate's mean fields and pair tables filled state by state, from
+    prob_zero and prob_joint_zero over one one-state query per prepared
+    state: the reference the block-by-block fill must match bit for bit."""
+    n = geometry.n
+    single, pair = estimate_masks(geometry, k)
+    dists = {s: backend.distribution(s) for s in estimate_preps(geometry, k)}
+    mean = {
+        i: np.array([prob_zero(dists[s], i, n) for s in submasks(m)])
+        for i, m in single.items()
+    }
+    fluct = {}
+    for (i, j), m in pair.items():
+        states = submasks(m)
+        pi = np.array([prob_zero(dists[s], i, n) for s in states])
+        pj = np.array([prob_zero(dists[s], j, n) for s in states])
+        joint = np.array([prob_joint_zero(dists[s], i, j, n) for s in states])
+        fluct[i, j] = joint - pi * pj
+    return mean, fluct
+
+
+MARGINAL_BACKENDS = {
+    "exact": lambda m, g, k: ExactBackend(m),
+    "sampled": lambda m, g, k: SampledBackend(m, 4096, seed=3),
+    "replay": lambda m, g, k: ReplayBackend(
+        record_dataset(SampledBackend(m, seed=9), estimate_preps(g, k), 4096)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", MARGINAL_BACKENDS)
+@pytest.mark.parametrize(
+    "make, k", [(correlated_chain6, 2), (grid3x3_spectator_model, 8), (melbourne_c8, 2)],
+    ids=["chain6", "grid3x3", "melbourne-c8"],
+)
+def test_block_marginals_equal_the_per_state_sums(kind, make, k):
+    m = make()
+    make_backend = MARGINAL_BACKENDS[kind]
+    _t, tables = estimate_transition_matrix(make_backend(m, m.geometry, k), m.geometry, k)
+    mean, fluct = per_state_tables(make_backend(m, m.geometry, k), m.geometry, k)
+    assert list(tables.mean_fields) == list(mean)
+    assert list(tables.pair_fluct) == list(fluct)
+    for i, want in mean.items():
+        assert np.array_equal(tables.mean_fields[i], want), i
+    for ij, want in fluct.items():
+        assert np.array_equal(tables.pair_fluct[ij], want), ij
+    # some pair reads its qubits' marginals at states that neither single
+    # mask holds, where no mean field reads them
+    single = tables.single_masks
+    assert any(
+        s & ~single[i] and s & ~single[j]
+        for (i, j), mask in tables.pair_masks.items() for s in submasks(mask)
+    )
+
+
+def test_the_dense_kernel_call_starts_with_no_distribution_held(monkeypatch):
+    # n = 12, k = 2: 592 distinct states, whose distributions held at once
+    # took 592 * 4096 floats (19.4 MB); when the kernel starts on the dense
+    # T, less than one block of rows is left
+    n = 12
+    model = chain_model(n)
+    backend = ExactBackend(model)
+    at_dense_call = []
+
+    def traced(read0, terms):
+        if read0.shape[0] == 1 << n:
+            at_dense_call.append(tracemalloc.get_traced_memory()[0])
+        return kron_columns(read0, terms)
+
+    monkeypatch.setattr(assembly, "kron_columns", traced)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        _t, tables = estimate_transition_matrix(backend, model.geometry, 2)
+    finally:
+        tracemalloc.stop()
+    assert tables.circuits_used == 592
+    assert len(at_dense_call) == 1
+    block_of_rows = sweep_width(n) * (1 << n) * 8
+    assert at_dense_call[0] - start < block_of_rows

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spamcal.assembly import BLOCK, _states, kron_columns
+from spamcal.assembly import _states, kron_columns, sweep_width
 from spamcal.backends import ExactBackend
 from spamcal.bits import submasks, support_mask
 from spamcal.errors import ValidationError
@@ -361,8 +361,9 @@ def test_columns_bitwise_equal_the_per_column_term_builder(name):
 
 def test_a_drawn_block_beyond_the_oracle_limit_equals_the_term_builder():
     m = random_model(2, n=13, with_triples=True)
-    cols = np.arange(0, 1 << 13, 128)
-    assert cols.size == BLOCK
+    width = sweep_width(13)
+    cols = np.arange(0, 1 << 13, (1 << 13) // width)
+    assert cols.size == width
     assert np.array_equal(ExactBackend(m).distributions(cols), reference_columns(m, cols))
 
 
