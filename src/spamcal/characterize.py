@@ -4,12 +4,13 @@ Covers single-qubit transition matrices (uniform- and neighborhood-averaged
 spectator families), the tensor-product approximation, the total SPAM
 error of a measured matrix, and the three pairwise correlators: spectator
 shift A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x').
-Each measuring function makes one collection and asks for each distinct
-preparation once: :func:`single_qubit_matrices` measures every qubit's
-matrix at once, and :func:`correlator_report` measures every correlator,
-reading each preparation's marginals once; read single values from its
-``single_shift``, ``joint_shift`` and ``covariance`` fields. Both read a
-collected block's marginals as it arrives and keep only those values.
+Each measuring function reads its read-0 marginals from one
+:func:`zero_marginals` call, which makes one collection, asks for each
+distinct preparation once and sums each distinct (mask, preparation)
+marginal once: :func:`single_qubit_matrices` measures every qubit's matrix
+at once, and :func:`correlator_report` every correlator; read single
+values from its ``single_shift``, ``joint_shift`` and ``covariance``
+fields. The estimator reads its tables through the same call.
 T_prod is assembled by :meth:`CalibrationTables.columns`, as every dense
 T is.
 
@@ -75,6 +76,31 @@ def block_zero(rows: np.ndarray, mask: int, n: int, sel=None) -> np.ndarray:
     return np.take(rows, (sel * rows.shape[1])[:, None] + idx).sum(axis=1)
 
 
+def zero_marginals(backend, queries) -> list[np.ndarray]:
+    """For each (mask, states) query, P(every qubit of the mask reads 0) at
+    each of its states, in the query's order; masks and states may repeat.
+    One collection asks for each distinct state once, and each distinct
+    (mask, state) is summed once by :func:`block_zero`. The collection's
+    blocks are consecutive runs of the sorted distinct states, so the rows
+    a mask reads in a block are a slice of its array of needed states."""
+    n = backend.n
+    queries = [(mask, np.asarray(states, dtype=None if len(states) else int))
+               for mask, states in queries]
+    distinct = np.unique(np.concatenate([np.empty(0, int)] + [s for _, s in queries]))
+    at = [np.searchsorted(distinct, s) for _, s in queries]
+    need = {mask: np.zeros(distinct.size, bool) for mask, _ in queries}
+    for (mask, _), pos in zip(queries, at):
+        need[mask][pos] = True
+    zero = {mask: np.empty(distinct.size) for mask in need}
+    for states, rows in collect(backend, distinct.tolist()):
+        start = distinct.searchsorted(states[0])
+        for mask, needed in need.items():
+            sel = np.flatnonzero(needed[start:start + len(states)])
+            if sel.size:
+                zero[mask][start + sel] = block_zero(rows, mask, n, sel)
+    return [zero[mask][pos] for (mask, _), pos in zip(queries, at)]
+
+
 # -- single-qubit transition matrices --------------------------------------
 
 
@@ -105,8 +131,8 @@ def single_qubit_matrices(backend, family,
     family: qubit i's marginal is averaged over every preparation of the
     other qubits of ``chebyshev_mask(geometry, i, k)``, far spectators
     prepared in 0; the geometry must have the backend's register size.
-    Every distinct prepared state is asked for once, and only the read-0
-    marginals of the qubits that use it are kept.
+    Every distinct prepared state is asked for once, and each qubit's
+    read-0 marginal at it is summed once (:func:`zero_marginals`).
     """
     n = backend.n
     flips = {i: qubit_mask(i, n) for i in range(1, n + 1)}
@@ -122,26 +148,15 @@ def single_qubit_matrices(backend, family,
         }
     else:
         raise ValidationError(f"unknown single-qubit family {family!r}")
-    readers = {}  # prepared state -> the qubits whose marginal reads it
-    for i, specs in spectators.items():
-        for s in specs:
-            for x in (s, s | flips[i]):
-                readers.setdefault(x, []).append(i)
-    zero = {}  # (prepared state, qubit) -> P(qubit reads 0)
-    for states, rows in collect(backend, readers):
-        sel = {}  # qubit -> the rows of the block it reads
-        for r, x in enumerate(states):
-            for i in readers[x]:
-                sel.setdefault(i, []).append(r)
-        for i, rs in sel.items():
-            p0 = block_zero(rows, flips[i], n, np.array(rs)).tolist()
-            zero.update(zip([(states[r], i) for r in rs], p0))
+    queries = [(flips[i], [s | bit for s in specs])
+               for i, specs in spectators.items() for bit in (0, flips[i])]
+    zero = iter(zero_marginals(backend, queries))
     mats = np.empty((n, 2, 2))
     for i, specs in spectators.items():
-        for prep_bit, bit in enumerate((0, flips[i])):
+        for prep_bit in (0, 1):
             p0 = 0.0
-            for s in specs:
-                p0 += zero[s | bit, i]
+            for v in next(zero).tolist():
+                p0 += v
             p0 /= len(specs)
             mats[i - 1, :, prep_bit] = (p0, 1.0 - p0)
     return mats
@@ -217,27 +232,24 @@ def correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
     The shift correlators share the n+1 preparations {0..0} plus the n
     single-flips; covariances are measured at one prepared state (all-zeros
     by default). Each distinct preparation is fetched once, and each of its
-    n read-0 and n(n-1)/2 joint read-0 marginals is read once, a block of
-    preparations at a time.
+    n read-0 and n(n-1)/2 joint read-0 marginals is read once
+    (:func:`zero_marginals`).
     """
     n = backend.n
     flip = {l: qubit_mask(l, n) for l in range(1, n + 1)}
     pairs = list(itertools.combinations(flip, 2))
-    reads = {}  # prepared state -> ({i: P(i reads 0)}, {(i, j): P(i, j read 00)})
-    for states, rows in collect(backend, [0, xprime, *flip.values()]):
-        zero = {i: block_zero(rows, q, n).tolist() for i, q in flip.items()}
-        joint = {(i, j): block_zero(rows, flip[i] | flip[j], n).tolist() for i, j in pairs}
-        for r, x in enumerate(states):
-            reads[x] = ({i: v[r] for i, v in zero.items()},
-                        {ij: v[r] for ij, v in joint.items()})
-    zero, joint = reads[0]
+    preps = [0, xprime, *flip.values()]
+    read = zero_marginals(backend, [(flip[i], preps) for i in flip]
+                          + [(flip[i] | flip[j], preps) for i, j in pairs])
+    zero = {i: dict(zip(preps, v.tolist())) for i, v in zip(flip, read)}
+    joint = {ij: dict(zip(preps, v.tolist())) for ij, v in zip(pairs, read[n:])}
     a = np.zeros((n, n))
-    for i, l in itertools.permutations(range(1, n + 1), 2):
-        a[i - 1, l - 1] = zero[i] - reads[flip[l]][0][i]
+    for i, l in itertools.permutations(flip, 2):
+        a[i - 1, l - 1] = zero[i][0] - zero[i][flip[l]]
     b = {
-        (i, j, l): v - reads[flip[l]][1][i, j]
+        (i, j, l): v[0] - v[flip[l]]
         for (i, j), v in joint.items() for l in flip if l not in (i, j)
     }
-    zero, joint = reads[xprime]
-    c = {(i, j, xprime): v - zero[i] * zero[j] for (i, j), v in joint.items()}
-    return CorrelatorReport(n, a, b, c, circuits_used=len(reads))
+    c = {(i, j, xprime): v[xprime] - zero[i][xprime] * zero[j][xprime]
+         for (i, j), v in joint.items()}
+    return CorrelatorReport(n, a, b, c, circuits_used=len(set(preps)))

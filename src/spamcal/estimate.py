@@ -7,17 +7,10 @@ c = P(i, j read 00) - P(i reads 0) P(j reads 0) at every preparation
 supported on the union of the two masks; the other three indicator
 covariances are -c, -c and +c. Identical prepared states are measured once
 and shared; :func:`estimate_transition_matrix` is the one entry point that
-measures, through one :func:`spamcal.backends.collect` call over both
-steps' preparations, so a replay dataset that lacks any of them fails once,
-naming every missing state. It checks ``k`` against :func:`circuit_budget`
-before it builds any mask. The tables fill block by block as the
-collection yields them, and no distribution outlives its block: per block,
-each qubit's read-0 marginal is summed once over every row that one of the
-qubit's tables reads (its mean field, or a pair table that holds it) and
-shared by them, and each pair's joint read-0 marginal once over the rows
-of its table, each in one gather and row sum
-(:func:`spamcal.characterize.block_zero`, bitwise the one-state sums of
-``prob_zero`` and ``prob_joint_zero``).
+measures, and it reads every marginal of both steps from one
+:func:`spamcal.characterize.zero_marginals` call, so a replay dataset that
+lacks any preparation fails once, naming every missing state. It checks
+``k`` against :func:`circuit_budget` before it builds any mask.
 
 The full matrix is then assembled classically, in one call that the noise
 model also makes for its own columns: :meth:`CalibrationTables.columns`,
@@ -36,11 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import CalibrationTables, _read0, _states, _terms, kron_columns
-from .backends import collect
 from .bits import qubit_mask, submasks
-from .characterize import block_zero, correlator_report
+from .characterize import correlator_report, zero_marginals
 # the one-state marginals, importable here under the names a profile wraps;
-# the estimator reads its marginals a block at a time with block_zero
+# the estimator reads its marginals through zero_marginals
 from .characterize import prob_joint_zero, prob_zero  # noqa: F401
 from .errors import ValidationError
 from .geometry import RegisterGeometry, chebyshev_mask, check_register
@@ -89,42 +81,22 @@ def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
     return TransitionMatrix(tables.n, t)
 
 
-def _fill(tables: CalibrationTables, backend, preps) -> int:
-    """Fill the mean-field and pair tables from one collection of the
-    preparations, a block at a time, and return how many distinct states it
-    measured. Per block, P(i reads 0) is summed once for every row that some
-    table of qubit i reads, and P(i, j read 00) for every row of the pair's
-    table; no block outlives its turn."""
+def _fill(tables: CalibrationTables, backend) -> None:
+    """Fill the mean-field and pair tables from one :func:`zero_marginals`
+    call: each table reads its qubits' read-0 marginals at its mask's
+    filtered states, and a pair table also reads the joint one."""
     n = tables.n
     single, pair = tables.single_masks, tables.pair_masks
     flips = {i: qubit_mask(i, n) for i in single}
-    masks = {i: [m] for i, m in single.items()}  # every mask whose table reads qubit i
+    queries = [(flips[i], _states(m)) for i, m in single.items()]
     for (i, j), m in pair.items():
-        masks[i].append(m)
-        masks[j].append(m)
-    mean = {i: np.empty(1 << m.bit_count()) for i, m in single.items()}
-    fluct = {ij: np.empty(1 << m.bit_count()) for ij, m in pair.items()}
-    measured = 0
-    for states, rows in collect(backend, preps):
-        measured += len(states)
-        states = np.array(states)
-        # the rows of the block that each mask's table reads
-        inside = {m: (states & ~m) == 0 for m in {*single.values(), *pair.values()}}
-        zero = np.empty((n + 1, len(states)))  # [i, r] = P(i reads 0), where read
-        for i, ms in masks.items():
-            sel = np.flatnonzero(np.logical_or.reduce([inside[m] for m in ms]))
-            zero[i, sel] = block_zero(rows, flips[i], n, sel)
-        for i, m in single.items():
-            sel = np.flatnonzero(inside[m])
-            mean[i][np.searchsorted(_states(m), states[sel])] = zero[i, sel]
-        for (i, j), m in pair.items():
-            sel = np.flatnonzero(inside[m])
-            joint = block_zero(rows, flips[i] | flips[j], n, sel)
-            fluct[i, j][np.searchsorted(_states(m), states[sel])] = (
-                joint - zero[i, sel] * zero[j, sel]
-            )
-    tables.mean_fields, tables.pair_fluct = mean, fluct
-    return measured
+        queries += [(q, _states(m)) for q in (flips[i], flips[j], flips[i] | flips[j])]
+    zero = iter(zero_marginals(backend, queries))
+    tables.mean_fields = {i: next(zero) for i in single}
+    tables.pair_fluct = {}
+    for ij in pair:
+        pi, pj, joint = next(zero), next(zero), next(zero)
+        tables.pair_fluct[ij] = joint - pi * pj
 
 
 def estimate_transition_matrix(
@@ -143,7 +115,8 @@ def estimate_transition_matrix(
     }
     step1 = _preps(single)
     tables = CalibrationTables(n, k, single, pair)
-    tables.circuits_used = _fill(tables, backend, step1 | _preps(pair))
+    _fill(tables, backend)
+    tables.circuits_used = len(step1 | _preps(pair))
     tables.metadata = {
         "backend": backend.descriptor(),
         "step1_preparations": len(step1),

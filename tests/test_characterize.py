@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spamcal import characterize
-from spamcal.backends import ExactBackend, SampledBackend, collect
+from spamcal.assembly import sweep_width
+from spamcal.backends import ExactBackend, ReplayBackend, SampledBackend, collect, record_dataset
 from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Average,
@@ -18,11 +20,14 @@ from spamcal.characterize import (
     single_qubit_matrices,
     t_prod,
     total_spam_error,
+    zero_marginals,
 )
-from spamcal.errors import ValidationError
+from spamcal.errors import MissingDataError, ValidationError
+from spamcal.estimate import estimate_transition_matrix
 from spamcal.geometry import RegisterGeometry, chebyshev_mask
 from spamcal.norms import MatrixNorm
 from spamcal.model import melbourne_c4, melbourne_c4_product, melbourne_c8
+from test_model import chain_model
 
 C4 = melbourne_c4()
 REGISTERS = {"melbourne-c4": melbourne_c4, "melbourne-c8": melbourne_c8}
@@ -177,6 +182,139 @@ def test_single_qubit_matrices_equal_the_per_state_sums(register, kind, family):
     assert np.array_equal(got, want)
 
 
+# -- one marginal reader ---------------------------------------------------
+
+
+def one_state_zero(dist: np.ndarray, qubits: tuple, n: int) -> float:
+    """P(every listed qubit reads 0) under one distribution: prob_zero for
+    one qubit, prob_joint_zero for two, a bitstring-selected sum past that."""
+    if len(qubits) == 1:
+        return prob_zero(dist, *qubits, n)
+    if len(qubits) == 2:
+        return prob_joint_zero(dist, *qubits, n)
+    return float(dist[reading_zero(n, *qubits)].sum())
+
+
+def mask_of(qubits: tuple, n: int) -> int:
+    return sum(qubit_mask(q, n) for q in qubits)
+
+
+def marginal_queries(n: int) -> list:
+    """(qubits, states) queries: a mask asked twice, duplicate and unsorted
+    states within one query, an empty query and a three-qubit mask."""
+    top = (1 << n) - 1
+    return [
+        ((1,), [5, 0, 5, 3, top]),
+        ((2, n), [top, 1, 2, 1]),
+        ((1,), [top, 6]),
+        ((3,), []),
+        ((1, 2, 3), list(range(top, -1, -3))),
+    ]
+
+
+def per_state_marginals(backend, queries) -> list:
+    """Every query read state by state from one one-state query per distinct
+    state: the reference zero_marginals must match bit for bit."""
+    n = backend.n
+    dists = {x: backend.distribution(x) for x in sorted({x for _, s in queries for x in s})}
+    return [np.array([one_state_zero(dists[x], q, n) for x in s]) for q, s in queries]
+
+
+MARGINAL_BACKENDS = {
+    **BACKENDS,
+    "replay": lambda m: ReplayBackend(
+        record_dataset(SampledBackend(m, seed=9), range(1 << m.n), 4096)
+    ),
+}
+
+
+@pytest.mark.parametrize("register", REGISTERS)
+@pytest.mark.parametrize("kind", MARGINAL_BACKENDS)
+def test_zero_marginals_equal_the_per_state_sums(register, kind):
+    m = REGISTERS[register]()
+    queries = marginal_queries(m.n)
+    want = per_state_marginals(MARGINAL_BACKENDS[kind](m), queries)
+    # one array per query, in the query's order, each state where it stands
+    for order in (slice(None), slice(None, None, -1)):
+        asked = [(mask_of(q, m.n), s) for q, s in queries[order]]
+        got = zero_marginals(MARGINAL_BACKENDS[kind](m), asked)
+        assert len(got) == len(queries)
+        for g, w in zip(got, want[order]):
+            assert np.array_equal(g, w)
+
+def test_zero_marginals_of_no_queries_or_no_states_ask_for_nothing():
+    counting = Counting(C4)
+    assert zero_marginals(counting, []) == []
+    (empty,) = zero_marginals(counting, [(qubit_mask(1, 4), [])])
+    assert empty.shape == (0,) and empty.dtype == float
+    assert counting.asked == []
+
+
+def test_zero_marginals_ask_for_each_distinct_state_once_across_blocks():
+    # n = 10: 256-state blocks, and the queries' 668 distinct states span three
+    m = chain_model(10)
+    queries = [
+        ((1,), list(range(0, 1000, 2))),
+        ((2,), list(range(999, -1, -3))),
+        ((1, 2), [5, 5, 600, 0]),
+        ((1,), [1023]),
+    ]
+    counting = Counting(m)
+    got = zero_marginals(counting, [(mask_of(q, 10), s) for q, s in queries])
+    distinct = sorted({x for _, s in queries for x in s})
+    assert len(distinct) > 2 * sweep_width(10)
+    assert counting.asked == distinct
+    for g, w in zip(got, per_state_marginals(ExactBackend(m), queries)):
+        assert np.array_equal(g, w)
+
+
+def count_summed_rows(monkeypatch) -> Counter:
+    """Rows summed per mask by every block_zero call from now on."""
+    summed = Counter()
+
+    def counted(rows, mask, n, sel=None):
+        summed[mask] += len(rows) if sel is None else len(sel)
+        return block_zero(rows, mask, n, sel)
+
+    monkeypatch.setattr(characterize, "block_zero", counted)
+    return summed
+
+
+@pytest.mark.parametrize(
+    "make, k", [(melbourne_c8, 2), (lambda: chain_model(10), 2)], ids=["melbourne-c8", "chain10"]
+)
+def test_the_estimate_sums_each_distinct_marginal_once(monkeypatch, make, k):
+    m = make()
+    n = m.n
+    summed = count_summed_rows(monkeypatch)
+    _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, k)
+    reads = {}  # mask -> every state a table reads its read-0 marginal at
+    for i, mask in tables.single_masks.items():
+        reads.setdefault(qubit_mask(i, n), set()).update(submasks(mask))
+    for (i, j), mask in tables.pair_masks.items():
+        for q in (qubit_mask(i, n), qubit_mask(j, n), mask_of((i, j), n)):
+            reads.setdefault(q, set()).update(submasks(mask))
+    assert summed == {q: len(states) for q, states in reads.items()}
+    assert sum(summed.values()) < sum(
+        len(submasks(mask)) for mask in tables.single_masks.values()
+    ) + 3 * sum(len(submasks(mask)) for mask in tables.pair_masks.values())
+
+
+@pytest.mark.parametrize(
+    "make, k", [(melbourne_c8, 6), (lambda: chain_model(10), 2)], ids=["melbourne-c8", "chain10"]
+)
+def test_the_averaged_family_sums_each_distinct_marginal_once(monkeypatch, make, k):
+    m = make()
+    summed = count_summed_rows(monkeypatch)
+    single_qubit_matrices(ExactBackend(m), Average(k), m.geometry)
+    # each qubit reads every preparation of its window once: every
+    # spectator preparation with the qubit in 0 and in 1
+    assert summed == {
+        qubit_mask(i, m.n): len(submasks(chebyshev_mask(m.geometry, i, k)))
+        for i in range(1, m.n + 1)
+    }
+
+
 def test_tprod_of_product_model_is_exact():
     m = melbourne_c4_product()
     t = t_prod(single_qubit_matrices(ExactBackend(m), Uniform(0)))
@@ -324,16 +462,38 @@ def test_correlator_report_is_byte_equal_to_the_loop_reference(register, kind, x
 
 @pytest.mark.parametrize("xprime, states", [(0b0000, 5), (0b0101, 6)])
 def test_correlator_report_reads_each_prepared_state_once(monkeypatch, xprime, states):
-    rows_read = {"zero": 0, "joint": 0}
-
-    def counted(rows, mask, n, sel=None):
-        rows_read["zero" if mask.bit_count() == 1 else "joint"] += len(rows)
-        return block_zero(rows, mask, n, sel)
-
-    monkeypatch.setattr(characterize, "block_zero", counted)
+    summed = count_summed_rows(monkeypatch)
     assert correlator_report(backend(), xprime).circuits_used == states
     # n read-0 values and n(n-1)/2 joint read-0 values per distinct state
-    assert rows_read == {"zero": 4 * states, "joint": 6 * states}
+    masks = [qubit_mask(i, 4) for i in range(1, 5)]
+    masks += [mask_of((i, j), 4) for i in range(1, 5) for j in range(i + 1, 5)]
+    assert summed == {q: states for q in masks}
+
+
+# a replay dataset of melbourne-c4 without these prepared states
+LACKING = [0b0000, 0b0010, 0b0101, 0b1011, 0b1111]
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda b: single_qubit_matrices(b, Uniform(0)),
+        lambda b: single_qubit_matrices(b, Uniform(1)),
+        lambda b: single_qubit_matrices(b, Average(2), C4.geometry),
+        lambda b: correlator_report(b, 0b0101),
+    ],
+    ids=["uniform(0)", "uniform(1)", "average(k=2)", "correlators"],
+)
+def test_a_replay_dataset_lacking_states_fails_once_naming_all(measure):
+    counting = Counting(C4)
+    measure(counting)
+    lacking = sorted(set(counting.asked) & set(LACKING))
+    assert len(lacking) >= 2
+    kept = [x for x in range(16) if x not in LACKING]
+    replay = ReplayBackend(record_dataset(SampledBackend(C4, seed=0), kept, 64))
+    with pytest.raises(MissingDataError) as info:
+        measure(replay)
+    assert info.value.missing == lacking
 
 
 def test_report_serialization(tmp_path):

@@ -657,6 +657,22 @@ def test_replay_correlators_name_every_missing_state(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("spectators, lacking", [(0, "0000, 0010"), (1, "1011, 1111")])
+def test_replay_tprod_names_every_missing_state(tmp_path, capsys, spectators, lacking):
+    absent = {0b0000, 0b0010, 0b1011, 0b1111}
+    ds = tmp_path / "ds.json"
+    preps = [x for x in range(16) if x not in absent]
+    record_dataset(SampledBackend(melbourne_c4(), seed=0), preps, 64).to_json(ds)
+    out = tmp_path / "t.json"
+    code = run("tprod", "--backend", "replay", "--dataset", ds,
+               "--spectators", spectators, "--out", out)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"missing prepared state(s): {lacking}\n" in err
+    assert not out.exists()
+
+
 def test_correlators_csv_holds_plain_numbers(tmp_path):
     out, csv_path = tmp_path / "c.json", tmp_path / "c.csv"
     assert run("correlators", "--preset", "melbourne-c8", "--out", out, "--csv", csv_path) == 0
