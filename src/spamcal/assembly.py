@@ -15,7 +15,10 @@ the tables from measured distributions; the model tabulates its own
 parameters (:attr:`spamcal.model.NoiseModel.tables`). Both reach T through
 the same lookup (:func:`_read0`, :func:`_terms`) and :func:`kron_columns`.
 Qubit axes are 0-based in the kernel, MSB first, matching the bitstring
-index convention; the tables name qubits 1..n.
+index convention; the tables name qubits 1..n. Summed over the outcomes
+off a qubit set S, a column keeps only the terms inside S, so
+:meth:`CalibrationTables.zero_marginal` gives P(every qubit of S reads 0)
+from the tables without building a column.
 
 The kernel works on :func:`sweep_width` columns at a time (256 up to
 n = 11, fewer above, so that a partial over every qubit stays within 2^19
@@ -70,6 +73,7 @@ filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -231,15 +235,38 @@ class CalibrationTables:
         """T[:, cols] for an array of prepared-state indices in 0..2^n - 1,
         in one kernel call: the mean product first, then every term. No
         states give a (2^n, 0) block."""
-        cols = np.asarray(cols, dtype=None if len(cols) else int)  # [] reads as float64
-        wrong = (cols < 0) | (cols >= 1 << self.n)
-        if wrong.any():
-            raise ValidationError(
-                f"prepared state {cols[wrong][0]} is out of range: "
-                f"the register has {self.n} qubits"
-            )
+        cols = _prepared(cols, self.n)
         terms = [((), np.ones(cols.size))] + _terms(self, cols)
         return kron_columns(_read0(self, cols), terms)
+
+    def zero_marginal(self, mask: int, states) -> np.ndarray:
+        """P(every qubit of the mask reads 0) at each prepared state, in
+        closed form: summing T[:, c] over the outcomes off the mask S
+        removes every term with a qubit outside S, which leaves
+
+            sum_{t subset of S} a_t(c) * prod_{l in S - t} m_l(0|c).
+
+        The product of the means of S comes first, then each term inside S
+        in :func:`_terms` order, each a coefficient times the means of the
+        other qubits of S; every product runs in increasing qubit order.
+        The terms are found by looking each subset of S up in pair_masks.
+        States may repeat and come in any order; one outside 0..2^n - 1
+        raises the ValidationError of :meth:`columns`."""
+        states = _prepared(states, self.n)
+        inside = [i for i in range(1, self.n + 1) if mask >> (self.n - i) & 1]
+        means = {i: self.mean_fields[i][_rows(self.single_masks[i], states)] for i in inside}
+        zero = np.ones(states.size)
+        for i in inside:
+            zero = zero * means[i]
+        for size in range(2, len(inside) + 1):
+            for qs in itertools.combinations(inside, size):
+                if qs in self.pair_masks:
+                    term = self.pair_fluct[qs][_rows(self.pair_masks[qs], states)]
+                    for i in inside:
+                        if i not in qs:
+                            term = term * means[i]
+                    zero = zero + term
+        return zero
 
     def to_json(self, path=None) -> str:
         def entries(tables, masks, qubits):
@@ -334,6 +361,19 @@ def check_table(vals, qubits: tuple, mask: int, n: int, low: float, high: float,
     return vals
 
 
+def _prepared(states, n: int) -> np.ndarray:
+    """Prepared-state indices as an array, each checked to lie in
+    0..2^n - 1; no states give an empty integer array."""
+    states = np.asarray(states, dtype=None if len(states) else int)  # [] reads as float64
+    wrong = (states < 0) | (states >= 1 << n)
+    if wrong.any():
+        raise ValidationError(
+            f"prepared state {states[wrong][0]} is out of range: "
+            f"the register has {n} qubits"
+        )
+    return states
+
+
 def _keys(qubits: tuple, mask: int, n: int) -> list:
     """JSON keys of one table in its row order, one per filtered state."""
     who = ",".join(map(str, qubits))
@@ -352,7 +392,7 @@ def _states(mask: int) -> np.ndarray:
 
 def _rows(mask: int, cols: np.ndarray) -> np.ndarray:
     """Table row of every column: the index of its filtered state."""
-    return np.searchsorted(_states(mask), cols & mask)
+    return _states(mask).searchsorted(cols & mask)
 
 
 def _read0(tables: CalibrationTables, cols: np.ndarray) -> np.ndarray:

@@ -18,6 +18,17 @@ one MissingDataError after the last block. It yields each block with one
 distribution per row, so that a consumer reads the block's marginals in
 one gather and row sum per qubit set and keeps no distribution past it.
 
+An exact backend whose model was enumerated and checked column by column
+at construction (:attr:`~spamcal.model.NoiseModel.enumerated`, n <=
+ORACLE_LIMIT_DEFAULT) also answers the marginal query
+``zero_marginal(mask, states)``, in closed form from the model's tables
+(:meth:`~spamcal.assembly.CalibrationTables.zero_marginal`), and
+:func:`spamcal.characterize.zero_marginals` asks it instead of collecting
+columns. Above that size the exact backend answers no marginal query, so
+every marginal is read from drawn columns, each checked as it is drawn, and
+an invalid model is still rejected. The sampled and replay backends have
+no marginal query.
+
 Sampling is reproducible across platforms: each query draws from a PCG64
 generator seeded by (seed, prepared-state index, query ordinal) and converts
 uniforms to outcomes by inverse CDF over the 2^n outcome vector. The
@@ -144,11 +155,22 @@ class ExactBackend(_ModelBackend):
     """Answers every prepared state with the model's exact distribution.
 
     Counts queries still work (a seeded multinomial draw of the exact
-    column), so datasets can be recorded from an exact backend too.
+    column), so datasets can be recorded from an exact backend too. For a
+    model enumerated at construction (n <= ORACLE_LIMIT_DEFAULT), the
+    instance attribute ``zero_marginal(mask, states)`` gives P(every qubit
+    of the mask reads 0) at each state from the model's tables, and no
+    column is drawn for it; a larger model has no such attribute.
     """
 
     kind = "exact"
     shots = DEFAULT_SHOTS  # of a counts query only; not in the descriptor
+
+    def __init__(self, model: NoiseModel, seed: int = 0):
+        super().__init__(model, seed)
+        if model.enumerated:
+            # every column was checked at construction, so a marginal is
+            # read from the model's tables and no column need be drawn
+            self.zero_marginal = model.tables.zero_marginal
 
     def distributions(self, states) -> np.ndarray:
         return self.model._columns(states)

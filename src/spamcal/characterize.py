@@ -5,7 +5,10 @@ spectator families), the tensor-product approximation, the total SPAM
 error of a measured matrix, and the three pairwise correlators: spectator
 shift A[i, j], joint shift B[i, j, l] and readout covariance C[i, j](x').
 Each measuring function reads its read-0 marginals from one
-:func:`zero_marginals` call, which makes one collection, asks for each
+:func:`zero_marginals` call. A backend that answers marginal queries (an
+exact backend of a model enumerated at construction, n <= 12) answers each
+query in closed form from the model's tables, and no distribution is
+drawn. Any other backend is read from one collection, which asks for each
 distinct preparation once and sums each distinct (mask, preparation)
 marginal once: :func:`single_qubit_matrices` measures every qubit's matrix
 at once, and :func:`correlator_report` every correlator; read single
@@ -79,10 +82,17 @@ def block_zero(rows: np.ndarray, mask: int, n: int, sel=None) -> np.ndarray:
 def zero_marginals(backend, queries) -> list[np.ndarray]:
     """For each (mask, states) query, P(every qubit of the mask reads 0) at
     each of its states, in the query's order; masks and states may repeat.
-    One collection asks for each distinct state once, and each distinct
-    (mask, state) is summed once by :func:`block_zero`. The collection's
-    blocks are consecutive runs of the sorted distinct states, so the rows
-    a mask reads in a block are a slice of its array of needed states."""
+
+    A backend with a ``zero_marginal(mask, states)`` query answers each
+    query from it (the exact backend up to n = 12, in closed form from the
+    model's tables), and no collection is made. Otherwise one collection
+    asks for each distinct state once, and each distinct (mask, state) is
+    summed once by :func:`block_zero`. The collection's blocks are
+    consecutive runs of the sorted distinct states, so the rows a mask
+    reads in a block are a slice of its array of needed states."""
+    answer = getattr(backend, "zero_marginal", None)
+    if answer is not None:
+        return [answer(mask, states) for mask, states in queries]
     n = backend.n
     queries = [(mask, np.asarray(states, dtype=None if len(states) else int))
                for mask, states in queries]

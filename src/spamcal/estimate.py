@@ -9,7 +9,10 @@ covariances are -c, -c and +c. Identical prepared states are measured once
 and shared; :func:`estimate_transition_matrix` is the one entry point that
 measures, and it reads every marginal of both steps from one
 :func:`spamcal.characterize.zero_marginals` call, so a replay dataset that
-lacks any preparation fails once, naming every missing state. It checks
+lacks any preparation fails once, naming every missing state. On an exact
+backend up to n = 12 that call reads the model's tables in closed form, so
+each mean field is the model's own P(reads 0) at the filtered state, a
+pair the model lacks reads exactly 0, and no column is drawn. It checks
 ``k`` against :func:`circuit_budget` before it builds any mask.
 
 The full matrix is then assembled classically, in one call that the noise

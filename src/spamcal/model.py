@@ -22,8 +22,13 @@ the lookup and the kernel the estimator assembles with, in one sweep over
 the qubits, so a column costs O(2^n) entry updates with nearest-neighbour
 pairs and also with all n(n-1)/2 of them.
 :func:`spamcal.norms.check_column_stochastic` checks every batch of them:
-all at construction when n <= ORACLE_LIMIT_DEFAULT, otherwise block by
-block as a backend draws them.
+all at construction when n <= ORACLE_LIMIT_DEFAULT
+(:attr:`NoiseModel.enumerated`), otherwise block by block as a backend
+draws them. An enumerated model is known to be valid, so its exact backend
+reads marginals from the tables and draws no column
+(:meth:`~spamcal.assembly.CalibrationTables.zero_marginal`); above the
+limit only drawn columns are checked, and the exact backend draws a column
+for every marginal it reads.
 
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
 P(read 0) when prepared spectator j is flipped to 1, i.e. exactly the
@@ -83,7 +88,7 @@ class NoiseModel:
             for k, v in self.pair_cov.items()
         }
         self.tables = self._tabulate()
-        if n <= ORACLE_LIMIT_DEFAULT:
+        if self.enumerated:
             cols, width = np.arange(1 << n), sweep_width(n)
             for start in range(0, cols.size, width):
                 self._columns(cols[start:start + width])
@@ -91,6 +96,13 @@ class NoiseModel:
     @property
     def n(self) -> int:
         return self.geometry.n
+
+    @property
+    def enumerated(self) -> bool:
+        """Whether construction drew and checked every column, which it does
+        up to ORACLE_LIMIT_DEFAULT qubits; above that a column is checked
+        only when it is drawn."""
+        return self.n <= ORACLE_LIMIT_DEFAULT
 
     def _tabulate(self) -> CalibrationTables:
         """The model in local form, each entry checked as it is read: its

@@ -27,7 +27,8 @@ from spamcal.estimate import estimate_transition_matrix
 from spamcal.geometry import RegisterGeometry, chebyshev_mask
 from spamcal.norms import MatrixNorm
 from spamcal.model import melbourne_c4, melbourne_c4_product, melbourne_c8
-from test_model import chain_model
+from test_acceptance import correlated_chain6
+from test_model import chain_model, grid3x3_spectator_model, invalid_chain13, random_model
 
 C4 = melbourne_c4()
 REGISTERS = {"melbourne-c4": melbourne_c4, "melbourne-c8": melbourne_c8}
@@ -111,23 +112,34 @@ def test_average_rejects_geometry_of_another_size(size):
         single_qubit_matrices(backend(), Average(2), RegisterGeometry.chain(size))
 
 
-class Counting(ExactBackend):
-    """An exact backend that records every state its block query is asked for."""
+class Dense:
+    """A model's exact distributions through the block query alone: it has
+    n, distributions and descriptor and answers no marginal query, so every
+    marginal reader collects its blocks and sums their rows, as for any
+    backend of dense distributions. Records every state it is asked for."""
 
     def __init__(self, model):
-        super().__init__(model)
+        self.exact = ExactBackend(model)
+        self.n = model.n
         self.asked = []
 
     def distributions(self, states):
         self.asked.extend(states)
-        return super().distributions(states)
+        return self.exact.distributions(states)
+
+    def descriptor(self):
+        return self.exact.descriptor()
+
+
+# the backends whose marginals are sums over collected blocks
+DENSE_BACKENDS = {"dense": Dense, "sampled": BACKENDS["sampled"]}
 
 
 @pytest.mark.parametrize("b", [0, 1])
 @pytest.mark.parametrize("register", REGISTERS)
 def test_uniform_family_asks_for_n_plus_one_states_once(register, b):
     m = REGISTERS[register]()
-    counting = Counting(m)
+    counting = Dense(m)
     single_qubit_matrices(counting, Uniform(b))
     ones = (1 << m.n) - 1 if b else 0
     # the all-b state and its n single flips, each asked for once
@@ -139,7 +151,7 @@ def test_average_family_asks_for_each_distinct_state_once():
     # or qubit 5's window 2..8, 128 + 128 - 64 = 192 (a collection per
     # qubit asked for 480)
     m = melbourne_c8()
-    counting = Counting(m)
+    counting = Dense(m)
     single_qubit_matrices(counting, Average(6), m.geometry)
     assert len(counting.asked) == len(set(counting.asked)) == 192
 
@@ -161,7 +173,7 @@ def per_state_single_qubit_matrices(backend, family, geometry=None) -> np.ndarra
             p0 = 0.0
             for s in specs:
                 if s | bit not in dists:
-                    dists[s | bit] = backend.distribution(s | bit)
+                    dists[s | bit] = backend.distributions([s | bit])[:, 0]
                 p0 += prob_zero(dists[s | bit], i, n)
             p0 /= len(specs)
             mats[i - 1, :, prep_bit] = (p0, 1.0 - p0)
@@ -169,7 +181,7 @@ def per_state_single_qubit_matrices(backend, family, geometry=None) -> np.ndarra
 
 
 @pytest.mark.parametrize("register", REGISTERS)
-@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("kind", DENSE_BACKENDS)
 @pytest.mark.parametrize(
     "family",
     [Uniform(0), Uniform(1), Average(2), Average(6)],
@@ -177,8 +189,8 @@ def per_state_single_qubit_matrices(backend, family, geometry=None) -> np.ndarra
 )
 def test_single_qubit_matrices_equal_the_per_state_sums(register, kind, family):
     m = REGISTERS[register]()
-    got = single_qubit_matrices(BACKENDS[kind](m), family, m.geometry)
-    want = per_state_single_qubit_matrices(BACKENDS[kind](m), family, m.geometry)
+    got = single_qubit_matrices(DENSE_BACKENDS[kind](m), family, m.geometry)
+    want = per_state_single_qubit_matrices(DENSE_BACKENDS[kind](m), family, m.geometry)
     assert np.array_equal(got, want)
 
 
@@ -216,12 +228,13 @@ def per_state_marginals(backend, queries) -> list:
     """Every query read state by state from one one-state query per distinct
     state: the reference zero_marginals must match bit for bit."""
     n = backend.n
-    dists = {x: backend.distribution(x) for x in sorted({x for _, s in queries for x in s})}
+    distinct = sorted({x for _, s in queries for x in s})
+    dists = {x: backend.distributions([x])[:, 0] for x in distinct}
     return [np.array([one_state_zero(dists[x], q, n) for x in s]) for q, s in queries]
 
 
 MARGINAL_BACKENDS = {
-    **BACKENDS,
+    **DENSE_BACKENDS,
     "replay": lambda m: ReplayBackend(
         record_dataset(SampledBackend(m, seed=9), range(1 << m.n), 4096)
     ),
@@ -243,7 +256,7 @@ def test_zero_marginals_equal_the_per_state_sums(register, kind):
             assert np.array_equal(g, w)
 
 def test_zero_marginals_of_no_queries_or_no_states_ask_for_nothing():
-    counting = Counting(C4)
+    counting = Dense(C4)
     assert zero_marginals(counting, []) == []
     (empty,) = zero_marginals(counting, [(qubit_mask(1, 4), [])])
     assert empty.shape == (0,) and empty.dtype == float
@@ -259,13 +272,95 @@ def test_zero_marginals_ask_for_each_distinct_state_once_across_blocks():
         ((1, 2), [5, 5, 600, 0]),
         ((1,), [1023]),
     ]
-    counting = Counting(m)
+    counting = Dense(m)
     got = zero_marginals(counting, [(mask_of(q, 10), s) for q, s in queries])
     distinct = sorted({x for _, s in queries for x in s})
     assert len(distinct) > 2 * sweep_width(10)
     assert counting.asked == distinct
     for g, w in zip(got, per_state_marginals(ExactBackend(m), queries)):
         assert np.array_equal(g, w)
+
+
+# models whose marginals the exact backend reads from their tables; the
+# chain's triples lie on (1, 2, 3), (2, 3, 4) and (4, 5, 6)
+CLOSED_FORM_MODELS = {
+    **REGISTERS,
+    "chain10": lambda: chain_model(10),
+    "grid3x3": grid3x3_spectator_model,
+    "correlated_chain6-triples": lambda: correlated_chain6(
+        triples={(1, 2, 3): 1e-5, (2, 3, 4): -2e-5, (4, 5, 6): 1.5e-5}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_MODELS)
+def test_closed_form_marginals_equal_the_per_state_sums_within_1e_15(name):
+    m = CLOSED_FORM_MODELS[name]()
+    queries = marginal_queries(m.n) + [((2, 3, 4), [0, (1 << m.n) - 1, 0b0110 << (m.n - 4)])]
+    want = per_state_marginals(Dense(m), queries)
+    exact = ExactBackend(m)
+    asked = [(mask_of(q, m.n), s) for q, s in queries]
+    for got in (zero_marginals(exact, asked),
+                [m.tables.zero_marginal(mask, s) for mask, s in asked]):
+        assert len(got) == len(queries)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == float
+            assert np.abs(g - w).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("state", [-1, 1 << 4, 1 << 5])
+def test_closed_form_marginals_reject_a_state_as_the_dense_path_does(state):
+    queries = [(qubit_mask(1, 4), [0, state]), (mask_of((2, 3), 4), [state])]
+    with pytest.raises(ValidationError) as dense:
+        zero_marginals(Dense(C4), queries)
+    with pytest.raises(ValidationError) as exact:
+        zero_marginals(ExactBackend(C4), queries)
+    assert str(exact.value) == str(dense.value) == (
+        f"prepared state {state} is out of range: the register has 4 qubits"
+    )
+
+
+class Recording(ExactBackend):
+    """An exact backend that records every state its block query is asked for."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.asked = []
+
+    def distributions(self, states):
+        self.asked.extend(states)
+        return super().distributions(states)
+
+
+MARGINAL_READERS = {
+    "estimate": lambda b, m: estimate_transition_matrix(b, m.geometry, 2),
+    "uniform(1)": lambda b, m: single_qubit_matrices(b, Uniform(1)),
+    "average(k=2)": lambda b, m: single_qubit_matrices(b, Average(2), m.geometry),
+    "correlators": lambda b, m: correlator_report(b, 0b0101),
+}
+
+
+@pytest.mark.parametrize("reader", MARGINAL_READERS)
+@pytest.mark.parametrize("make", [melbourne_c4, lambda: chain_model(12)], ids=["n4", "n12"])
+def test_the_exact_backend_draws_no_column_for_a_marginal_up_to_n_12(make, reader):
+    m = make()
+    recording = Recording(m)
+    MARGINAL_READERS[reader](recording, m)
+    assert recording.asked == []
+
+
+def test_the_exact_backend_draws_checked_columns_for_marginals_at_n_13():
+    m = random_model(2, n=13, with_triples=True)
+    recording = Recording(m)
+    single_qubit_matrices(recording, Uniform(0))
+    correlator_report(recording)
+    flips = [qubit_mask(i, 13) for i in range(1, 14)]
+    assert recording.asked == sorted([0, *flips]) * 2
+    # the drawn columns are checked, so an invalid model is rejected
+    invalid = Recording(invalid_chain13())
+    with pytest.raises(ValidationError, match="negative probability"):
+        estimate_transition_matrix(invalid, invalid.model.geometry, 0)
+    assert invalid.asked
 
 
 def count_summed_rows(monkeypatch) -> Counter:
@@ -287,7 +382,7 @@ def test_the_estimate_sums_each_distinct_marginal_once(monkeypatch, make, k):
     m = make()
     n = m.n
     summed = count_summed_rows(monkeypatch)
-    _t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, k)
+    _t, tables = estimate_transition_matrix(Dense(m), m.geometry, k)
     reads = {}  # mask -> every state a table reads its read-0 marginal at
     for i, mask in tables.single_masks.items():
         reads.setdefault(qubit_mask(i, n), set()).update(submasks(mask))
@@ -306,7 +401,7 @@ def test_the_estimate_sums_each_distinct_marginal_once(monkeypatch, make, k):
 def test_the_averaged_family_sums_each_distinct_marginal_once(monkeypatch, make, k):
     m = make()
     summed = count_summed_rows(monkeypatch)
-    single_qubit_matrices(ExactBackend(m), Average(k), m.geometry)
+    single_qubit_matrices(Dense(m), Average(k), m.geometry)
     # each qubit reads every preparation of its window once: every
     # spectator preparation with the qubit in 0 and in 1
     assert summed == {
@@ -450,12 +545,12 @@ def loop_correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
 
 
 @pytest.mark.parametrize("register", REGISTERS)
-@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("kind", DENSE_BACKENDS)
 @pytest.mark.parametrize("xprime", [0b0000, 0b0101, 0b1111], ids=["0", "0101", "1111"])
 def test_correlator_report_is_byte_equal_to_the_loop_reference(register, kind, xprime):
     m = REGISTERS[register]()
-    got = correlator_report(BACKENDS[kind](m), xprime)
-    want = loop_correlator_report(BACKENDS[kind](m), xprime)
+    got = correlator_report(DENSE_BACKENDS[kind](m), xprime)
+    want = loop_correlator_report(DENSE_BACKENDS[kind](m), xprime)
     assert got.to_json() == want.to_json()
     assert got.single_shift_csv() == want.single_shift_csv()
 
@@ -463,7 +558,7 @@ def test_correlator_report_is_byte_equal_to_the_loop_reference(register, kind, x
 @pytest.mark.parametrize("xprime, states", [(0b0000, 5), (0b0101, 6)])
 def test_correlator_report_reads_each_prepared_state_once(monkeypatch, xprime, states):
     summed = count_summed_rows(monkeypatch)
-    assert correlator_report(backend(), xprime).circuits_used == states
+    assert correlator_report(Dense(C4), xprime).circuits_used == states
     # n read-0 values and n(n-1)/2 joint read-0 values per distinct state
     masks = [qubit_mask(i, 4) for i in range(1, 5)]
     masks += [mask_of((i, j), 4) for i in range(1, 5) for j in range(i + 1, 5)]
@@ -485,7 +580,7 @@ LACKING = [0b0000, 0b0010, 0b0101, 0b1011, 0b1111]
     ids=["uniform(0)", "uniform(1)", "average(k=2)", "correlators"],
 )
 def test_a_replay_dataset_lacking_states_fails_once_naming_all(measure):
-    counting = Counting(C4)
+    counting = Dense(C4)
     measure(counting)
     lacking = sorted(set(counting.asked) & set(LACKING))
     assert len(lacking) >= 2

@@ -30,6 +30,7 @@ from spamcal.estimate import (
 from spamcal.geometry import RegisterGeometry, chebyshev_mask, layers_for_size
 from spamcal.model import NoiseModel, melbourne_c4, melbourne_c4_product, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
+from test_characterize import Dense
 from test_model import chain_model, grid3x3_spectator_model
 
 GOLDEN_TABLES = Path(__file__).parent / "data" / "melbourne_c4_k2_tables.json"
@@ -307,7 +308,7 @@ def test_tables_json_keeps_read0_rounded_past_one(tmp_path):
 
     g = RegisterGeometry.chain(4)
     base = np.array([single(1.0, 0.1)] * 2 + [single(0.8, 0.2), single(1.0, 0.1)])
-    t_est, tables = estimate_transition_matrix(ExactBackend(NoiseModel(g, base)), g, 2)
+    t_est, tables = estimate_transition_matrix(Dense(NoiseModel(g, base)), g, 2)
     assert max(a.max() for a in tables.mean_fields.values()) > 1.0
     path = tmp_path / "tables.json"
     tables.to_json(path)
@@ -523,31 +524,37 @@ TABLE_ORACLE_CASES = {
     "melbourne-c8": (melbourne_c8, 6),
     "correlated_chain6": (correlated_chain6, 2),
     "grid3x3": (grid3x3_spectator_model, 8),
+    "chain10": (lambda: chain_model(10), 2),
 }
 
 
 @pytest.mark.parametrize("name", TABLE_ORACLE_CASES)
 def test_table_oracle_every_estimated_entry_is_the_models(name):
     # an exact estimate's tables equal the model's own tables at every
-    # filtered state, compared in O(table rows) with no 2^n object
+    # filtered state, compared in O(table rows) with no 2^n object: each
+    # mean field bit for bit, each pair coefficient, P(00) - P(0) P(0) of
+    # the model's m_i m_j + c_ij, within 1e-15 of c_ij, and a pair the
+    # model leaves uncorrelated exactly 0.0
     make, k = TABLE_ORACLE_CASES[name]
     model = make()
     _t, est = estimate_transition_matrix(ExactBackend(model), model.geometry, k)
     truth = model.tables
-    worst = 0.0
-    for got, masks, want, want_masks in (
-        (est.mean_fields, est.single_masks, truth.mean_fields, truth.single_masks),
-        (est.pair_fluct, est.pair_masks, truth.pair_fluct, truth.pair_masks),
-    ):
-        for q, mask in masks.items():
-            states = np.array(submasks(mask))
-            if q in want_masks:
-                assert nests(want_masks[q], mask)
-                expected = want[q][_rows(want_masks[q], states)]
-            else:  # a pair the model leaves uncorrelated
-                expected = np.zeros(states.size)
-            worst = max(worst, np.abs(got[q] - expected).max())
-    assert worst <= 1e-15
+    for i, mask in est.single_masks.items():
+        assert nests(truth.single_masks[i], mask)
+        states = np.array(submasks(mask))
+        want = truth.mean_fields[i][_rows(truth.single_masks[i], states)]
+        assert np.array_equal(est.mean_fields[i], want), i
+    lacking = 0
+    for ij, mask in est.pair_masks.items():
+        states = np.array(submasks(mask))
+        if ij in truth.pair_masks:
+            assert nests(truth.pair_masks[ij], mask)
+            want = truth.pair_fluct[ij][_rows(truth.pair_masks[ij], states)]
+            assert np.abs(est.pair_fluct[ij] - want).max() <= 1e-15, ij
+        else:
+            lacking += 1
+            assert np.array_equal(est.pair_fluct[ij], np.zeros(states.size)), ij
+    assert lacking > 0
 
 
 def test_table_oracle_masks_do_not_nest_below_the_shift_range():
@@ -614,7 +621,7 @@ def per_state_tables(backend, geometry, k) -> tuple:
     state: the reference the block-by-block fill must match bit for bit."""
     n = geometry.n
     single, pair = estimate_masks(geometry, k)
-    dists = {s: backend.distribution(s) for s in estimate_preps(geometry, k)}
+    dists = {s: backend.distributions([s])[:, 0] for s in estimate_preps(geometry, k)}
     mean = {
         i: np.array([prob_zero(dists[s], i, n) for s in submasks(m)])
         for i, m in single.items()
@@ -630,7 +637,7 @@ def per_state_tables(backend, geometry, k) -> tuple:
 
 
 MARGINAL_BACKENDS = {
-    "exact": lambda m, g, k: ExactBackend(m),
+    "dense": lambda m, g, k: Dense(m),
     "sampled": lambda m, g, k: SampledBackend(m, 4096, seed=3),
     "replay": lambda m, g, k: ReplayBackend(
         record_dataset(SampledBackend(m, seed=9), estimate_preps(g, k), 4096)
