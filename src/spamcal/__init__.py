@@ -11,9 +11,7 @@ from .backends import (
     ExactBackend,
     ReplayBackend,
     SampledBackend,
-    collect,
     ingest_dataset,
-    measure_full_matrix,
     record_dataset,
 )
 from .bits import bitstring, parse_bitstring
@@ -21,7 +19,9 @@ from .characterize import (
     Average,
     CorrelatorReport,
     Uniform,
+    collect,
     correlator_report,
+    measure_full_matrix,
     single_qubit_matrices,
     t_prod,
     total_spam_error,

@@ -269,6 +269,10 @@ class CalibrationTables:
         return zero
 
     def to_json(self, path=None) -> str:
+        wider = [q for q in self.pair_masks if len(q) != 2]
+        if wider:
+            raise ValidationError(f"tables JSON holds pairs only, not the term {wider[0]}")
+
         def entries(tables, masks, qubits):
             return {
                 key: v

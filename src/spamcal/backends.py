@@ -10,13 +10,8 @@ outcome index too. The model backends share one ``counts``, of their own
 shots by default. A block query that raises changes nothing: the model
 backends evaluate the whole block with one checked model call before any
 draw, and replay, which looks states up one by one, names every state of
-the block it lacks in one MissingDataError. :func:`collect` is the one loop
-that queries a backend for distributions: it asks once per distinct state,
-through the block query only, ``assembly.sweep_width(n)`` states at a time,
-never asks a block again, and reports every state a replay dataset lacks in
-one MissingDataError after the last block. It yields each block with one
-distribution per row, so that a consumer reads the block's marginals in
-one gather and row sum per qubit set and keeps no distribution past it.
+the block it lacks in one MissingDataError. These are sources only:
+:mod:`spamcal.characterize` is the one module that reads them.
 
 An exact backend whose model was enumerated and checked column by column
 at construction (:attr:`~spamcal.model.NoiseModel.enumerated`, n <=
@@ -46,12 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import sweep_width
 from .bits import bitstring, parse_bitstring
 from .errors import MissingDataError, ValidationError
-from .model import ORACLE_LIMIT_DEFAULT, NoiseModel
+from .model import NoiseModel
 from .serialize import as_object, dump_json, integer, load_json, number
-from .tmatrix import TransitionMatrix
 
 SAMPLER_ID = "pcg64-inverse-cdf-v1"
 DEFAULT_SHOTS = 32768
@@ -322,28 +315,6 @@ def ingest_dataset(path) -> ReplayBackend:
     return ReplayBackend(Dataset.from_json(path), source=str(path))
 
 
-def collect(backend, preps):
-    """Yield (states, rows) blocks over the distinct prepared states in
-    increasing order: states a list of at most ``sweep_width(n)`` of them,
-    rows the C-contiguous (len(states), 2^n) array of their distributions,
-    one per row, from one block query. A block whose query raises
-    MissingDataError yields nothing and is not asked again; after the last
-    block one MissingDataError names every state the backend lacked."""
-    states = sorted(set(preps))
-    width = sweep_width(backend.n)
-    missing = []
-    for start in range(0, len(states), width):
-        chunk = states[start:start + width]
-        try:
-            rows = np.ascontiguousarray(backend.distributions(chunk).T)
-        except MissingDataError as exc:
-            missing.extend(exc.missing)
-            continue
-        yield chunk, rows
-    if missing:
-        raise MissingDataError(missing, backend.n)
-
-
 def record_dataset(backend, prepared_states, shots: int) -> Dataset:
     """Query a backend for each prepared state and collect the counts."""
     ds = Dataset(n=backend.n)
@@ -371,17 +342,3 @@ def load_distribution(path, n: int | None = None) -> tuple[np.ndarray, int]:
     for s, p in as_object(obj["probs"], "probs").items():
         v[parse_bitstring(s, size)] = number(p, f"probability of {s}")
     return v, size
-
-
-def measure_full_matrix(backend, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
-    """Exhaustively measure all 2^n columns from any backend."""
-    n = backend.n
-    if n > limit:
-        raise ValidationError(
-            f"full measurement of n={n} needs 2^n={1 << n} circuits; "
-            f"the oracle limit is {limit}"
-        )
-    t = np.empty((1 << n, 1 << n))
-    for states, rows in collect(backend, range(1 << n)):
-        t[:, states] = rows.T
-    return TransitionMatrix(n, t)

@@ -1,5 +1,13 @@
 """Register characterization from measured distributions.
 
+This is the one module that reads backends (:mod:`spamcal.backends` holds
+the sources only). :func:`collect` asks a backend for distinct increasing
+prepared states a block at a time and yields each block as the backend
+built it, one distribution per column; :func:`measure_full_matrix` copies
+each block into its columns of T, and :func:`zero_marginals` lays each
+block out as rows, once, since :func:`block_zero` sums rows. No other code
+transposes a collected block.
+
 Covers single-qubit transition matrices (uniform- and neighborhood-averaged
 spectator families), the tensor-product approximation, the total SPAM
 error of a measured matrix, and the three pairwise correlators: spectator
@@ -34,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import CalibrationTables
-from .backends import collect
+from .assembly import CalibrationTables, sweep_width
 from .bits import bitstring, qubit_mask, submasks
-from .errors import ValidationError
+from .errors import MissingDataError, ValidationError
 from .geometry import RegisterGeometry, chebyshev_mask, check_register
+from .model import ORACLE_LIMIT_DEFAULT
 from .norms import MatrixNorm, norm_distance
 from .serialize import dump_csv, dump_json
 from .tmatrix import TransitionMatrix
@@ -79,6 +87,29 @@ def block_zero(rows: np.ndarray, mask: int, n: int, sel=None) -> np.ndarray:
     return np.take(rows, (sel * rows.shape[1])[:, None] + idx).sum(axis=1)
 
 
+def collect(backend, states):
+    """Yield (start, chunk, block) for each run of ``sweep_width(n)``
+    consecutive states of the given distinct prepared states, which come in
+    increasing order: chunk is ``states[start:start + sweep_width(n)]`` and
+    block the (2^n, len(chunk)) array of one ``backend.distributions``
+    query, as the backend built it, one distribution per column. Nothing is
+    sorted, deduplicated or transposed here. A block whose query raises
+    MissingDataError yields nothing and is not asked again; after the last
+    block one MissingDataError names every state the backend lacked."""
+    width = sweep_width(backend.n)
+    missing = []
+    for start in range(0, len(states), width):
+        chunk = states[start:start + width]
+        try:
+            block = backend.distributions(chunk)
+        except MissingDataError as exc:
+            missing.extend(exc.missing)
+            continue
+        yield start, chunk, block
+    if missing:
+        raise MissingDataError(missing, backend.n)
+
+
 def zero_marginals(backend, queries) -> list[np.ndarray]:
     """For each (mask, states) query, P(every qubit of the mask reads 0) at
     each of its states, in the query's order; masks and states may repeat.
@@ -86,10 +117,11 @@ def zero_marginals(backend, queries) -> list[np.ndarray]:
     A backend with a ``zero_marginal(mask, states)`` query answers each
     query from it (the exact backend up to n = 12, in closed form from the
     model's tables), and no collection is made. Otherwise one collection
-    asks for each distinct state once, and each distinct (mask, state) is
-    summed once by :func:`block_zero`. The collection's blocks are
-    consecutive runs of the sorted distinct states, so the rows a mask
-    reads in a block are a slice of its array of needed states."""
+    asks for each distinct state once, each block is laid out as rows once,
+    and each distinct (mask, state) is summed once by :func:`block_zero`.
+    The collection's blocks are consecutive runs of the sorted distinct
+    states, so the rows a mask reads in a block are a slice of its array of
+    needed states."""
     answer = getattr(backend, "zero_marginal", None)
     if answer is not None:
         return [answer(mask, states) for mask, states in queries]
@@ -102,8 +134,8 @@ def zero_marginals(backend, queries) -> list[np.ndarray]:
     for (mask, _), pos in zip(queries, at):
         need[mask][pos] = True
     zero = {mask: np.empty(distinct.size) for mask in need}
-    for states, rows in collect(backend, distinct.tolist()):
-        start = distinct.searchsorted(states[0])
+    for start, states, block in collect(backend, distinct.tolist()):
+        rows = np.ascontiguousarray(block.T)
         for mask, needed in need.items():
             sel = np.flatnonzero(needed[start:start + len(states)])
             if sel.size:
@@ -185,6 +217,21 @@ def t_prod(matrices) -> TransitionMatrix:
     masks = {i: qubit_mask(i, n) for i in range(1, n + 1)}
     tables = CalibrationTables(n, None, masks, {}, {i: matrices[i - 1, 0] for i in masks})
     return TransitionMatrix(n, tables.columns(np.arange(1 << n)))
+
+
+def measure_full_matrix(backend, limit: int = ORACLE_LIMIT_DEFAULT) -> TransitionMatrix:
+    """Exhaustively measure all 2^n columns from any backend, each block
+    copied once into its columns of T."""
+    n = backend.n
+    if n > limit:
+        raise ValidationError(
+            f"full measurement of n={n} needs 2^n={1 << n} circuits; "
+            f"the oracle limit is {limit}"
+        )
+    t = np.empty((1 << n, 1 << n))
+    for start, states, block in collect(backend, range(1 << n)):
+        t[:, start:start + len(states)] = block
+    return TransitionMatrix(n, t)
 
 
 def total_spam_error(t_meas: TransitionMatrix, norm: MatrixNorm) -> float:

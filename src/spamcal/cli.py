@@ -31,11 +31,11 @@ from .backends import (
     SampledBackend,
     ingest_dataset,
     load_distribution,
-    measure_full_matrix,
     save_distribution,
 )
 from .bits import parse_bitstring
-from .characterize import Uniform, correlator_report, single_qubit_matrices, t_prod
+from .characterize import (Uniform, correlator_report, measure_full_matrix,
+                           single_qubit_matrices, t_prod)
 from .correct import (
     KKT_TOL_DEFAULT,
     compare_matrices,

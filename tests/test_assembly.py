@@ -14,8 +14,10 @@ from spamcal import assembly
 from spamcal.assembly import CalibrationTables, kron_columns, sweep_width
 from spamcal.backends import ExactBackend
 from spamcal.bits import qubit_mask, submasks
+from spamcal.errors import ValidationError
 from spamcal.estimate import estimate_transition_matrix
 from spamcal.model import NoiseModel, melbourne_c8
+from test_acceptance import correlated_chain6
 from test_model import chain_model, grid3x3_spectator_model, random_model
 
 PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
@@ -324,3 +326,16 @@ def test_models_without_shared_partials_keep_their_bits(name):
     plan = assembly._plan(m.n, tuple(q for q, _a in assembly._terms(m.tables, np.arange(1))))
     assert not any(step.fresh for step in plan)
     assert hashlib.sha256(m.full_matrix().data.tobytes()).hexdigest() == pinned
+
+
+def test_tables_with_a_triple_term_are_not_written(tmp_path):
+    # the tables file holds pairs only; a model's tables hold its triples too
+    tables = correlated_chain6(triples={(2, 3, 4): 5e-3}, base_eps=[0.2] * 6).tables
+    path = tmp_path / "tables.json"
+    message = r"^tables JSON holds pairs only, not the term \(2, 3, 4\)$"
+    with pytest.raises(ValidationError, match=message):
+        tables.to_json(path)
+    assert not path.exists()
+    pairs = correlated_chain6(base_eps=[0.2] * 6).tables
+    written = json.loads(pairs.to_json(path))
+    assert list(written["pair_masks"]) == ["1,2", "2,3", "3,4", "4,5", "5,6"]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,20 +13,19 @@ from spamcal.backends import (
     ExactBackend,
     ReplayBackend,
     SampledBackend,
-    collect,
     ingest_dataset,
     load_distribution,
-    measure_full_matrix,
     record_dataset,
     save_distribution,
 )
 from spamcal.bits import bitstring, parse_bitstring
+from spamcal.characterize import collect, measure_full_matrix
 from spamcal.errors import MissingDataError, ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, identity_model, melbourne_c4, melbourne_c8
 from spamcal.norms import symmetric_single_qubit
 from spamcal.serialize import integer
-from test_model import invalid_chain13
+from test_model import chain_model, invalid_chain13
 
 
 def all_preps(n):
@@ -34,8 +34,8 @@ def all_preps(n):
 
 def per_state(blocks):
     """(state, distribution) for each state of collect's blocks, in order."""
-    for states, rows in blocks:
-        yield from zip(states, rows)
+    for _start, states, block in blocks:
+        yield from zip(states, block.T)
 
 
 def delta_dataset(n, states):
@@ -51,6 +51,30 @@ def test_counts_invariants():
         Counts(2, 0b01, {0b01: 5}, 6)
     c = Counts(2, 0b01, {0b01: 5, 0b11: 1}, 6)
     assert c.distribution().sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Counts(2, 0, {}, 0), "shots must be positive, got 0"),
+        (lambda: Counts(2, 0, {0: 5, 1: -1}, 4), "negative count in histogram"),
+        (lambda: SampledBackend(melbourne_c4(), shots=0), "shots must be positive, got 0"),
+        (lambda: Dataset(3).add(Counts(2, 0, {0: 1}, 1)), "record for n=2 in an n=3 dataset"),
+    ],
+    ids=["counts-no-shots", "counts-negative", "sampled-no-shots", "dataset-other-n"],
+)
+def test_invalid_counts_and_backends_raise_their_message(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize("kind", [ExactBackend, SampledBackend])
+@pytest.mark.parametrize("shots", [0, -3])
+def test_a_counts_query_of_no_shots_raises_before_any_ordinal_moves(kind, shots):
+    backend = kind(melbourne_c4(), seed=1)
+    with pytest.raises(ValidationError, match=f"shots must be positive, got {shots}"):
+        backend.counts(0b0101, shots=shots)
+    assert backend._ordinals == {}
 
 
 # an index that needs more bits than the register has, or a negative one;
@@ -208,6 +232,38 @@ def test_full_matrix_from_exact_equals_model():
     np.testing.assert_allclose(t.data, m.full_matrix().data, atol=0)
 
 
+# n = 10 is four blocks of sweep_width(10) = 256 columns, each written at its
+# own offset of T
+WIDE = 10
+
+
+def test_full_matrix_across_blocks_from_exact_is_the_models():
+    m = chain_model(WIDE)
+    assert (1 << WIDE) == 4 * sweep_width(WIDE)
+    t = measure_full_matrix(ExactBackend(m))
+    assert t.data.tobytes() == m.full_matrix().data.tobytes()
+
+
+def test_full_matrix_across_blocks_from_sampled_is_the_per_state_draws():
+    # a fresh backend of the same seed draws each state at ordinal 0 too
+    m = chain_model(WIDE)
+    t = measure_full_matrix(SampledBackend(m, shots=256, seed=9))
+    fresh = SampledBackend(m, shots=256, seed=9)
+    want = np.stack([fresh.distribution(x) for x in range(1 << WIDE)], axis=1)
+    assert t.data.tobytes() == want.tobytes()
+
+
+def test_full_matrix_across_blocks_names_every_missing_state_once():
+    # states 3 and 700 lie in the first and the third block
+    lacking = [3, 700]
+    assert [x // sweep_width(WIDE) for x in lacking] == [0, 2]
+    ds = delta_dataset(WIDE, [x for x in range(1 << WIDE) if x not in lacking])
+    with pytest.raises(MissingDataError) as info:
+        measure_full_matrix(ReplayBackend(ds))
+    assert info.value.missing == lacking
+    assert str(info.value) == "missing prepared state(s): 0000000011, 1010111100"
+
+
 def test_shot_error_halves_with_quadrupled_shots():
     m = melbourne_c4()
     x = 0b0000
@@ -237,18 +293,6 @@ def test_distribution_file_round_trip(tmp_path):
     v2, n = load_distribution(p)
     assert n == 2
     np.testing.assert_array_equal(v, v2)
-
-
-def test_collect_asks_once_per_distinct_state_in_increasing_order():
-    asked = []
-
-    class Recording(ExactBackend):
-        def distributions(self, states):
-            asked.extend(states)
-            return super().distributions(states)
-
-    got = [x for x, _dist in per_state(collect(Recording(melbourne_c4()), [5, 3, 5, 0, 3]))]
-    assert got == asked == [0, 3, 5]
 
 
 def test_collect_names_every_missing_state_after_the_last():
@@ -296,14 +340,14 @@ def test_missing_data_message_stays_short_for_wide_registers():
 
 @pytest.mark.parametrize("kind", [ExactBackend, SampledBackend])
 def test_collect_blocks_equal_per_state_distributions(kind):
-    # 256 states: one full block of sweep_width(8) rows, each C-contiguous;
-    # every backend is fresh, so each state is drawn at ordinal 0 on both sides
+    # 256 states: one full block of sweep_width(8) columns, as the block
+    # query returned it; every backend is fresh, so each state is drawn at
+    # ordinal 0 on both sides
     m = melbourne_c8()
     states = range(1 << m.n)
     blocks = list(collect(kind(m, seed=4), states))
-    assert [len(s) for s, _rows in blocks] == [sweep_width(m.n)]
-    assert all(rows.flags.c_contiguous and rows.shape == (len(s), 1 << m.n)
-               for s, rows in blocks)
+    assert [(start, len(s)) for start, s, _block in blocks] == [(0, sweep_width(m.n))]
+    assert all(block.shape == (1 << m.n, len(s)) for _start, s, block in blocks)
     got = dict(per_state(blocks))
     assert list(got) == list(states)
     for x in states:

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,13 +8,14 @@ from hypothesis import given, strategies as st
 
 from spamcal import characterize
 from spamcal.assembly import sweep_width
-from spamcal.backends import ExactBackend, ReplayBackend, SampledBackend, collect, record_dataset
+from spamcal.backends import ExactBackend, ReplayBackend, SampledBackend, record_dataset
 from spamcal.bits import qubit_mask, submasks
 from spamcal.characterize import (
     Average,
     CorrelatorReport,
     Uniform,
     block_zero,
+    collect,
     correlator_report,
     prob_joint_zero,
     prob_zero,
@@ -517,7 +519,8 @@ def loop_correlator_report(backend, xprime: int = 0) -> CorrelatorReport:
     reference the one-read-per-state report must match byte for byte."""
     n = backend.n
     preps = [0, xprime] + [qubit_mask(j, n) for j in range(1, n + 1)]
-    dists = {x: d for states, rows in collect(backend, preps) for x, d in zip(states, rows)}
+    blocks = collect(backend, sorted(set(preps)))
+    dists = {x: d for _start, states, block in blocks for x, d in zip(states, block.T)}
     base = dists[0]
     a = np.zeros((n, n))
     b = {}
@@ -600,3 +603,17 @@ def test_report_serialization(tmp_path):
     lines = csv_text.strip().splitlines()
     assert len(lines) == 5
     assert lines[0].startswith("i\\j")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Uniform(2), "uniform spectator value must be 0/1, got 2"),
+        (lambda: single_qubit_matrices(backend(), "average"),
+         "unknown single-qubit family 'average'"),
+    ],
+    ids=["uniform-2", "unknown-family"],
+)
+def test_an_invalid_family_raises_its_message(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()

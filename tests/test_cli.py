@@ -11,6 +11,8 @@ import pytest
 
 from spamcal import cli, serialize, tmatrix
 from spamcal.backends import (
+    Counts,
+    Dataset,
     SampledBackend,
     load_distribution,
     record_dataset,
@@ -254,6 +256,41 @@ def test_model_missing_required_key_exits_2(tmp_path, capsys, key):
     model.write_text(json.dumps(obj))
     assert run("estimate", "--model", model, "--k", "0", "--out", tmp_path / "x.json") == 2
     assert f"missing key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("calibrate-full", "--backend", "replay"), "replay backend needs --dataset"),
+        (("gen-model",), "need --preset or --spec"),
+        (("compare", "--reference", "{ref}", "--candidate", "{ref}"),
+         "candidate must be name=path, got '{ref}'"),
+    ],
+    ids=["replay-no-dataset", "gen-model-no-source", "candidate-no-name"],
+)
+def test_incomplete_arguments_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    ref = tmp_path / "ref.json"
+    TransitionMatrix.identity(2).to_json(ref)
+    out = tmp_path / "x.json"
+    assert run(*[a.format(ref=ref) for a in argv], "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message.format(ref=ref)}\n"
+    assert not out.exists()
+
+
+def test_replay_calibrate_full_names_states_missing_from_two_blocks(tmp_path, capsys):
+    # n = 10 is four blocks of 256 states; 3 and 700 lie in the first and third
+    n, lacking = 10, (3, 700)
+    ds = Dataset(n)
+    for x in range(1 << n):
+        if x not in lacking:
+            ds.add(Counts(n, x, {x: 1}, 1))
+    path = tmp_path / "ds.json"
+    ds.to_json(path)
+    out = tmp_path / "t.json"
+    code = run("calibrate-full", "--backend", "replay", "--dataset", path, "--out", out)
+    assert code == 3
+    assert capsys.readouterr().err == "error: missing prepared state(s): 0000000011, 1010111100\n"
+    assert not out.exists()
 
 
 def test_exit_code_missing_replay(tmp_path, capsys):

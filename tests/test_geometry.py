@@ -112,3 +112,18 @@ def test_geometry_validation():
         RegisterGeometry(2, 3, ((0, 0, 0), (1, 1, 1)))  # only 1D/2D
     with pytest.raises(ValidationError):
         RegisterGeometry(2, 1, ((0, 1), (1, 0)))  # wrong coordinate length
+
+
+@pytest.mark.parametrize(
+    "n, dimension, positions, message",
+    [
+        (0, 1, (), "register size must be positive, got 0"),
+        (1, 3, ((0, 0, 0),),
+         "only 1D chains and 2D square lattices are supported, got dimension 3"),
+        (2, 1, ((0,),), "expected 2 positions, got 1"),
+    ],
+    ids=["no-qubits", "dimension-3", "too-few-positions"],
+)
+def test_an_invalid_register_raises_its_message(n, dimension, positions, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        RegisterGeometry(n, dimension, positions)

@@ -459,3 +459,9 @@ def test_construction_at_scale_holds_no_n_by_n_array():
         tracemalloc.stop()
     # an n x n float array alone is 68.7 MiB
     assert peak < 16 << 20
+
+
+def test_a_base_of_the_wrong_shape_raises_its_message():
+    message = r"expected 2 single-qubit 2x2 matrices, got shape \(2, 2\)"
+    with pytest.raises(ValidationError, match=message):
+        NoiseModel(RegisterGeometry.chain(2), np.eye(2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,3 +121,17 @@ def test_column_stochastic_names_the_first_failure(entry, value, cols, error):
     t[entry] += value
     with pytest.raises(ValidationError, match=error):
         check_column_stochastic(t, 1e-12, cols)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: norm_distance(np.eye(2), np.eye(2), "max"), "unknown norm 'max'"),
+        (lambda: asymptotic_frobenius_error(2, -0.1), "eps must be nonnegative"),
+        (lambda: single_qubit_spam_error(np.eye(3)), "expected a 2x2 matrix, got shape (3, 3)"),
+    ],
+    ids=["unknown-norm", "negative-eps", "not-2x2"],
+)
+def test_an_invalid_argument_raises_its_message(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()

@@ -382,6 +382,12 @@ def with_first_entry(text: str, token: str) -> str:
     return "\n    ".join([head, token + first[first.index(","):], rest])
 
 
+def without_first_entry(text: str) -> str:
+    """text with the first entry of its data removed."""
+    head, _first, rest = text.split("\n    ", 2)
+    return "\n    ".join([head, rest])
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -396,9 +402,10 @@ def with_first_entry(text: str, token: str) -> str:
         (lambda text: with_first_entry(text, "0.5}"), "malformed JSON"),
         (lambda text: with_first_entry(text, "1" + "0" * 4300), "malformed JSON"),
         (lambda text: with_first_entry(text, "0.5,\n    0.5"), "262145 entries, expected 4^9"),
+        (without_first_entry, "262143 entries, expected 4^9"),
     ],
     ids=["empty", "trailing-comma", "list", "string", "true", "false", "null", "object",
-         "brace", "long-integer", "extra-entry"],
+         "brace", "long-integer", "extra-entry", "missing-entry"],
 )
 def test_a_piece_that_is_not_numbers_takes_the_whole_file_parse(
     finite_matrix, tmp_path, corrupt, message
@@ -486,3 +493,9 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
         serialize.write_text("new", target)
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_text() == "old"
+
+
+def test_a_matrix_of_the_wrong_shape_raises_its_message():
+    message = "expected shape (2, 2) for n=1, got (3, 3)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TransitionMatrix(1, np.eye(3))
