@@ -62,18 +62,20 @@ its mask in :func:`spamcal.bits.submasks` order, so a column c reads row
 ``searchsorted(submasks(mask), c & mask)``.
 
 CalibrationTables JSON: keys "i|bits" hold P(i reads 0) and "i,j|bits" hold
-c, one float per filtered state; metadata records k, the backend
-descriptor, and the deduplicated circuit count. Loading checks that the
-single masks name the qubits 1..n, that each pair has 1 <= i < j <= n (a
-pair may be absent), that every mask holds its own qubits, and that every
-filtered state has its entry, in [0, 1] for P(i reads 0), [-1/4, 1/4] for c
-(:func:`check_table`, which bounds a noise model's rows the same way).
+c, one float per filtered state; metadata records k (null for a noise
+model's tables), the backend descriptor, and the deduplicated circuit
+count. Loading checks that the single masks name the qubits 1..n, that
+each pair has 1 <= i < j <= n (a pair may be absent), that every mask holds
+its own qubits, and that every filtered state has its entry, in [0, 1] for
+P(i reads 0), [-1/4, 1/4] for c (:func:`check_table`, which bounds a noise
+model's rows the same way).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -216,7 +218,8 @@ class CalibrationTables:
     submasks order. The estimator's tables hold pairs only, with k its
     neighborhood size. A noise model's tables (k None) also hold its
     order-3 terms, each with its three qubits as its mask and constant
-    rows; they are never written to a file. The JSON form keeps one entry
+    rows; they are never written to a file, and tables without them are
+    written and read back with k null. The JSON form keeps one entry
     per (table, filtered state), as described in the module docstring;
     ``from_json`` raises ValidationError naming the first mask or entry
     that breaks its rules.
@@ -335,7 +338,7 @@ class CalibrationTables:
 
         tables = cls(
             n=n,
-            k=integer(obj["k"], "k", 0),
+            k=None if obj["k"] is None else integer(obj["k"], "k", 0),  # a model's tables
             single_masks=masks("single_masks", 1),
             pair_masks=masks("pair_masks", 2),
             circuits_used=integer(obj.get("circuits_used", 0), "circuits_used", 0),
@@ -367,8 +370,13 @@ def check_table(vals, qubits: tuple, mask: int, n: int, low: float, high: float,
 
 def _prepared(states, n: int) -> np.ndarray:
     """Prepared-state indices as an array, each checked to lie in
-    0..2^n - 1; no states give an empty integer array."""
-    states = np.asarray(states, dtype=None if len(states) else int)  # [] reads as float64
+    0..2^n - 1; no states give an empty integer array. From n = 64, where
+    a mask reaches past int64, the states are Python ints, as in
+    :func:`_states`, so that ``states & mask`` holds for every one."""
+    if n >= 64:
+        states = np.array([operator.index(s) for s in states], dtype=object)
+    else:
+        states = np.asarray(states, dtype=None if len(states) else int)  # [] reads as float64
     wrong = (states < 0) | (states >= 1 << n)
     if wrong.any():
         raise ValidationError(

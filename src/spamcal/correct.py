@@ -5,9 +5,11 @@ Two modes: constrained least squares over the probability simplex
 and naive direct inversion, which is kept to demonstrate that it can
 produce negative probabilities and fail on near-singular matrices.
 The constrained solver touches T only through the products ``T @ x`` and
-``T.T @ r``, and bounds its step by 1/(||T||_1 ||T||_inf). The bound and the
-first product T x_0 come from one pass over T in row blocks, so a correction
-makes no 2^n × 2^n temporary.
+``T.T @ r``, and bounds its step by 1/(||T||_1 ||T||_inf). That bound comes
+from one pass over T in row blocks (:func:`spamcal.norms.norm_bound`), so a
+correction makes no 2^n × 2^n temporary, and a
+:class:`spamcal.tmatrix.TransitionMatrix` keeps it: of many corrections
+against one matrix, only the first makes that pass.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .norms import MatrixNorm, norm_distance
+from .norms import MatrixNorm, norm_bound, norm_distance
 from .serialize import dump_csv
 from .tmatrix import TransitionMatrix
 
 RCOND_THRESHOLD = 1e-12
 KKT_TOL_DEFAULT = 1e-9
 MAX_ITER_DEFAULT = 100_000
-BLOCK = 64  # rows of |T| per pass of _norm_bound_and_product
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -67,33 +68,6 @@ def _as_problem(t, p_raw) -> tuple[np.ndarray, np.ndarray]:
     return t, p_raw
 
 
-def _norm_bound_and_product(t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """||T||_1 ||T||_inf and T @ x from one pass over T in row blocks.
-
-    |T| is formed BLOCK rows at a time in one reused buffer whose row 0
-    carries the column sums so far. Reducing that buffer along axis 0 adds
-    the rows in the order np.abs(t).sum(axis=0) does, so the bound is
-    bitwise that of the whole-matrix formula. np.maximum keeps a NaN row
-    sum, which Python's max could drop. Each block's product with x is taken
-    while the block is still in cache.
-    """
-    dim = t.shape[0]
-    buf = np.zeros((min(BLOCK, dim) + 1, dim))
-    col_sums = np.empty(dim)
-    row_max = np.float64(0.0)
-    tx = np.empty(dim)
-    for start in range(0, dim, BLOCK):
-        blk = t[start : start + BLOCK]
-        rows = blk.shape[0]
-        abs_blk = buf[1 : rows + 1]
-        np.abs(blk, out=abs_blk)
-        row_max = np.maximum(row_max, abs_blk.sum(axis=1).max())
-        np.add.reduce(buf[: rows + 1], axis=0, out=col_sums)
-        buf[0] = col_sums
-        np.matmul(blk, x, out=tx[start : start + rows])
-    return float(col_sums.max() * row_max), tx
-
-
 def correct_constrained(
     t,
     p_raw: np.ndarray,
@@ -105,14 +79,16 @@ def correct_constrained(
     Each iteration takes the gradient 2 T^T (T x - p_raw) from two
     matrix-vector products; no Gram matrix is formed. The step is
     Barzilai-Borwein, falling back to 1/(||T||_1 ||T||_inf), the largest
-    column sum of |T| times its largest row sum. That bound and the first
-    product T x_0 come from one pass over T in row blocks, which makes no
-    dim x dim temporary.
+    column sum of |T| times its largest row sum. A TransitionMatrix computes
+    that bound once and keeps it; a plain square array, of any side, has it
+    computed on every call. Either way it comes from one pass over T in row
+    blocks, which makes no dim x dim temporary, and T x_0 is one product.
 
     Deterministic; converged when the projected-gradient fixed-point
     residual drops below tol. Raises ConvergenceError (carrying the best
     iterate) if the iteration cap is hit.
     """
+    matrix = t
     t, p_raw = _as_problem(t, p_raw)
     if abs(p_raw.sum() - 1.0) > 1e-6:
         raise ValidationError(f"input distribution sums to {p_raw.sum()}, expected 1")
@@ -122,15 +98,16 @@ def correct_constrained(
     x = project_simplex(p_raw.copy())
     # ||T^T T||_2 = ||T||_2^2 <= ||T||_1 ||T||_inf, so this step is never
     # larger than 1/||T^T T||_2
-    bound, r = _norm_bound_and_product(t, x)
+    bound = matrix.norm_bound if isinstance(matrix, TransitionMatrix) else norm_bound(t)
     # a NaN or infinite entry of T makes the bound NaN or infinite, so this
-    # is the finiteness check on T without another pass over it
+    # is the finiteness check on T without another pass over it, made on
+    # every call, a kept bound included
     if not np.isfinite(bound):
         raise ValidationError(
             f"matrix has a NaN or infinite entry, or its norm overflows ({bound})"
         )
     step = lipschitz_step = 1.0 / max(bound, 1e-30)
-    r -= p_raw
+    r = t @ x - p_raw
     g = 2.0 * (t.T @ r)
     for it in range(1, max_iter + 1):
         kkt = np.max(np.abs(x - project_simplex(x - g)))

@@ -4,6 +4,8 @@ Two norms are used throughout: a Frobenius norm scaled by sqrt(dim), which
 makes errors comparable across register sizes, and the elementwise max norm,
 which exposes the single largest error. :func:`check_column_stochastic` is
 the one check that the columns of a matrix are probability distributions.
+:func:`norm_bound` gives ||T||_1 ||T||_inf, the step bound of the
+constrained correction, from one blocked pass over T.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 from .bits import bitstring
 from .errors import ValidationError
+
+BLOCK = 64  # rows of |T| per pass of norm_bound
 
 
 class MatrixNorm(enum.Enum):
@@ -33,6 +37,32 @@ def norm_distance(a, b, norm: MatrixNorm) -> float:
     if norm is MatrixNorm.MAX:
         return float(np.max(np.abs(d)))
     raise ValidationError(f"unknown norm {norm!r}")
+
+
+def norm_bound(t: np.ndarray) -> float:
+    """||T||_1 ||T||_inf, the largest column sum of |T| times its largest
+    row sum, from one pass over T in row blocks: NaN or infinite when an
+    entry of T is.
+
+    |T| is formed BLOCK rows at a time in one reused buffer whose row 0
+    carries the column sums so far. Reducing that buffer along axis 0 adds
+    the rows in the order np.abs(t).sum(axis=0) does, so the bound is
+    bitwise that of the whole-matrix formula, with no dim x dim temporary.
+    np.maximum keeps a NaN row sum, which Python's max could drop.
+    """
+    dim = t.shape[0]
+    buf = np.zeros((min(BLOCK, dim) + 1, dim))
+    col_sums = np.empty(dim)
+    row_max = np.float64(0.0)
+    for start in range(0, dim, BLOCK):
+        blk = t[start : start + BLOCK]
+        rows = blk.shape[0]
+        abs_blk = buf[1 : rows + 1]
+        np.abs(blk, out=abs_blk)
+        row_max = np.maximum(row_max, abs_blk.sum(axis=1).max())
+        np.add.reduce(buf[: rows + 1], axis=0, out=col_sums)
+        buf[0] = col_sums
+    return float(col_sums.max() * row_max)
 
 
 def asymptotic_frobenius_error(n: int, eps: float) -> tuple[float, float]:

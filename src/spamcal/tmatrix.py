@@ -3,6 +3,12 @@
 Columns index prepared states, rows index measured outcomes; both axes use
 the MSB-first basis-state index of :mod:`spamcal.bits`.
 
+A :class:`TransitionMatrix` is immutable: its fields cannot be reassigned
+and its data is read-only, so what is derived from the data holds for the
+life of the matrix. Its step bound ||T||_1 ||T||_inf
+(:func:`spamcal.norms.norm_bound`) is computed on first use and kept, and
+every correction against the matrix after the first reads it back.
+
 JSON schema: {"n": int, "order": "msb-first", "data": row-major list}.
 CSV: a header row of prepared-state labels, then one row per outcome.
 Both write each float in Python's repr, from the text of
@@ -27,30 +33,45 @@ and a Python float per entry besides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import bitstring
 from .errors import ValidationError
+from .norms import norm_bound
 from .serialize import (
     array, as_object, dump_matrix_json, float_list_json, integer, load_json, stream_matrix_json,
     write_text,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionMatrix:
+    """A 2^n x 2^n transition matrix, immutable. A float64 array given as
+    data is kept and frozen, not copied: its writeable flag is cleared, so
+    the caller can no longer write into it either; any other array-like is
+    converted to a new float64 array first."""
+
     n: int
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        data = np.asarray(self.data, dtype=float)
         dim = 1 << self.n
-        if self.data.shape != (dim, dim):
+        if data.shape != (dim, dim):
             raise ValidationError(
-                f"expected shape {(dim, dim)} for n={self.n}, got {self.data.shape}"
+                f"expected shape {(dim, dim)} for n={self.n}, got {data.shape}"
             )
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        """||T||_1 ||T||_inf, from one pass over the data on first use;
+        NaN or infinite when an entry is."""
+        return norm_bound(self.data)
 
     @classmethod
     def identity(cls, n: int) -> "TransitionMatrix":

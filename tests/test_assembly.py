@@ -16,6 +16,7 @@ from spamcal.backends import ExactBackend
 from spamcal.bits import qubit_mask, submasks
 from spamcal.errors import ValidationError
 from spamcal.estimate import estimate_transition_matrix
+from spamcal.geometry import RegisterGeometry
 from spamcal.model import NoiseModel, melbourne_c8
 from test_acceptance import correlated_chain6
 from test_model import chain_model, grid3x3_spectator_model, random_model
@@ -339,3 +340,67 @@ def test_tables_with_a_triple_term_are_not_written(tmp_path):
     pairs = correlated_chain6(base_eps=[0.2] * 6).tables
     written = json.loads(pairs.to_json(path))
     assert list(written["pair_masks"]) == ["1,2", "2,3", "3,4", "4,5", "5,6"]
+
+
+def chain100_tables():
+    """A 100-qubit chain model's tables: nearest-neighbour shifts and pair
+    covariances, so the masks of qubits 1 and 2 reach past bit 63."""
+    n = 100
+    base = np.array([[[0.97, 0.05], [0.03, 0.95]]] * n)
+    shifts = {(i, i + 1): 0.002 for i in range(1, n)}
+    shifts.update({(i + 1, i): 0.002 for i in range(1, n)})
+    cov = {(i, i + 1): 5e-5 * np.ones((2, 2)) for i in range(1, n)}
+    model = NoiseModel(
+        RegisterGeometry.chain(n), base, shifts=shifts, shift_range=1, pair_cov=cov, cov_range=1
+    )
+    return model.tables
+
+
+def reference_row(mask: int, state: int) -> int:
+    return submasks(mask).index(state & mask)
+
+
+# below, at and past bit 63 and int64, and the register's last state
+STATES_PAST_INT64 = [0, 5, 2**62, 2**63 - 1, 2**63, 2**99, 2**100 - 1]
+
+
+@pytest.mark.parametrize("state", STATES_PAST_INT64)
+def test_tables_are_read_at_every_state_of_100_qubits(state):
+    tables = chain100_tables()
+    means, coefs = tables.mean_fields, tables.pair_fluct
+    m1 = means[1][reference_row(tables.single_masks[1], state)]
+    m2 = means[2][reference_row(tables.single_masks[2], state)]
+    c12 = coefs[(1, 2)][reference_row(tables.pair_masks[(1, 2)], state)]
+    assert tables.zero_marginal(qubit_mask(1, 100), [state]).tolist() == [m1]
+    assert tables.zero_marginal(qubit_mask(1, 100) | qubit_mask(2, 100), [state]).tolist() == [
+        m1 * m2 + c12
+    ]
+
+
+@pytest.mark.parametrize(
+    "states", [[s] for s in STATES_PAST_INT64] + [STATES_PAST_INT64], ids=str
+)
+def test_read0_and_terms_past_int64_match_a_python_reference(states):
+    # each state alone too: all below 2^63, they once made an int64 array
+    tables = chain100_tables()
+    cols = assembly._prepared(states, 100)
+    read0 = assembly._read0(tables, cols)
+    assert read0.tolist() == [
+        [tables.mean_fields[i][reference_row(tables.single_masks[i], s)] for i in range(1, 101)]
+        for s in states
+    ]
+    terms = assembly._terms(tables, cols)
+    assert [q for q, _a in terms] == [(i, i + 1) for i in range(99)]
+    for (i, j), a in terms:
+        mask = tables.pair_masks[(i + 1, j + 1)]
+        assert a.tolist() == [tables.pair_fluct[(i + 1, j + 1)][reference_row(mask, s)] for s in states]
+
+
+@pytest.mark.parametrize("state", [-1, 2**100])
+def test_a_state_outside_100_qubits_raises_the_columns_message(state):
+    tables = chain100_tables()
+    message = rf"^prepared state {state} is out of range: the register has 100 qubits$"
+    with pytest.raises(ValidationError, match=message):
+        tables.zero_marginal(qubit_mask(1, 100), [0, state])
+    with pytest.raises(ValidationError, match=message):
+        tables.columns([state])

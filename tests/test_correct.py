@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from functools import reduce
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from spamcal import correct, tmatrix
 from spamcal.backends import ExactBackend, SampledBackend
 from spamcal.correct import (
     KKT_TOL_DEFAULT,
-    _norm_bound_and_product,
     compare_matrices,
     correct_constrained,
     correct_direct_inverse,
@@ -17,7 +18,9 @@ from spamcal.correct import (
 from spamcal.errors import ConvergenceError, NumericalError, ValidationError
 from spamcal.estimate import estimate_transition_matrix
 from spamcal.model import melbourne_c4, melbourne_c8
-from spamcal.norms import symmetric_single_qubit
+from spamcal.norms import BLOCK, norm_bound, symmetric_single_qubit
+from spamcal.tmatrix import TransitionMatrix
+from test_model import chain_model
 
 
 def bisect_simplex_projection(v, tol=1e-13):
@@ -228,12 +231,21 @@ def test_blocked_bound_is_bitwise_the_whole_matrix_formula(side, seed, low, span
     high = min(low + span, 300)
     magnitude = 10.0 ** rng.uniform(low, high, (side, side))
     t = np.where(rng.random((side, side)) < 0.3, -magnitude, magnitude)
-    x = project_simplex(rng.normal(size=side))
     with np.errstate(over="ignore"):
-        bound, tx = _norm_bound_and_product(t, x)
         expected = np.abs(t).sum(0).max() * np.abs(t).sum(1).max()
-    assert bound == expected
-    assert np.all(np.abs(tx - t @ x) <= 1e-15 * (np.abs(t) @ np.abs(x)))
+        assert norm_bound(t) == expected
+
+
+@pytest.mark.parametrize("side", [1, 16, 63, 64, 65, 100, 256, 300, 1024])
+def test_one_product_is_bitwise_the_row_block_products(side):
+    # the solver takes T x_0 as one product; corrections stay bitwise those
+    # of a row-blocked product only while the two agree in every bit
+    rng = np.random.default_rng(side)
+    t = rng.random((side, side)) * 10.0 ** rng.uniform(-8, 0, (side, side))
+    t /= t.sum(axis=0)
+    for x in (project_simplex(rng.normal(size=side)), rng.random(side)):
+        blocked = np.concatenate([t[start : start + BLOCK] @ x for start in range(0, side, BLOCK)])
+        assert np.array_equal(t @ x, blocked)
 
 
 def test_constrained_makes_no_dim_squared_temporary():
@@ -262,3 +274,79 @@ def test_constrained_rejects_non_finite_entry_in_any_row_block(side, row, value)
     p_raw = np.full(side, 1.0 / side)
     with pytest.raises(ValidationError, match="NaN or infinite entry"):
         correct_constrained(t, p_raw)
+
+
+def chain10_problem():
+    """An exact k = 2 estimate on a 10-qubit chain and four sampled
+    histograms of it."""
+    m = chain_model(10)
+    t, _tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 2)
+    backend = SampledBackend(m, shots=8192, seed=7)
+    hists = [backend.distribution(x) for x in (0, 0b1011001110, 0b0101010101, 1023)]
+    return t, hists
+
+
+@pytest.fixture
+def bound_passes(monkeypatch):
+    """Counts the passes of norm_bound, from a TransitionMatrix and from
+    the solver."""
+    calls = []
+
+    def counted(t):
+        calls.append(t.shape)
+        return norm_bound(t)
+
+    monkeypatch.setattr(tmatrix, "norm_bound", counted)
+    monkeypatch.setattr(correct, "norm_bound", counted)
+    return calls
+
+
+def test_one_matrix_gives_the_results_of_a_fresh_matrix_per_correction():
+    t, hists = chain10_problem()
+    kept = [correct_constrained(t, p) for p in hists]
+    fresh = [correct_constrained(TransitionMatrix(t.n, t.data.copy()), p) for p in hists]
+    plain = [correct_constrained(t.data, p) for p in hists]
+    for a, b, c in zip(kept, fresh, plain):
+        assert a.p_corr.tobytes() == b.p_corr.tobytes() == c.p_corr.tobytes()
+        assert a.residual == b.residual == c.residual
+        assert a.iterations == b.iterations == c.iterations > 0
+
+
+def test_a_matrix_makes_one_bound_pass_a_plain_array_one_per_call(bound_passes):
+    t, hists = chain10_problem()
+    for p in hists:
+        correct_constrained(t, p)
+    assert bound_passes == [(1024, 1024)]
+    for p in hists:
+        correct_constrained(t.data, p)
+    assert len(bound_passes) == 1 + len(hists)
+
+
+def test_a_matrix_and_its_data_are_read_only():
+    a = melbourne_c4().full_matrix().data.copy()
+    t = TransitionMatrix(4, a)
+    # a float64 array is kept, not copied, and frozen for its owner too
+    assert t.data is a and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t.data[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.data = np.eye(16)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.n = 3
+    assert np.array_equal(t.data, melbourne_c4().full_matrix().data)
+    assert not TransitionMatrix.identity(2).data.flags.writeable
+    assert not TransitionMatrix(1, [[1, 0], [0, 1]]).data.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_kept_non_finite_bound_raises_on_every_correction(bound_passes, value):
+    a = melbourne_c4().full_matrix().data.copy()
+    a[3, 5] = value
+    t = TransitionMatrix(4, a)
+    p_raw = ExactBackend(melbourne_c4()).distribution(0b0110)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="NaN or infinite entry"):
+            correct_constrained(t, p_raw)
+    assert len(bound_passes) == 1

@@ -254,6 +254,37 @@ def test_tables_json_rejects_a_huge_register_without_masks_in_little_memory(tmp_
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "make", [melbourne_c4, melbourne_c8, correlated_chain6], ids=["c4", "c8", "chain6"]
+)
+def test_a_models_tables_round_trip_through_their_file(tmp_path, make):
+    tables = make().tables
+    tables.to_json(tmp_path / "tables.json")
+    back = CalibrationTables.from_json(tmp_path / "tables.json")
+    assert back.k is None and back.n == tables.n
+    assert back.single_masks == tables.single_masks
+    assert back.pair_masks == tables.pair_masks
+    for got, want in ((back.mean_fields, tables.mean_fields), (back.pair_fluct, tables.pair_fluct)):
+        assert list(got) == list(want)
+        assert all(got[q].tobytes() == want[q].tobytes() for q in want)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("2", "k has a non-finite or non-numeric value '2'"),
+        (True, "k has a non-finite or non-numeric value True"),
+        (1.5, "k must be an integer of at least 0, got 1.5"),
+        (-1, "k must be an integer of at least 0, got -1"),
+    ],
+)
+def test_tables_json_rejects_a_k_that_is_neither_null_nor_a_count(tmp_path, value, message):
+    path = edited_tables_file(tmp_path, None, "k", value)
+    with pytest.raises(ValidationError) as err:
+        CalibrationTables.from_json(path)
+    assert str(err.value) == message
+
+
 def test_tables_json_rejects_a_mask_without_its_qubit(tmp_path):
     path = edited_tables_file(tmp_path, "single_masks", "1", "0000")
     with pytest.raises(ValidationError, match=r"single_masks\['1'\] lacks qubit 1"):
