@@ -41,8 +41,6 @@ from .errors import (
 )
 from .estimate import (
     CalibrationTables,
-    assemble_t_mean,
-    assemble_t_pair,
     choose_neighborhood_size,
     circuit_budget,
     estimate_transition_matrix,

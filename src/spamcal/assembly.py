@@ -10,10 +10,14 @@ where read0[c, l] = m_l(0|c) = 1 - m_l(1|c), a term t acts on a sorted
 tuple q_t of qubits with one coefficient a_t(c) per column, and the mean
 product is the term () with coefficient 1. Each m_l(0|c) and a_t(c) depends
 only on the bits of c inside a small mask, so :class:`CalibrationTables`
-holds it as one number per filtered state of that mask. The estimator fills
-the tables from measured distributions; the model tabulates its own
+holds it as one number per filtered state of that mask. The estimator
+builds the tables from measured distributions; the model tabulates its own
 parameters (:attr:`spamcal.model.NoiseModel.tables`). Both reach T through
 the same lookup (:func:`_read0`, :func:`_terms`) and :func:`kron_columns`.
+Tables are read-only values: each of their four builders (the estimator,
+the model, :func:`spamcal.characterize.t_prod` and
+:meth:`CalibrationTables.from_json`) computes every table first and then
+constructs the tables once, and nothing writes to them after that.
 Qubit axes are 0-based in the kernel, MSB first, matching the bitstring
 index convention; the tables name qubits 1..n. Summed over the outcomes
 off a qubit set S, a column keeps only the terms inside S, so
@@ -77,7 +81,9 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -206,7 +212,15 @@ def kron_columns(read0: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-@dataclass
+def _rebuilt(value) -> tuple:
+    """``__reduce__`` of a frozen value: pickle and copy it as its class and
+    the arguments it was built from, each read-only mapping as a dict, so
+    that the copy is built, checked and frozen anew."""
+    args = [getattr(value, f.name) for f in fields(value) if f.init]
+    return type(value), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
+
+
+@dataclass(frozen=True, eq=False)
 class CalibrationTables:
     """Filtered mean fields and correlated-term coefficients: T in local form.
 
@@ -223,16 +237,29 @@ class CalibrationTables:
     per (table, filtered state), as described in the module docstring;
     ``from_json`` raises ValidationError naming the first mask or entry
     that breaks its rules.
+
+    Tables are values, built whole by each builder: no field can be
+    rebound, the masks and tables are read-only mappings, and every table
+    array has its writeable flag cleared. An array passed in is frozen, not
+    copied; a view of a caller's array leaves that array writable.
     """
 
     n: int
     k: int | None
-    single_masks: dict  # i -> mask of the prepared bits qubit i's mean reads
-    pair_masks: dict  # q -> mask of the prepared bits term q's coefficient reads
-    mean_fields: dict = field(default_factory=dict)
-    pair_fluct: dict = field(default_factory=dict)
+    single_masks: Mapping  # i -> mask of the prepared bits qubit i's mean reads
+    pair_masks: Mapping  # q -> mask of the prepared bits term q's coefficient reads
+    mean_fields: Mapping
+    pair_fluct: Mapping
     circuits_used: int = 0
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("single_masks", "pair_masks", "mean_fields", "pair_fluct"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        for table in (*self.mean_fields.values(), *self.pair_fluct.values()):
+            table.flags.writeable = False
+
+    __reduce__ = _rebuilt
 
     def columns(self, cols) -> np.ndarray:
         """T[:, cols] for an array of prepared-state indices in 0..2^n - 1,
@@ -336,21 +363,17 @@ class CalibrationTables:
                 vals.append(number(entries[key], f"table entry {key!r}"))
             return check_table(vals, qubits, mask, n, low, high)
 
-        tables = cls(
-            n=n,
-            k=None if obj["k"] is None else integer(obj["k"], "k", 0),  # a model's tables
-            single_masks=masks("single_masks", 1),
-            pair_masks=masks("pair_masks", 2),
-            circuits_used=integer(obj.get("circuits_used", 0), "circuits_used", 0),
-            metadata=obj.get("metadata", {}),
-        )
-        if len(tables.single_masks) != n:  # each key is checked to lie in 1..n
+        k = None if obj["k"] is None else integer(obj["k"], "k", 0)  # a model's tables
+        single, pair = masks("single_masks", 1), masks("pair_masks", 2)
+        circuits_used = integer(obj.get("circuits_used", 0), "circuits_used", 0)
+        if len(single) != n:  # each key is checked to lie in 1..n
             raise ValidationError(f"single_masks must name each of the qubits 1..{n}")
-        for i, mask in tables.single_masks.items():
-            tables.mean_fields[i] = table(obj["mean_fields"], (i,), mask, 0, 1)
-        for ij, mask in tables.pair_masks.items():
-            tables.pair_fluct[ij] = table(obj["pair_fluct"], ij, mask, -0.25, 0.25)
-        return tables
+        return cls(
+            n, k, single, pair,
+            {i: table(obj["mean_fields"], (i,), mask, 0, 1) for i, mask in single.items()},
+            {ij: table(obj["pair_fluct"], ij, mask, -0.25, 0.25) for ij, mask in pair.items()},
+            circuits_used, obj.get("metadata", {}),
+        )
 
 
 def check_table(vals, qubits: tuple, mask: int, n: int, low: float, high: float,

@@ -72,18 +72,17 @@ def prob_joint_zero(dist: np.ndarray, i: int, j: int, n: int) -> float:
     return float(dist[_zero_outcomes(n, qubit_mask(i, n) | qubit_mask(j, n))].sum())
 
 
-def block_zero(rows: np.ndarray, mask: int, n: int, sel=None) -> np.ndarray:
-    """P(every qubit of the mask reads 0) under each distribution of a
-    C-contiguous (states, 2^n) block of rows, or of the rows ``sel`` only
-    (an index array): one gather into a C-contiguous array and one sum
-    along its rows, each bitwise the 1-D sum of :func:`prob_zero`.
-    A row sum over ``rows[:, idx]``, which numpy lays out column by column,
-    adds in another order. Reading every row costs less than indexing the
-    selected ones while they are more than half of the block."""
+def block_zero(rows: np.ndarray, mask: int, n: int, sel: np.ndarray) -> np.ndarray:
+    """P(every qubit of the mask reads 0) under each distribution of the
+    rows ``sel`` (an index array) of a C-contiguous (states, 2^n) block of
+    rows: one gather into a C-contiguous array and one sum along its rows,
+    each bitwise the 1-D sum of :func:`prob_zero`. A row sum over
+    ``rows[:, idx]``, which numpy lays out column by column, adds in
+    another order. Reading every row costs less than indexing the selected
+    ones while they are more than half of the block."""
     idx = _zero_outcomes(n, mask)
-    if sel is None or 2 * len(sel) > len(rows):
-        zero = np.take(rows, idx, axis=1).sum(axis=1)
-        return zero if sel is None else zero[sel]
+    if 2 * len(sel) > len(rows):
+        return np.take(rows, idx, axis=1).sum(axis=1)[sel]
     return np.take(rows, (sel * rows.shape[1])[:, None] + idx).sum(axis=1)
 
 
@@ -215,7 +214,7 @@ def t_prod(matrices) -> TransitionMatrix:
         )
     n = len(matrices)
     masks = {i: qubit_mask(i, n) for i in range(1, n + 1)}
-    tables = CalibrationTables(n, None, masks, {}, {i: matrices[i - 1, 0] for i in masks})
+    tables = CalibrationTables(n, None, masks, {}, {i: matrices[i - 1, 0] for i in masks}, {})
     return TransitionMatrix(n, tables.columns(np.arange(1 << n)))
 
 
@@ -242,7 +241,7 @@ def total_spam_error(t_meas: TransitionMatrix, norm: MatrixNorm) -> float:
 # -- correlators -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrelatorReport:
     """All pairwise correlators of a register, plus the circuit count.
 

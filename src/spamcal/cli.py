@@ -84,10 +84,6 @@ def _make_backend(args):
     return backend, model.geometry, [args.model] if args.model else []
 
 
-def _config_dict(args):
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-
-
 def _emit(args, files, inputs, **config):
     """Write a command's files: hash the inputs, then ``<args.out>`` and its
     other outputs and ``<args.out>.manifest.json``, all or none.
@@ -95,8 +91,8 @@ def _emit(args, files, inputs, **config):
     ``files`` holds (path, writer) pairs; a None path is an optional output
     that was not asked for, and a writer given no path returns its text. Two
     outputs at one path, the manifest's included, are a ValidationError
-    before anything is written. The manifest's config is
-    ``_config_dict(args)`` plus ``config``. Every file, the manifest last,
+    before anything is written. The manifest's config is every argument but
+    ``func``, in name order, then ``config``. Every file, the manifest last,
     is staged beside its path (``serialize.stage``), and only when all are
     written are they renamed into place; if a write fails, the staged files
     are removed and the error is re-raised, so the files of an earlier run
@@ -110,7 +106,7 @@ def _emit(args, files, inputs, **config):
             raise ValidationError(f"two outputs at one path: {path}")
     manifest = {
         "command": args.command,
-        "config": {**_config_dict(args), **config},
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"} | config,
         "version": __version__,
         "seed_derivation": f"{SAMPLER_ID}; per-query seed = (seed, prepared index, ordinal)",
         "input_hashes": {str(p): sha256_file(p) for p in inputs},
@@ -140,7 +136,6 @@ def cmd_gen_model(args):
         raise ValidationError("need --preset or --spec")
     _emit(args, [(args.out, model.to_json)], [args.spec] if args.spec else [])
     print(f"wrote {args.out}")
-    return 0
 
 
 def cmd_calibrate_full(args):
@@ -148,7 +143,6 @@ def cmd_calibrate_full(args):
     t = measure_full_matrix(backend, limit=args.oracle_limit)
     _emit(args, [(args.out, t.to_json), (args.csv, t.to_csv)], inputs, circuits=t.dim)
     print(f"wrote {args.out} ({t.dim} circuits)")
-    return 0
 
 
 def cmd_estimate(args):
@@ -161,7 +155,6 @@ def cmd_estimate(args):
         f"wrote {args.out}; circuits used {tables.circuits_used} "
         f"(budget {budget['step1']} + {budget['step2']})"
     )
-    return 0
 
 
 def cmd_correlators(args):
@@ -171,7 +164,6 @@ def cmd_correlators(args):
     files = [(args.out, report.to_json), (args.csv, report.single_shift_csv)]
     _emit(args, files, inputs)
     print(f"wrote {args.out} ({report.circuits_used} circuits)")
-    return 0
 
 
 def cmd_compare(args):
@@ -189,7 +181,6 @@ def cmd_compare(args):
     report = compare_matrices(candidates, reference)
     _emit(args, [(args.out, report.to_csv)], inputs)
     print(report.to_text(), end="")
-    return 0
 
 
 def cmd_correct(args):
@@ -211,13 +202,11 @@ def cmd_correct(args):
         f"wrote {args.out} (residual {result.residual:.3e}, "
         f"negative mass {result.negative_mass_removed:.3e})"
     )
-    return 0
 
 
 def cmd_budget(args):
     bound1, bound2 = circuit_budget(args.n, args.k)
     print(f"{bound1}, {bound2}")
-    return 0
 
 
 def cmd_tprod(args):
@@ -225,7 +214,6 @@ def cmd_tprod(args):
     matrices = single_qubit_matrices(backend, Uniform(args.spectators))
     _emit(args, [(args.out, t_prod(matrices).to_json)], inputs)
     print(f"wrote {args.out}")
-    return 0
 
 
 # -- entry point -----------------------------------------------------------
@@ -302,10 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except SpamcalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrectionResult:
     p_corr: np.ndarray
     residual: float
@@ -167,7 +167,6 @@ def correct_direct_inverse(t, p_raw: np.ndarray) -> CorrectionResult:
 
 @dataclass
 class ComparisonReport:
-    reference: str
     rows: list  # (name, scaled_frobenius, max)
 
     def to_csv(self, path=None) -> str:
@@ -202,4 +201,4 @@ def compare_matrices(candidates: dict, reference) -> ComparisonReport:
                 norm_distance(c, ref, MatrixNorm.MAX),
             )
         )
-    return ComparisonReport(reference="reference", rows=rows)
+    return ComparisonReport(rows)

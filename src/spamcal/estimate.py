@@ -13,7 +13,10 @@ lacks any preparation fails once, naming every missing state. On an exact
 backend up to n = 12 that call reads the model's tables in closed form, so
 each mean field is the model's own P(reads 0) at the filtered state, a
 pair the model lacks reads exactly 0, and no column is drawn. It checks
-``k`` against :func:`circuit_budget` before it builds any mask.
+``k`` against :func:`circuit_budget` before it builds any mask. ``_fill``
+turns those marginals into finished mean-field and pair tables, and the
+:class:`CalibrationTables` are built from them whole, read-only from then
+on.
 
 The full matrix is then assembled classically, in one call that the noise
 model also makes for its own columns: :meth:`CalibrationTables.columns`,
@@ -84,29 +87,31 @@ def assemble_t_pair(tables: CalibrationTables) -> TransitionMatrix:
     return TransitionMatrix(tables.n, t)
 
 
-def _fill(tables: CalibrationTables, backend) -> None:
-    """Fill the mean-field and pair tables from one :func:`zero_marginals`
-    call: each table reads its qubits' read-0 marginals at its mask's
-    filtered states, and a pair table also reads the joint one."""
-    n = tables.n
-    single, pair = tables.single_masks, tables.pair_masks
+def _fill(backend, single: dict, pair: dict) -> tuple[dict, dict]:
+    """The mean-field and pair tables of these masks, from one
+    :func:`zero_marginals` call: each table reads its qubits' read-0
+    marginals at its mask's filtered states, and a pair table also reads
+    the joint one."""
+    n = backend.n
     flips = {i: qubit_mask(i, n) for i in single}
     queries = [(flips[i], _states(m)) for i, m in single.items()]
     for (i, j), m in pair.items():
         queries += [(q, _states(m)) for q in (flips[i], flips[j], flips[i] | flips[j])]
     zero = iter(zero_marginals(backend, queries))
-    tables.mean_fields = {i: next(zero) for i in single}
-    tables.pair_fluct = {}
+    mean_fields = {i: next(zero) for i in single}
+    pair_fluct = {}
     for ij in pair:
         pi, pj, joint = next(zero), next(zero), next(zero)
-        tables.pair_fluct[ij] = joint - pi * pj
+        pair_fluct[ij] = joint - pi * pj
+    return mean_fields, pair_fluct
 
 
 def estimate_transition_matrix(
     backend, geometry: RegisterGeometry, k: int
 ) -> tuple[TransitionMatrix, CalibrationTables]:
-    """Run both measurement steps (sharing preparations), fill the tables
-    and assemble the estimated matrix from them in one kernel call."""
+    """Run both measurement steps (sharing preparations), build the tables
+    from them whole and assemble the estimated matrix from the tables in one
+    kernel call."""
     check_register(backend, geometry)
     n = geometry.n
     bound1, bound2 = circuit_budget(n, k)
@@ -117,14 +122,15 @@ def estimate_transition_matrix(
         for j in range(i + 1, n + 1)
     }
     step1 = _preps(single)
-    tables = CalibrationTables(n, k, single, pair)
-    _fill(tables, backend)
-    tables.circuits_used = len(step1 | _preps(pair))
-    tables.metadata = {
-        "backend": backend.descriptor(),
-        "step1_preparations": len(step1),
-        "budget": {"step1": bound1, "step2": bound2},
-    }
+    tables = CalibrationTables(
+        n, k, single, pair, *_fill(backend, single, pair),
+        circuits_used=len(step1 | _preps(pair)),
+        metadata={
+            "backend": backend.descriptor(),
+            "step1_preparations": len(step1),
+            "budget": {"step1": bound1, "step2": bound2},
+        },
+    )
     return TransitionMatrix(n, tables.columns(np.arange(1 << n))), tables
 
 

@@ -30,6 +30,13 @@ reads marginals from the tables and draws no column
 limit only drawn columns are checked, and the exact backend draws a column
 for every marginal it reads.
 
+A model is a value, like the tables it holds: no field can be rebound,
+its arrays are read-only copies of the ones passed in, and its term dicts
+are read-only mappings, so its parameters (what ``to_dict`` writes) and
+its tables (what every column reads) cannot drift apart. A changed model
+is derived with ``dataclasses.replace``, which builds and checks it anew;
+a pickled or copied model is rebuilt from its parameters the same way.
+
 The shift sign is chosen so that shift[i][j] equals the drop of qubit i's
 P(read 0) when prepared spectator j is flipped to 1, i.e. exactly the
 spectator-shift correlator measured by :mod:`spamcal.characterize`.
@@ -37,11 +44,13 @@ spectator-shift correlator measured by :mod:`spamcal.characterize`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .assembly import CalibrationTables, _states, check_table, sweep_width
+from .assembly import CalibrationTables, _rebuilt, _states, check_table, sweep_width
 from .bits import support_mask
 from .errors import ValidationError
 from .geometry import RegisterGeometry
@@ -52,7 +61,7 @@ from .tmatrix import TransitionMatrix
 ORACLE_LIMIT_DEFAULT = 12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Per-qubit readout matrices plus sparse correlated terms.
 
@@ -63,35 +72,43 @@ class NoiseModel:
     shift_range:    Chebyshev range bound declared for shifts
     cov_range:      Chebyshev range bound declared for spectator_cov
     tables:         the model in local form, built and checked at construction
+
+    A frozen value (see the module docstring): base and each pair_cov
+    matrix are read-only copies of the arrays passed in, and the four term
+    dicts read-only mappings of copies of the dicts passed in.
     """
 
     geometry: RegisterGeometry
     base: np.ndarray
-    shifts: dict = field(default_factory=dict)
-    pair_cov: dict = field(default_factory=dict)
-    spectator_cov: dict = field(default_factory=dict)
-    triples: dict = field(default_factory=dict)
+    shifts: Mapping = field(default_factory=dict)
+    pair_cov: Mapping = field(default_factory=dict)
+    spectator_cov: Mapping = field(default_factory=dict)
+    triples: Mapping = field(default_factory=dict)
     shift_range: int = 0
     cov_range: int = 0
+    tables: CalibrationTables = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.geometry.n
-        self.base = np.asarray(self.base, dtype=float)
-        if self.base.shape != (n, 2, 2):
+        base = _frozen(self.base)
+        if base.shape != (n, 2, 2):
             raise ValidationError(
-                f"expected {n} single-qubit 2x2 matrices, got shape {self.base.shape}"
+                f"expected {n} single-qubit 2x2 matrices, got shape {base.shape}"
             )
         for i in range(n):
-            check_column_stochastic(self.base[i], tol=1e-9)
-        self.pair_cov = {
-            k: np.asarray(v, dtype=float).reshape(2, 2)
-            for k, v in self.pair_cov.items()
-        }
-        self.tables = self._tabulate()
+            check_column_stochastic(base[i], tol=1e-9)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "pair_cov", {k: _frozen(np.reshape(v, (2, 2)))
+                                              for k, v in self.pair_cov.items()})
+        for name in ("shifts", "pair_cov", "spectator_cov", "triples"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "tables", self._tabulate())
         if self.enumerated:
             cols, width = np.arange(1 << n), sweep_width(n)
             for start in range(0, cols.size, width):
                 self._columns(cols[start:start + width])
+
+    __reduce__ = _rebuilt
 
     @property
     def n(self) -> int:
@@ -185,24 +202,20 @@ class NoiseModel:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
+        def keyed(terms) -> dict:  # each key spelled "i,j" or "i,j,l", in order
+            return {",".join(map(str, q)): v for q, v in sorted(terms.items())}
+
         return {
             "n": self.n,
             "dimension": self.geometry.dimension,
             "positions": [list(p) for p in self.geometry.positions],
             "base": self.base.tolist(),
-            "shifts": {f"{i},{j}": v for (i, j), v in sorted(self.shifts.items())},
+            "shifts": keyed(self.shifts),
             "shift_range": self.shift_range,
-            "pair_cov": {
-                f"{i},{j}": v.tolist() for (i, j), v in sorted(self.pair_cov.items())
-            },
-            "spectator_cov": {
-                f"{i},{j},{l}": v
-                for (i, j, l), v in sorted(self.spectator_cov.items())
-            },
+            "pair_cov": keyed({q: v.tolist() for q, v in self.pair_cov.items()}),
+            "spectator_cov": keyed(self.spectator_cov),
             "cov_range": self.cov_range,
-            "triples": {
-                f"{i},{j},{k}": v for (i, j, k), v in sorted(self.triples.items())
-            },
+            "triples": keyed(self.triples),
         }
 
     def to_json(self, path=None) -> str:
@@ -236,6 +249,13 @@ class NoiseModel:
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
         return cls.from_dict(load_json(path))
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of values."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 def _filtered_bits(qs, n: int) -> np.ndarray:

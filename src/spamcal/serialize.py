@@ -150,7 +150,7 @@ def dump_csv(rows, path=None) -> str:
 LARGE_JSON_BYTES = 4 << 20
 
 
-def float_list_json(values: np.ndarray, sep: str = ", ") -> str:
+def float_list_json(values: np.ndarray, sep: str) -> str:
     """``json.dumps(values.tolist(), separators=(sep, ": "))``, byte for
     byte, for a float array of any shape but 0-d. When the text can reach
     LARGE_JSON_BYTES the digits come from ``pydantic_core.to_json``, with

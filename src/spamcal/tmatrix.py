@@ -47,12 +47,13 @@ from .serialize import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """A 2^n x 2^n transition matrix, immutable. A float64 array given as
     data is kept and frozen, not copied: its writeable flag is cleared, so
     the caller can no longer write into it either; any other array-like is
-    converted to a new float64 array first."""
+    converted to a new float64 array first. Compared and hashed by
+    identity."""
 
     n: int
     data: np.ndarray

@@ -1,7 +1,10 @@
+import copy
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
 import json
+import pickle
 import sys
 import tracemalloc
 from pathlib import Path
@@ -14,10 +17,13 @@ from spamcal import assembly
 from spamcal.assembly import CalibrationTables, kron_columns, sweep_width
 from spamcal.backends import ExactBackend
 from spamcal.bits import qubit_mask, submasks
+from spamcal.characterize import correlator_report
+from spamcal.correct import correct_constrained
 from spamcal.errors import ValidationError
 from spamcal.estimate import estimate_transition_matrix
 from spamcal.geometry import RegisterGeometry
-from spamcal.model import NoiseModel, melbourne_c8
+from spamcal.model import NoiseModel, melbourne_c4, melbourne_c8
+from spamcal.tmatrix import TransitionMatrix
 from test_acceptance import correlated_chain6
 from test_model import chain_model, grid3x3_spectator_model, random_model
 
@@ -404,3 +410,65 @@ def test_a_state_outside_100_qubits_raises_the_columns_message(state):
         tables.zero_marginal(qubit_mask(1, 100), [0, state])
     with pytest.raises(ValidationError, match=message):
         tables.columns([state])
+
+
+def tables_read_back(tmp_path):
+    path = tmp_path / "tables.json"
+    chain_estimate_tables().to_json(path)
+    return CalibrationTables.from_json(path)
+
+
+# tables from each kind of builder: a model's, the estimator's and a file's
+BUILT_TABLES = {
+    "model": lambda tmp_path: melbourne_c8().tables,
+    "estimate": lambda tmp_path: chain_estimate_tables(),
+    "file": tables_read_back,
+}
+
+
+@pytest.mark.parametrize("source", BUILT_TABLES)
+def test_tables_are_built_whole_and_read_only(tmp_path, source):
+    tables = BUILT_TABLES[source](tmp_path)
+    for f in dataclasses.fields(tables):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tables, f.name, getattr(tables, f.name))
+    pair = next(iter(tables.pair_masks))
+    with pytest.raises(ValueError, match="read-only"):
+        tables.mean_fields[1][0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        tables.pair_fluct[pair][0] = 0.01
+    with pytest.raises(TypeError):
+        tables.mean_fields[1] = np.ones(2)
+    with pytest.raises(TypeError):
+        tables.pair_masks[pair] = 0
+
+
+@pytest.mark.parametrize("source", BUILT_TABLES)
+def test_copied_tables_are_the_same_read_only_value(tmp_path, source):
+    tables = BUILT_TABLES[source](tmp_path)
+    cols = np.arange(1 << tables.n)
+    for c in (pickle.loads(pickle.dumps(tables)), copy.deepcopy(tables)):
+        assert np.array_equal(c.columns(cols), tables.columns(cols))
+        assert dict(c.pair_masks) == dict(tables.pair_masks)
+        assert (c.k, c.circuits_used, c.metadata) == (tables.k, tables.circuits_used,
+                                                      tables.metadata)
+        assert not c.mean_fields[1].flags.writeable
+
+
+def test_no_value_type_has_a_comparison_or_hash_that_raises():
+    # each holds arrays, which a generated == would compare as tuples
+    m = melbourne_c4()
+    t, tables = estimate_transition_matrix(ExactBackend(m), m.geometry, 0)
+    backend = ExactBackend(m)
+    p = m.column(0)
+    values = {
+        "NoiseModel": (m, melbourne_c4()),
+        "CalibrationTables": (tables, m.tables),
+        "TransitionMatrix": (t, m.full_matrix()),
+        "CorrelatorReport": (correlator_report(backend), correlator_report(backend)),
+        "CorrectionResult": (correct_constrained(t, p), correct_constrained(t, p)),
+    }
+    for name, (a, b) in values.items():
+        assert a == a and a != b, name
+    identity = TransitionMatrix.identity(2)  # hashed by identity
+    assert hash(identity) == hash(identity) and len({identity, t, t}) == 2

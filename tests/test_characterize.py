@@ -369,8 +369,8 @@ def count_summed_rows(monkeypatch) -> Counter:
     """Rows summed per mask by every block_zero call from now on."""
     summed = Counter()
 
-    def counted(rows, mask, n, sel=None):
-        summed[mask] += len(rows) if sel is None else len(sel)
+    def counted(rows, mask, n, sel):
+        summed[mask] += len(sel)
         return block_zero(rows, mask, n, sel)
 
     monkeypatch.setattr(characterize, "block_zero", counted)
@@ -438,6 +438,15 @@ def test_tprod_bitwise_equals_the_kronecker_product(register, kind, family):
     m = REGISTERS[register]()
     matrices = single_qubit_matrices(BACKENDS[kind](m), family, m.geometry)
     assert np.array_equal(t_prod(matrices).data, kron_t_prod(matrices))
+
+
+def test_tprod_leaves_the_callers_matrices_writable():
+    # its tables freeze rows of the caller's array, which stays writable
+    matrices = single_qubit_matrices(ExactBackend(melbourne_c4_product()), Uniform(0))
+    t = t_prod(matrices)
+    assert matrices.flags.writeable
+    matrices[0] = np.eye(2)
+    assert not np.array_equal(t.data, kron_t_prod(matrices))
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 2), (4, 2), (4, 2, 3), (4, 3, 2), (1, 4, 2, 2)])

@@ -236,16 +236,19 @@ def test_out_of_bounds_model_beyond_oracle_limit_exits_2(tmp_path, capsys, comma
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("key", [None, "4,x", "a,b"], ids=["count", "4,x", "a,b"])
 @pytest.mark.parametrize("field", ["shifts", "pair_cov", "spectator_cov", "triples"])
-def test_model_key_with_wrong_index_count_rejected(tmp_path, capsys, field):
+def test_model_key_with_wrong_index_count_rejected(tmp_path, capsys, field, key):
+    # a key that is not all integers holds no qubit indices at all
     obj = melbourne_c4().to_dict()
     value = [[1e-4, 1e-4], [1e-4, 1e-4]] if field == "pair_cov" else 1e-4
-    key = "1,2" if field in ("spectator_cov", "triples") else "1,4,3"
+    parts = 3 if field in ("spectator_cov", "triples") else 2
+    key = key or ("1,2" if parts == 3 else "1,4,3")
     obj[field] = {key: value}
     model = tmp_path / "model.json"
     model.write_text(json.dumps(obj))
     assert run("estimate", "--model", model, "--k", "0", "--out", tmp_path / "x.json") == 2
-    assert f"model key '{key}'" in capsys.readouterr().err
+    assert f"model key '{key}' needs {parts} qubit indices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["n", "dimension", "positions", "base"])

@@ -297,6 +297,7 @@ def test_tables_json_rejects_a_mask_without_its_qubit(tmp_path):
         ("2,3", "3,2", "pair_masks key '3,2' needs i < j"),
         ("3,4", "4,5", "qubit index 5 out of range 1..4"),
         ("2,3", "0,2", "qubit index 0 out of range 1..4"),
+        ("2,3", "2,y", "tables key '2,y' needs 2 qubit indices"),
     ],
 )
 def test_tables_json_rejects_a_pair_outside_the_register_order(tmp_path, old, new, match):

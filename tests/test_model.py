@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from spamcal.assembly import _states, kron_columns, sweep_width
 from spamcal.backends import ExactBackend
-from spamcal.bits import submasks, support_mask
+from spamcal.bits import qubit_mask, submasks, support_mask
 from spamcal.errors import ValidationError
 from spamcal.geometry import RegisterGeometry
 from spamcal.model import (
@@ -465,3 +467,76 @@ def test_a_base_of_the_wrong_shape_raises_its_message():
     message = r"expected 2 single-qubit 2x2 matrices, got shape \(2, 2\)"
     with pytest.raises(ValidationError, match=message):
         NoiseModel(RegisterGeometry.chain(2), np.eye(2))
+
+
+MODEL_FIELDS = [
+    "geometry", "base", "shifts", "pair_cov", "spectator_cov", "triples",
+    "shift_range", "cov_range", "tables",
+]
+
+
+@pytest.mark.parametrize("name", MODEL_FIELDS)
+def test_no_model_field_can_be_rebound(name):
+    m = melbourne_c4()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(m, name, getattr(m, name))
+
+
+def test_no_model_parameter_or_table_can_be_edited():
+    m = melbourne_c4()
+    with pytest.raises(TypeError):
+        m.shifts[(4, 1)] = 0.2
+    with pytest.raises(TypeError):
+        m.pair_cov[(1, 2)] = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        m.base[0, :, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        m.pair_cov[(2, 3)][0, 0] = 0.01
+    with pytest.raises(ValueError, match="read-only"):
+        m.tables.mean_fields[1][0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        m.tables.pair_fluct[(2, 3)][0] = 0.01
+    assert m.to_dict() == melbourne_c4().to_dict()
+
+
+def test_editing_the_callers_arrays_after_construction_moves_nothing():
+    base, cov = np.array([symmetric_single_qubit(0.05)] * 4), 1e-4 * np.ones((2, 2))
+    m = NoiseModel(RegisterGeometry.chain(4), base, pair_cov={(1, 2): cov})
+    shifts = {(2, 1): 0.01}
+    s = NoiseModel(RegisterGeometry.chain(4), base, shifts=shifts, shift_range=1)
+    before, t = m.to_dict(), m.full_matrix().data.copy()
+    base[0] = 0.5
+    cov[0, 0] = 0.2
+    shifts[(2, 1)] = 0.3
+    assert base.flags.writeable and m.base is not base
+    assert m.to_dict() == before
+    assert np.array_equal(m.full_matrix().data, t)
+    assert dict(s.shifts) == {(2, 1): 0.01}
+
+
+def chain_model_with_a_triple():
+    return dataclasses.replace(chain_model(6), triples={(2, 3, 4): -1e-5})
+
+
+@pytest.mark.parametrize("make", [melbourne_c8, chain_model_with_a_triple],
+                         ids=["melbourne-c8", "chain6-triple"])
+@pytest.mark.parametrize("copy_of", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_model_is_the_same_read_only_value(make, copy_of):
+    m = make()
+    c = copy_of(m)
+    assert c is not m and c.to_dict() == m.to_dict()
+    assert np.array_equal(c.full_matrix().data, m.full_matrix().data)
+    assert not c.base.flags.writeable
+    assert not c.tables.mean_fields[1].flags.writeable
+    with pytest.raises(TypeError):
+        c.triples[(1, 2, 3)] = 1e-5
+
+
+def test_a_replaced_model_is_built_and_checked_anew():
+    m = melbourne_c4()
+    with pytest.raises(ValidationError, match=r"table entry '4\|1001' lies outside"):
+        dataclasses.replace(m, shifts={(4, 1): 0.2})
+    r = dataclasses.replace(m, shifts={})
+    assert dict(r.shifts) == {} and dict(m.shifts) == {(4, 1): 0.047}
+    assert r.tables.single_masks[4] == qubit_mask(4, 4) != m.tables.single_masks[4]
